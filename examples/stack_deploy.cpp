@@ -5,6 +5,7 @@
 // rules, alerting, automated response, and job gating in one call — and the
 // operator console is a status line plus architecture-context heatmaps.
 #include <cstdio>
+#include <filesystem>
 
 #include "stack/stack.hpp"
 #include "viz/heatmap.hpp"
@@ -12,6 +13,9 @@
 using namespace hpcmon;
 
 int main() {
+  // Start from an empty tier directory so every run tells the same story.
+  const char* kTierDir = "/tmp/hpcmon_stack_deploy_tiers";
+  std::filesystem::remove_all(kTierDir);
   // The deployment description a site would keep in git.
   const char* kDeployConfig = R"(
       # collection
@@ -19,10 +23,11 @@ int main() {
       log_interval_s    = 10
       probe_interval_s  = 300
       health_interval_s = 300
-      # storage tiers
-      hot_window_s  = 3600
-      warm_bucket_s = 300
-      chunk_points  = 64
+      # storage tiers: sealed chunks older than an hour age into
+      # journaled on-disk resolution tiers
+      chunk_points      = 64
+      tier_dir          = /tmp/hpcmon_stack_deploy_tiers
+      tier_hot_window_s = 3600
       # analysis & response
       rules   = true
       novelty = true
@@ -103,5 +108,10 @@ int main() {
                                                 gs->post_failures),
                 static_cast<unsigned long long>(gs->repairs));
   }
+  if (const auto* tiers = stack.tiers()) {
+    std::printf("tier files: %zu (%llu bytes on disk)\n", tiers->file_count(),
+                static_cast<unsigned long long>(tiers->disk_bytes()));
+  }
+  std::filesystem::remove_all(kTierDir);
   return 0;
 }

@@ -1,6 +1,5 @@
 #include "collect/collection.hpp"
 
-#include "store/retention.hpp"
 #include "transport/codec.hpp"
 
 namespace hpcmon::collect {
@@ -49,12 +48,6 @@ void CollectionService::add_log_collector(Duration interval, LogSink sink) {
 }
 
 SampleSink store_sink(store::TimeSeriesStore& store) {
-  return [&store](core::SampleBatch&& batch) {
-    store.append_batch(batch.samples);
-  };
-}
-
-SampleSink tiered_sink(store::TieredStore& store) {
   return [&store](core::SampleBatch&& batch) {
     store.append_batch(batch.samples);
   };

@@ -261,14 +261,13 @@ void IngestPipeline::worker(std::size_t shard) {
       continue;
     }
     const auto work_t0 = steady_clock::now();
+    // Each sub-batch waited from its own enqueue to its own pop; timing a
+    // coalesced one against work_t0 would go negative (and wrap) whenever
+    // it was enqueued after the first pop.
     const auto queue_wait = [&](const PrioritizedBatch& item) {
       if (config_.stages == nullptr) return;
-      config_.stages->record(
-          obs::Stage::kQueueWait,
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  work_t0 - item.enqueue_time)
-                  .count()));
+      config_.stages->record(obs::Stage::kQueueWait,
+                             elapsed_us(item.enqueue_time));
     };
     queue_wait(*first);
     // Coalesce whatever else is already queued (bounded) into one append:

@@ -200,7 +200,7 @@ void RollupTree::mark_dirty_up(Plane& plane, std::uint32_t slot) {
   }
 }
 
-RollupTickStats RollupTree::tick(std::vector<RollupUpdate>* changed) {
+RollupTickStats RollupTree::tick() {
   const auto t0 = std::chrono::steady_clock::now();
   RollupTickStats out;
   // Ticks must not overlap: a second flip would hand writers a retired
@@ -281,9 +281,6 @@ RollupTickStats RollupTree::tick(std::vector<RollupUpdate>* changed) {
         if (total == plane.total[slot]) continue;
         plane.total[slot] = total;
         ++out.changed;
-        if (changed != nullptr) {
-          changed->push_back({node.comp, plane.metric, total});
-        }
       }
       bucket->clear();
     }

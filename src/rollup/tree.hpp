@@ -126,14 +126,6 @@ class RollupSnapshot {
   std::uint64_t version_ = 0;
 };
 
-/// One level whose stat changed at the last tick — the serve tier fans these
-/// out to kRollupSub subscribers.
-struct RollupUpdate {
-  core::ComponentId component = core::kNoComponent;
-  std::string metric;
-  RollupStat stat;
-};
-
 struct RollupTickStats {
   std::size_t leaf_updates = 0;  // pending cells applied to leaves
   std::size_t forgotten = 0;     // series retracted (eviction/churn)
@@ -165,9 +157,8 @@ class RollupTree {
 
   /// Coalescing merge: drain shard deltas, re-fold dirty levels, bump the
   /// published version (the snapshot itself materializes at the next
-  /// snapshot() call). When `changed` is non-null it receives every level
-  /// whose stat moved (for subscription fan-out).
-  RollupTickStats tick(std::vector<RollupUpdate>* changed = nullptr);
+  /// snapshot() call).
+  RollupTickStats tick();
 
   /// Read the current published view (empty before the first tick). The
   /// first read after a changing tick materializes the view under the tree

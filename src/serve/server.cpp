@@ -613,6 +613,7 @@ void ServeServer::handle_frame(const std::shared_ptr<Connection>& conn,
         sub.conn = conn;
         sub.component = std::move(req.component);
         sub.metric = std::move(req.metric);
+        sub.last = ack.current.stat;
         ack.sub_id = sub.id;
         rollup_subs_.push_back(std::move(sub));
         rollup_sub_count_.store(rollup_subs_.size(),
@@ -851,23 +852,39 @@ bool ServeServer::has_rollup_subs() const {
   return rollup_sub_count_.load(std::memory_order_relaxed) > 0;
 }
 
-std::size_t ServeServer::publish_rollup(std::span<const RollupDelta> changed) {
-  if (changed.empty()) return 0;
-  std::lock_guard<std::mutex> lock(subs_mu_);
-  if (rollup_subs_.empty()) return 0;
-  std::size_t enqueued = 0;
-  for (const auto& d : changed) {
-    for (auto& sub : rollup_subs_) {
-      if (sub.conn->closed) continue;
-      if (sub.component != d.component || sub.metric != d.metric) continue;
-      std::vector<std::uint8_t> bytes;
-      append_wire_frame(bytes, MsgType::kRollupDelta, sub.id,
-                        encode_rollup_delta(d));
-      sub.conn->egress.push_response(std::move(bytes));
-      notify_writer(sub.conn->id);
-      rollup_deltas_.add();
-      ++enqueued;
+std::size_t ServeServer::publish_rollup() {
+  if (!has_rollup_subs() || !hooks_.rollup_query) return 0;
+  // Read the watched levels with subs_mu_ released (the hook takes the
+  // host's registry and rollup-tree locks), then push the ones that moved.
+  std::vector<std::uint32_t> ids;
+  std::vector<RollupDelta> levels;
+  {
+    std::lock_guard<std::mutex> lock(subs_mu_);
+    for (const auto& sub : rollup_subs_) {
+      ids.push_back(sub.id);
+      levels.push_back({sub.component, sub.metric, {}});
     }
+  }
+  for (auto& level : levels) {
+    level.stat = hooks_.rollup_query(level.component, level.metric)
+                     .value_or(rollup::RollupStat{});
+  }
+  std::lock_guard<std::mutex> lock(subs_mu_);
+  std::size_t enqueued = 0;
+  for (auto& sub : rollup_subs_) {
+    // Subs opened since the read above start from their ack's stat.
+    const auto it = std::find(ids.begin(), ids.end(), sub.id);
+    if (it == ids.end() || sub.conn->closed) continue;
+    const auto& level = levels[static_cast<std::size_t>(it - ids.begin())];
+    if (level.stat == sub.last) continue;
+    sub.last = level.stat;
+    std::vector<std::uint8_t> bytes;
+    append_wire_frame(bytes, MsgType::kRollupDelta, sub.id,
+                      encode_rollup_delta(level));
+    sub.conn->egress.push_response(std::move(bytes));
+    notify_writer(sub.conn->id);
+    rollup_deltas_.add();
+    ++enqueued;
   }
   return enqueued;
 }

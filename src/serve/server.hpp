@@ -40,7 +40,6 @@
 #include <mutex>
 #include <optional>
 #include <set>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -134,7 +133,7 @@ struct ServeHooks {
 };
 
 /// Bind the five query hooks to any store exposing the common read API
-/// (TimeSeriesStore, ShardedTimeSeriesStore, TieredStore's hot tier...).
+/// (TimeSeriesStore, ShardedTimeSeriesStore, TierSpanView...).
 template <typename Store>
 void bind_query_hooks(ServeHooks& hooks, Store& store) {
   hooks.query_range = [&store](core::SeriesId id, const core::TimeRange& r) {
@@ -206,13 +205,14 @@ class ServeServer {
   /// or coalesced.
   std::size_t publish_batch(const core::SampleBatch& batch);
 
-  /// Rollup tap: fan the tick's changed levels out to every kRollupSub
-  /// subscriber whose (component, metric) moved. Safe from any thread;
-  /// never blocks on a client. Returns kRollupDelta frames enqueued.
-  std::size_t publish_rollup(std::span<const RollupDelta> changed);
+  /// Rollup tap, called after each rollup tick: read every live kRollupSub
+  /// level through hooks.rollup_query and push a kRollupDelta to each
+  /// subscriber whose level differs from the last stat it was sent. Costs
+  /// O(subscribers), not O(changed levels). Safe from any thread; never
+  /// blocks on a client. Returns kRollupDelta frames enqueued.
+  std::size_t publish_rollup();
 
-  /// True when at least one kRollupSub subscription is live — lets the host
-  /// skip collecting changed-level lists on ticks nobody is watching.
+  /// True when at least one kRollupSub subscription is live.
   bool has_rollup_subs() const;
 
   ServeStats stats() const;
@@ -263,12 +263,14 @@ class ServeServer {
     std::vector<std::uint8_t> match_cache;
   };
 
-  /// One live kRollupSub: exact (component, metric) level.
+  /// One live kRollupSub: exact (component, metric) level, plus the stat
+  /// it was last sent (seeded from the subscribe ack; empty when absent).
   struct RollupSub {
     std::uint32_t id = 0;
     std::shared_ptr<Connection> conn;
     std::string component;
     std::string metric;
+    rollup::RollupStat last;
   };
 
   void reactor_loop();

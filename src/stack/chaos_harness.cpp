@@ -412,7 +412,7 @@ NetworkStormReport run_network_storm(
   const auto node_points =
       node.sharded_store()->query_range(hb_series, hb_window);
   const auto upstream_points =
-      aggregator.tsdb().hot().query_range(hb_series, hb_window);
+      aggregator.sharded_store()->query_range(hb_series, hb_window);
   report.node_heartbeats = static_cast<std::uint64_t>(node_points.size());
   report.upstream_heartbeats =
       static_cast<std::uint64_t>(upstream_points.size());

@@ -12,14 +12,6 @@ using core::Duration;
 using core::kSecond;
 
 namespace {
-store::RetentionPolicy retention_from(const core::Config& config) {
-  store::RetentionPolicy policy;
-  policy.hot_window = config.get_int("hot_window_s", 21600) * kSecond;
-  policy.warm_window = config.get_int("warm_window_s", 604800) * kSecond;
-  policy.warm_bucket = config.get_int("warm_bucket_s", 300) * kSecond;
-  return policy;
-}
-
 /// Parse "res_s:crit_s,std_s,bulk_s;..." (res_s 0 = raw); empty or
 /// unparseable keeps the standard raw/10s/5min/1h ladder. A tier whose
 /// fields don't all parse as non-negative integers with at least one
@@ -72,10 +64,11 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
                                  const core::Config& config,
                                  resilience::FaultPlan* chaos)
     : cluster_(cluster),
-      tsdb_(retention_from(config),
-            static_cast<std::size_t>(config.get_int("chunk_points", 512))),
       detectors_(cluster.registry()),
       collection_(cluster),
+      sharded_(static_cast<std::size_t>(std::max<std::int64_t>(
+                   1, config.get_int("ingest_shards", 0))),
+               static_cast<std::size_t>(config.get_int("chunk_points", 512))),
       chaos_(chaos) {
   const Duration sample_interval =
       config.get_int("sample_interval_s", 60) * kSecond;
@@ -88,16 +81,14 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   stages_.attach_to(obs_);
   router_.attach_to(obs_);
   collection_.set_stage_timer(&stages_);
+  // The numeric store's read-path counters are the store.* instruments.
+  sharded_.attach_to(obs_);
+  sharded_.set_stage_timer(&stages_);
 
-  // Optional threaded ingest tier (ingest_shards > 0). The synchronous
-  // TieredStore path stays the default so existing benches remain
-  // deterministic and reproducible.
-  if (const auto shards = config.get_int("ingest_shards", 0); shards > 0) {
-    sharded_ = std::make_unique<ingest::ShardedTimeSeriesStore>(
-        static_cast<std::size_t>(shards),
-        static_cast<std::size_t>(config.get_int("chunk_points", 512)));
-    sharded_->attach_to(obs_);
-    sharded_->set_stage_timer(&stages_);
+  // Optional threaded ingest tier (ingest_shards > 0). Without it every
+  // numeric batch is appended inline (store_batch), so the default stack
+  // stays thread-free, deterministic and reproducible.
+  if (config.get_int("ingest_shards", 0) > 0) {
     ingest::IngestConfig ic;
     ic.queue_capacity =
         static_cast<std::size_t>(config.get_int("ingest_queue_cap", 256));
@@ -114,16 +105,11 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     ic.priority_of = [this](core::SeriesId id) {
       return cluster_.registry().series_priority(id);
     };
-    ingest_ = std::make_unique<ingest::IngestPipeline>(*sharded_, ic);
+    ingest_ = std::make_unique<ingest::IngestPipeline>(sharded_, ic);
     if (config.get_bool("ingest_autostart", true)) ingest_->start();
     queue_fill_gauge_ = &obs_.gauge(
         {"ingest.queue_fill", "frac",
          "max shard queue depth / capacity (refreshed per snapshot)"});
-  } else {
-    // The synchronous hot tier is the active numeric store; its read-path
-    // counters are the store.* instruments.
-    tsdb_.hot().attach_to(obs_);
-    tsdb_.hot().set_stage_timer(&stages_);
   }
 
   // Topology rollup tree (rollup_enable = 1): every sample folds into a
@@ -133,19 +119,12 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   // recovery and WAL replay so restored history is rolled up too.
   if (config.get_bool("rollup_enable", false)) {
     rollup::RollupConfig rc;
-    rc.shards = sharded_ ? sharded_->shard_count() : 1;
+    rc.shards = sharded_.shard_count();
     rollup_ = std::make_unique<rollup::RollupTree>(cluster_.registry(), rc);
     rollup_->attach_to(obs_);
-    if (sharded_) {
-      // The sharded store observes every accepted append into the tree and
-      // wires its series-gone listeners to forget_series.
-      sharded_->attach_rollup(rollup_.get());
-    } else {
-      // Synchronous path: sync_append() observes, and membership follows
-      // hot-tier eviction through the same listener the shards use.
-      tsdb_.hot().set_series_gone_listener(
-          [this](core::SeriesId id) { rollup_->forget_series(id); });
-    }
+    // The store observes every accepted append into the tree and wires its
+    // series-gone listeners to forget_series.
+    sharded_.attach_rollup(rollup_.get());
     // Clamped to >= 1 s: a zero period would repeat at the same sim
     // timestamp forever (EventQueue repeaters reschedule at now + period).
     const Duration rollup_tick_interval =
@@ -178,24 +157,14 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   if (tiers_) {
     tiers_->attach_to(obs_);
     std::vector<store::TimeSeriesStore*> shards;
-    if (sharded_) {
-      for (std::size_t i = 0; i < sharded_->shard_count(); ++i) {
-        shards.push_back(&sharded_->shard(i));
-      }
-      span_sharded_ = std::make_unique<
-          store::TierSpanView<ingest::ShardedTimeSeriesStore>>(
-          tiers_.get(), sharded_.get());
-    } else {
-      shards.push_back(&tsdb_.hot());
-      span_hot_ =
-          std::make_unique<store::TierSpanView<store::TimeSeriesStore>>(
-              tiers_.get(), &tsdb_.hot());
+    for (std::size_t i = 0; i < sharded_.shard_count(); ++i) {
+      shards.push_back(&sharded_.shard(i));
     }
+    span_ = std::make_unique<
+        store::TierSpanView<ingest::ShardedTimeSeriesStore>>(tiers_.get(),
+                                                             &sharded_);
     store::CompactorOptions co;
-    co.hot_window =
-        config.get_int("tier_hot_window_s",
-                       config.get_int("hot_window_s", 21600)) *
-        kSecond;
+    co.hot_window = config.get_int("tier_hot_window_s", 21600) * kSecond;
     co.priority_of = [this](core::SeriesId id) {
       return cluster_.registry().series_priority(id);
     };
@@ -243,11 +212,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
                                    }),
                     s.end());
           }
-          if (sharded_) {
-            sharded_->append_batch(batch.samples);
-          } else {
-            sync_append(batch.samples);
-          }
+          sharded_.append_batch(batch.samples);
         });
     // Replay ran exactly once, at construction: export its outcome through
     // registry-owned counters so it appears in the same snapshot as
@@ -416,18 +381,14 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     sc.socket_faults = chaos_;
     sc.obs = &obs_;
     serve::ServeHooks hooks;
-    // Queries answer from whichever numeric store is active — the exact
-    // objects in-process callers read, so results are byte-identical. With
-    // a tier ladder configured, the span view answers instead: dashboards
-    // reach back through every resolution tier without knowing tiers exist.
-    if (span_sharded_) {
-      serve::bind_query_hooks(hooks, *span_sharded_);
-    } else if (span_hot_) {
-      serve::bind_query_hooks(hooks, *span_hot_);
-    } else if (sharded_) {
-      serve::bind_query_hooks(hooks, *sharded_);
+    // Queries answer from the numeric store — the exact object in-process
+    // callers read, so results are byte-identical. With a tier ladder
+    // configured, the span view answers instead: dashboards reach back
+    // through every resolution tier without knowing tiers exist.
+    if (span_) {
+      serve::bind_query_hooks(hooks, *span_);
     } else {
-      serve::bind_query_hooks(hooks, tsdb_.hot());
+      serve::bind_query_hooks(hooks, sharded_);
     }
     hooks.registry = &cluster_.registry();
     hooks.status = [this] { return status(); };
@@ -468,7 +429,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     // Aggregator ingest for relayed batches: the server dedupes by
     // (source, seq) before calling this, so the hook applies each novel
     // batch through the SAME pathway local samples take — WAL first, then
-    // the active numeric store, then the live-subscription fan-out.
+    // the numeric store, then the live-subscription fan-out.
     // Detector/rule analysis stays node-side (it already ran there).
     hooks.relay_apply = [this](const core::SampleBatch& batch,
                                core::Priority priority) -> std::size_t {
@@ -477,13 +438,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
         frame.priority = priority;
         wal_delivery_->deliver(frame);
       }
-      std::size_t applied = 0;
-      if (ingest_) {
-        ingest_->submit(batch);
-        applied = batch.samples.size();
-      } else {
-        applied = sync_append(batch.samples);
-      }
+      const std::size_t applied = store_batch(batch);
       if (serve_) serve_->publish_batch(batch);
       return applied;
     };
@@ -538,11 +493,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
           self.samples = exporter_.to_samples(obs_snapshot(),
                                               cluster_.registry(),
                                               self_component_, t);
-          if (ingest_) {
-            ingest_->submit(self);
-          } else {
-            sync_append(self.samples);
-          }
+          store_batch(self);
           if (serve_) serve_->publish_batch(self);
         });
   }
@@ -580,11 +531,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
                       // Write-ahead: the frame is durable (or dead-lettered
                       // and counted) before the in-memory store sees it.
                       if (wal_delivery_) wal_delivery_->deliver(f);
-                      if (ingest_) {
-                        ingest_->submit(batch.value());
-                      } else {
-                        sync_append(batch.value().samples);
-                      }
+                      store_batch(batch.value());
                       // Live-subscription tap: fan the batch out to serve
                       // clients through bounded egress queues (never blocks
                       // on a slow client).
@@ -648,15 +595,6 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
         cluster_, config.get_int("gate_repair_s", 1800) * kSecond);
     gate_->attach(pre, post);
   }
-
-  // Hourly retention maintenance on the simulation timeline.
-  archive_path_ = config.get_string("archive_path", "");
-  cluster_.events().schedule_every(
-      cluster_.now() + core::kHour, core::kHour,
-      [this, alive = alive_](core::TimePoint) {
-        if (!*alive) return;
-        enforce_retention();
-      });
 }
 
 MonitoringStack::~MonitoringStack() {
@@ -698,39 +636,18 @@ ShutdownReport MonitoringStack::shutdown(std::chrono::milliseconds deadline) {
   return report;
 }
 
-std::size_t MonitoringStack::sync_append(
-    const std::vector<core::Sample>& samples) {
-  const auto appended = tsdb_.append_batch(samples);
-  // Observing the whole batch (including any store-rejected out-of-order
-  // samples) is harmless: the tree keeps only each series' max-time value
-  // and the merge discards anything older than the applied last_time.
-  if (rollup_) {
-    rollup_->observe(0, std::span<const core::Sample>(samples));
+std::size_t MonitoringStack::store_batch(const core::SampleBatch& batch) {
+  if (ingest_) {
+    ingest_->submit(batch);
+    return batch.samples.size();
   }
-  return appended;
+  return sharded_.append_batch(batch.samples);
 }
 
 void MonitoringStack::rollup_tick() {
   if (!rollup_) return;
-  // Collecting the changed-level list costs an allocation per tick; skip it
-  // unless a kRollupSub subscriber is actually watching.
-  if (serve_ && serve_->has_rollup_subs()) {
-    std::vector<rollup::RollupUpdate> changed;
-    rollup_->tick(&changed);
-    if (changed.empty()) return;
-    std::vector<serve::RollupDelta> deltas;
-    deltas.reserve(changed.size());
-    for (auto& u : changed) {
-      serve::RollupDelta d;
-      d.component = cluster_.registry().component(u.component).name;
-      d.metric = std::move(u.metric);
-      d.stat = u.stat;
-      deltas.push_back(std::move(d));
-    }
-    serve_->publish_rollup(deltas);
-  } else {
-    rollup_->tick();
-  }
+  rollup_->tick();
+  if (serve_) serve_->publish_rollup();
 }
 
 void MonitoringStack::apply_degradation(core::DegradationMode mode) {
@@ -766,7 +683,7 @@ void MonitoringStack::run_compaction(core::TimePoint now) {
 void MonitoringStack::refresh_live_gauges() const {
   if (queue_fill_gauge_ != nullptr && ingest_) {
     std::size_t depth = 0;
-    for (std::size_t i = 0; i < sharded_->shard_count(); ++i) {
+    for (std::size_t i = 0; i < sharded_.shard_count(); ++i) {
       depth = std::max(depth, ingest_->queue_depth(i));
     }
     queue_fill_gauge_->set(
@@ -798,26 +715,6 @@ resilience::SupervisorStats MonitoringStack::supervisor_stats() const {
   return total;
 }
 
-void MonitoringStack::enforce_retention() {
-  // With a tier ladder configured, on-disk tiered retention owns eviction
-  // (compaction passes evict behind the durable watermark); the in-memory
-  // warm/archive ladder stands down so the two never race over a chunk.
-  if (tiers_) return;
-  const auto archived = tsdb_.enforce(cluster_.now());
-  if (archived > 0 && !archive_path_.empty()) {
-    if (tsdb_.archive().save_to_file(archive_path_).is_ok()) {
-      ++archive_saves_;
-      // History older than the hot window now lives in the just-spilled
-      // archive file; the matching WAL segments are no longer the only
-      // durable copy and can go. Without an archive_path the WAL is the
-      // only durable tier, so it is never truncated.
-      if (wal_) {
-        wal_->truncate_before(cluster_.now() - tsdb_.policy().hot_window);
-      }
-    }
-  }
-}
-
 void MonitoringStack::on_log_frame(const transport::Frame& frame) {
   auto events = transport::decode_logs(frame);
   if (!events.is_ok()) return;
@@ -839,17 +736,17 @@ void MonitoringStack::on_log_frame(const transport::Frame& frame) {
 }
 
 std::string MonitoringStack::status() const {
-  const auto st = ingest_ ? sharded_->stats() : tsdb_.hot().stats();
+  const auto st = sharded_.stats();
   std::string line = core::strformat(
-      "t=%s series=%zu points=%zu archived_blobs=%zu logs=%zu jobs=%zu "
-      "alerts_active=%zu actions=%zu",
+      "t=%s series=%zu points=%zu logs=%zu jobs=%zu alerts_active=%zu "
+      "actions=%zu",
       core::format_time(cluster_.now()).c_str(), st.series, st.points,
-      tsdb_.archive().blob_count(), logs_.size(), jobs_.size(),
-      alerts_.active().size(), actions_.log().size());
+      logs_.size(), jobs_.size(), alerts_.active().size(),
+      actions_.log().size());
   if (ingest_) {
     line += core::strformat(
         " | shards=%zu policy=%s",
-        sharded_->shard_count(),
+        sharded_.shard_count(),
         std::string(ingest::to_string(ingest_->config().policy)).c_str());
   }
   if (degradation_) {

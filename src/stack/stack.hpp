@@ -2,7 +2,7 @@
 //
 // Table I (Architecture): "changes in data direction and data access easily
 // configured and changed" and "extensibility and modularity are fundamental".
-// MonitoringStack wires samplers -> EventRouter -> tiered store / log store /
+// MonitoringStack wires samplers -> EventRouter -> numeric store / log store /
 // job store, plus the rule engine -> alert manager -> action dispatcher
 // chain, entirely from a flat Config — the deployment description a site
 // would keep in version control. Every subsystem remains reachable for
@@ -13,13 +13,7 @@
 //   log_interval_s      (15)    log drain period
 //   probe_interval_s    (600)   0 disables the probe suite
 //   health_interval_s   (600)   0 disables the health battery
-//   hot_window_s        (21600) TSDB hot retention
-//   warm_window_s       (604800)
-//   warm_bucket_s       (300)
 //   chunk_points        (512)   TSDB chunk seal threshold
-//   archive_path        ("")    when set, the cold tier is saved to this
-//                               file after every retention pass (the
-//                               "locate and reload" handoff to slow media)
 //   rules               (true)  install the standard platform rule set
 //   numeric_alerts      (true)  detector bank on key numeric series
 //   min_free_mem_gb     (8)     below-threshold watch on node free memory
@@ -30,9 +24,10 @@
 //   gate_repair_s       (1800)
 //   quarantine_on_hw_critical (false) automated node quarantine action
 //   ingest_shards       (0)     >0 routes numeric samples through the
-//                               threaded sharded ingest tier (src/ingest)
-//                               instead of the synchronous TieredStore
-//                               append; 0 keeps the deterministic default
+//                               threaded ingest tier (src/ingest) into that
+//                               many store shards; 0 keeps one shard and
+//                               appends inline on the collecting thread
+//                               (the thread-free, deterministic default)
 //   ingest_queue_cap    (256)   bounded sub-batches per shard queue
 //   ingest_policy       (block) overload policy: block|drop_oldest|reject
 //   ingest_coalesce     (16)    max sub-batches merged per shard append
@@ -92,11 +87,14 @@
 //                               directory is recovered at construction
 //                               (journal replay) BEFORE the WAL replays, so
 //                               samples already durable in a tier are not
-//                               re-ingested.
+//                               re-ingested. It is the only cold tier and
+//                               the only retention: without it sealed
+//                               chunks stay in the hot store and the WAL is
+//                               never truncated.
 //   compact_interval_s  (3600)  compactor pass cadence (simulated timeline)
-//   tier_hot_window_s   (hot_window_s) age at which sealed hot chunks are
-//                               tiered out and evicted behind the durable
-//                               watermark
+//   tier_hot_window_s   (21600) age at which sealed hot chunks are tiered
+//                               out and evicted behind the durable
+//                               watermark (the WAL is truncated behind it)
 //   tier_disk_budget_mb (1024)  denominator of the compact.disk_fill gauge
 //                               that feeds disk pressure into storm mode
 //   tier_policy         ("")    override the tier ladder:
@@ -116,8 +114,8 @@
 //                               timeline, clamped >= 1): each tick drains
 //                               the per-shard pending deltas, re-folds
 //                               dirty levels, publishes a fresh snapshot,
-//                               and fans changed levels out to kRollupSub
-//                               subscribers
+//                               and pushes each kRollupSub subscriber its
+//                               level when it differs from the last sent
 #pragma once
 
 #include <chrono>
@@ -151,7 +149,6 @@
 #include "store/compactor.hpp"
 #include "store/jobstore.hpp"
 #include "store/logstore.hpp"
-#include "store/retention.hpp"
 #include "store/tier.hpp"
 #include "transport/event_router.hpp"
 
@@ -204,8 +201,6 @@ class MonitoringStack {
   ~MonitoringStack();
 
   // -- Data access -----------------------------------------------------------
-  store::TieredStore& tsdb() { return tsdb_; }
-  const store::TieredStore& tsdb() const { return tsdb_; }
   store::LogStore& logs() { return logs_; }
   store::JobStore& jobs() { return jobs_; }
   transport::EventRouter& router() { return router_; }
@@ -221,10 +216,13 @@ class MonitoringStack {
   /// drain_ingest() before querying) and the pipeline's self-metrics are
   /// re-ingested as "ingest.*" series every sample sweep.
   ingest::IngestPipeline* ingest_pipeline() { return ingest_.get(); }
+  /// The numeric store, never null: max(1, ingest_shards) shards. Without
+  /// the ingest tier every batch is appended inline, so points are visible
+  /// as soon as the sweep that collected them returns.
   const ingest::ShardedTimeSeriesStore* sharded_store() const {
-    return sharded_.get();
+    return &sharded_;
   }
-  ingest::ShardedTimeSeriesStore* sharded_store() { return sharded_.get(); }
+  ingest::ShardedTimeSeriesStore* sharded_store() { return &sharded_; }
   /// Wait until the ingest tier has appended everything submitted so far.
   void drain_ingest() {
     if (ingest_) ingest_->drain();
@@ -276,7 +274,7 @@ class MonitoringStack {
   rollup::RollupTree* rollup() { return rollup_.get(); }
   const rollup::RollupTree* rollup() const { return rollup_.get(); }
   /// One coalescing rollup merge: drain shard deltas, publish a fresh
-  /// snapshot, fan changed levels out to live kRollupSub subscribers (the
+  /// snapshot, push changed levels to live kRollupSub subscribers (the
   /// scheduled rollup_tick_s cadence calls this; tests/benches drive it
   /// directly). No-op without the tree.
   void rollup_tick();
@@ -303,17 +301,10 @@ class MonitoringStack {
     return gate_ ? &gate_->stats() : nullptr;
   }
 
-  /// Run retention maintenance (call periodically, or rely on the built-in
-  /// hourly schedule installed at construction). Spills the archive to
-  /// `archive_path` when configured.
-  void enforce_retention();
-  std::uint64_t archive_saves() const { return archive_saves_; }
-
-  /// Read-path self-metrics of whichever numeric store is active (the
-  /// sharded ingest tier when enabled, the hot tier otherwise); also
-  /// reported as store.* in status().
+  /// Read-path self-metrics of the numeric store; also reported as store.*
+  /// in status().
   store::QueryStats store_query_stats() const {
-    return ingest_ ? sharded_->query_stats() : tsdb_.hot().query_stats();
+    return sharded_.query_stats();
   }
 
   // -- Self-observability ----------------------------------------------------
@@ -335,10 +326,9 @@ class MonitoringStack {
   void on_log_frame(const transport::Frame& frame);
   void apply_degradation(core::DegradationMode mode);
   void refresh_live_gauges() const;
-  /// Synchronous numeric append (the non-ingest path): the hot tier takes
-  /// the batch, then the rollup tree (when enabled) observes it, exactly as
-  /// the sharded appenders do on the threaded path.
-  std::size_t sync_append(const std::vector<core::Sample>& samples);
+  /// Hand a numeric batch to the store: queued on the ingest tier when it
+  /// exists, appended inline otherwise. Returns the samples handed over.
+  std::size_t store_batch(const core::SampleBatch& batch);
 
   sim::Cluster& cluster_;
   // Declared before every tier: instruments attach into the registry at
@@ -349,7 +339,6 @@ class MonitoringStack {
   obs::ObsExporter exporter_;
   mutable resilience::HealthSignalAssembler health_assembler_;
   transport::EventRouter router_;
-  store::TieredStore tsdb_;
   store::LogStore logs_;
   store::JobStore jobs_;
   analysis::RuleEngine rules_;
@@ -361,15 +350,13 @@ class MonitoringStack {
   std::unique_ptr<response::HealthGate> gate_;
   std::unique_ptr<analysis::NoveltyDetector> novelty_;
   std::vector<analysis::NoveltyEvent> novelty_reports_;
-  std::string archive_path_;
-  std::uint64_t archive_saves_ = 0;
-  // Declared before the ingest tier: the shard appenders observe every
-  // sample into the tree, so the tree must outlive them (ingest_ joins its
-  // workers first, then sharded_ goes, then rollup_).
+  // Declared before the store: the shard appenders observe every sample
+  // into the tree, so the tree must outlive them (ingest_ joins its workers
+  // first, then sharded_ goes, then rollup_).
   std::unique_ptr<rollup::RollupTree> rollup_;
   // Declaration order matters: ingest_ is destroyed (joining its workers)
   // before sharded_, which the workers append into.
-  std::unique_ptr<ingest::ShardedTimeSeriesStore> sharded_;
+  ingest::ShardedTimeSeriesStore sharded_;
   std::unique_ptr<ingest::IngestPipeline> ingest_;
   // Resilience tier (all optional, see config keys above).
   std::unique_ptr<resilience::WriteAheadLog> wal_;
@@ -379,14 +366,12 @@ class MonitoringStack {
                                                             // collection_
   std::unique_ptr<resilience::DegradationController> degradation_;
   // Tiered retention: the durable tier ladder, the compactor that drives
-  // it, the breaker that guards its I/O, and the merged read views the
-  // serving tier binds. Declared after the hot stores they reference.
+  // it, the breaker that guards its I/O, and the merged read view the
+  // serving tier binds. Declared after the store they reference.
   std::unique_ptr<store::TierStore> tiers_;
   std::unique_ptr<store::Compactor> compactor_;
   std::unique_ptr<resilience::CircuitBreaker> compact_breaker_;
-  std::unique_ptr<store::TierSpanView<store::TimeSeriesStore>> span_hot_;
-  std::unique_ptr<store::TierSpanView<ingest::ShardedTimeSeriesStore>>
-      span_sharded_;
+  std::unique_ptr<store::TierSpanView<ingest::ShardedTimeSeriesStore>> span_;
   std::int64_t tier_disk_budget_bytes_ = 0;
   // Declared after the stores/ingest tier: destroyed first, so the serve
   // threads stop answering before the data they serve is torn down.

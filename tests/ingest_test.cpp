@@ -3,7 +3,9 @@
 // end-to-end ingest, self-metrics, and MonitoringStack wiring.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <string_view>
 #include <thread>
 
 #include "core/config.hpp"
@@ -295,6 +297,48 @@ TEST(IngestPipelineTest, ConcurrentProducersMatchSynchronousIngest) {
   EXPECT_EQ(m.batch_samples.count, m.appends);
 }
 
+TEST(IngestPipelineTest, QueueWaitNeverExceedsWallTime) {
+  // Four producers keep one small queue full, so the worker coalesces
+  // sub-batches enqueued after its first pop. Each one's queue wait must
+  // still run from its own enqueue to its own pop, never a negative
+  // duration wrapped to ~1.8e13 us.
+  const auto t0 = std::chrono::steady_clock::now();
+  constexpr std::uint32_t kProducers = 4;
+  const auto sweeps = make_sweeps(256, 400);
+  ShardedTimeSeriesStore sharded(1, 64);
+  obs::StageTimer stages;
+  IngestConfig cfg;
+  cfg.queue_capacity = 8;
+  cfg.policy = OverloadPolicy::kBlock;
+  cfg.max_coalesce_batches = 64;
+  cfg.stages = &stages;
+  IngestPipeline pipe(sharded, cfg);
+  pipe.start();
+  std::vector<std::thread> producers;
+  for (std::uint32_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (const auto& sweep : sweeps) {
+        SampleBatch mine;
+        mine.sweep_time = sweep.sweep_time;
+        for (const auto& s : sweep.samples) {
+          if (core::raw(s.series) % kProducers == p) mine.samples.push_back(s);
+        }
+        pipe.submit(mine);
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  pipe.drain();
+  pipe.stop();
+  const auto elapsed_us = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  const auto waits = stages.histogram(obs::Stage::kQueueWait).snapshot();
+  EXPECT_EQ(waits.count, kProducers * sweeps.size());
+  EXPECT_LE(waits.max, elapsed_us);
+}
+
 TEST(IngestMetricsTest, SelfMetricsBecomeSeries) {
   ShardedTimeSeriesStore store(2);
   IngestPipeline pipe(store, {.queue_capacity = 8});
@@ -346,9 +390,7 @@ TEST(StackIngestTest, ConfigEnablesShardedIngestTier) {
 
   cluster.run_for(10 * core::kMinute);
   stack.drain_ingest();
-  // Samples landed in the sharded store, not the synchronous hot tier.
   EXPECT_GT(stack.sharded_store()->stats().points, 0u);
-  EXPECT_EQ(stack.tsdb().hot().stats().points, 0u);
   // The stack's own counters were re-ingested as hpcmon.self.* series.
   const auto metric =
       cluster.registry().find_metric("hpcmon.self.ingest.accepted_samples");
@@ -363,20 +405,80 @@ TEST(StackIngestTest, ConfigEnablesShardedIngestTier) {
   EXPECT_NE(stack.status().find("policy=block"), std::string::npos);
 }
 
-TEST(StackIngestTest, DefaultConfigStaysSynchronous) {
+sim::ClusterParams small_cluster() {
   sim::ClusterParams params;
   params.shape.cabinets = 1;
   params.shape.chassis_per_cabinet = 1;
   params.shape.blades_per_chassis = 2;
+  return params;
+}
+
+TEST(StackIngestTest, DefaultConfigStaysSynchronous) {
   core::Config cfg;
   cfg.set_int("probe_interval_s", 0);
   cfg.set_int("health_interval_s", 0);
-  sim::Cluster cluster(params);
+  sim::Cluster cluster(small_cluster());
   stack::MonitoringStack stack(cluster, cfg);
+  // No ingest tier: one store shard, appended inline by the sweep itself.
   EXPECT_EQ(stack.ingest_pipeline(), nullptr);
-  EXPECT_EQ(stack.sharded_store(), nullptr);
+  ASSERT_NE(stack.sharded_store(), nullptr);
+  EXPECT_EQ(stack.sharded_store()->shard_count(), 1u);
   cluster.run_for(5 * core::kMinute);
-  EXPECT_GT(stack.tsdb().hot().stats().points, 0u);
+  // Visible without drain_ingest(): the last sweep is already stored.
+  EXPECT_GT(stack.sharded_store()->stats().points, 0u);
+  const auto sid = cluster.registry().series("power.system_w",
+                                             cluster.topology().system());
+  const auto latest = stack.sharded_store()->latest(sid);
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->time, cluster.now());
+}
+
+TEST(StackIngestTest, InlineStoreMatchesOneShardPipeline) {
+  // The inline default and a one-shard threaded ingest tier store the same
+  // points for every series. Only hpcmon.self.* differs: the threaded stack
+  // also exports its ingest.* instruments.
+  core::Config threaded_cfg;
+  threaded_cfg.set_int("ingest_shards", 1);
+  sim::Cluster inline_cluster(small_cluster());
+  sim::Cluster threaded_cluster(small_cluster());
+  stack::MonitoringStack inline_stack(inline_cluster, core::Config{});
+  stack::MonitoringStack threaded_stack(threaded_cluster, threaded_cfg);
+  inline_cluster.run_for(20 * core::kMinute);
+  threaded_cluster.run_for(20 * core::kMinute);
+  threaded_stack.drain_ingest();
+
+  const auto is_self = [](std::string_view metric) {
+    return metric.starts_with("hpcmon.self.");
+  };
+  const auto& a = inline_cluster.registry();
+  auto& b = threaded_cluster.registry();
+  std::size_t threaded_series = 0;
+  for (std::uint32_t i = 0; i < b.series_count(); ++i) {
+    if (!is_self(b.metric(b.series_metric(SeriesId{i})).name)) {
+      ++threaded_series;
+    }
+  }
+  const auto b_interned = b.series_count();
+  // Ids may differ across the two registries; map each series through its
+  // metric and component names.
+  const TimeRange all{0, inline_cluster.now() + core::kSecond};
+  std::size_t compared = 0;
+  for (std::uint32_t i = 0; i < a.series_count(); ++i) {
+    const SeriesId sa{i};
+    const auto& metric = a.metric(a.series_metric(sa)).name;
+    if (is_self(metric)) continue;
+    const auto comp =
+        b.find_component(a.component(a.series_component(sa)).name);
+    ASSERT_TRUE(comp.has_value()) << a.series_name(sa);
+    const auto sb = b.series(metric, *comp);
+    EXPECT_EQ(inline_stack.sharded_store()->query_range(sa, all),
+              threaded_stack.sharded_store()->query_range(sb, all))
+        << a.series_name(sa);
+    ++compared;
+  }
+  EXPECT_EQ(b.series_count(), b_interned) << "series missing from one side";
+  EXPECT_EQ(compared, threaded_series);
+  EXPECT_GT(compared, 100u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // End-to-end resilience: crash recovery from the WAL (hot tier restored
 // byte-identical to an uninterrupted run), shutdown draining the ingest
-// tier, WAL truncation behind the archive watermark, and the operator
-// surface for all of it.
+// tier, WAL truncation behind the tier watermark, and the operator surface
+// for all of it.
 #include "stack/stack.hpp"
 
 #include <gtest/gtest.h>
@@ -86,8 +86,8 @@ TEST(StackRecoveryTest, CrashRecoveryRestoresHotTierByteIdentical) {
     const auto ref_sid = core::SeriesId{i};
     const auto& metric = ref_reg.metric(ref_reg.series_metric(ref_sid));
     const auto sid = reg.series(metric.name, ref_reg.series_component(ref_sid));
-    const auto want = ref.tsdb().query_range(ref_sid, all);
-    const auto got = recovered.tsdb().query_range(sid, all);
+    const auto want = ref.sharded_store()->query_range(ref_sid, all);
+    const auto got = recovered.sharded_store()->query_range(sid, all);
     EXPECT_EQ(got, want) << "series " << ref_reg.series_name(ref_sid);
     ++compared;
     if (!want.empty()) ++nonempty;
@@ -104,12 +104,12 @@ TEST(StackRecoveryTest, WithoutWalACrashLosesTheHotTier) {
   {
     auto stack = std::make_unique<MonitoringStack>(cluster, core::Config{});
     cluster.run_for(10 * core::kMinute);
-    EXPECT_GT(stack->tsdb().hot().stats().points, 0u);
+    EXPECT_GT(stack->sharded_store()->stats().points, 0u);
     stack->simulate_crash();
   }
   MonitoringStack after(cluster, core::Config{});
   EXPECT_EQ(after.replay_stats().records, 0u);
-  EXPECT_EQ(after.tsdb().hot().stats().points, 0u);
+  EXPECT_EQ(after.sharded_store()->stats().points, 0u);
 }
 
 TEST(StackRecoveryTest, ShutdownDrainsIngestBeforeTeardown) {
@@ -136,23 +136,60 @@ TEST(StackRecoveryTest, ShutdownDrainsIngestBeforeTeardown) {
   stack.shutdown();
 }
 
-TEST(StackRecoveryTest, WalTruncatesOnlyBehindTheArchive) {
+// Compaction truncates the WAL behind the tier watermark, and never ahead
+// of it: a stack recovered from the surviving WAL segments plus the tier
+// directory answers exactly what the live stack answered before the crash.
+TEST(StackRecoveryTest, WalTruncatesOnlyBehindTheTierWatermark) {
   const auto wal_dir = fresh_wal_dir("truncate");
-  const std::string archive = "/tmp/hpcmon_recovery_archive.bin";
-  std::remove(archive.c_str());
+  const auto tier_dir = fresh_wal_dir("truncate_tiers");
+  // Probes and health off: their 10-minute cadence would keep open heads
+  // (and so the watermark) pinned near the start of the run.
+  const std::string cfg =
+      "sample_interval_s = 30\nchunk_points = 32\nprobe_interval_s = 0\n"
+      "health_interval_s = 0\ntier_hot_window_s = 1800\n"
+      "compact_interval_s = 1200\nwal_segment_bytes = 4096\n"
+      "wal_path = " + wal_dir + "\ntier_dir = " + tier_dir + "\n";
   sim::Cluster cluster(cluster_params());
-  MonitoringStack stack(cluster, parse(
-      "hot_window_s = 1800\nsample_interval_s = 30\nchunk_points = 32\n"
-      "wal_segment_bytes = 4096\n"
-      "archive_path = " + archive + "\nwal_path = " + wal_dir + "\n"));
-  cluster.run_for(3 * core::kHour);  // hourly retention fires twice
-  ASSERT_GT(stack.archive_saves(), 0u);
-  ASSERT_NE(stack.wal(), nullptr);
-  // Small segments rotated often; everything archived got truncated away.
-  EXPECT_GT(stack.wal()->stats().segments_created, 2u);
-  EXPECT_GT(stack.wal()->stats().segments_truncated, 0u);
-  std::remove(archive.c_str());
+  auto& reg = cluster.registry();
+  const core::TimeRange all{0, 4 * core::kHour};
+  // Every 7th collected series; hpcmon.self.* is re-ingested by the stack
+  // itself rather than logged, so it is not recoverable from the WAL.
+  std::vector<core::SeriesId> sample;
+  std::vector<std::vector<core::TimedValue>> want;
+  {
+    auto stack = std::make_unique<MonitoringStack>(cluster, parse(cfg));
+    cluster.run_for(3 * core::kHour);
+    ASSERT_NE(stack->wal(), nullptr);
+    ASSERT_NE(stack->tiers(), nullptr);
+    // Small segments rotated often; those wholly behind the watermark went.
+    EXPECT_GT(stack->wal()->stats().segments_created, 2u);
+    EXPECT_GT(stack->wal()->stats().segments_truncated, 0u);
+    const store::TierSpanView<ingest::ShardedTimeSeriesStore> live(
+        stack->tiers(), stack->sharded_store());
+    for (std::uint32_t i = 0; i < reg.series_count(); i += 7) {
+      const core::SeriesId sid{i};
+      if (reg.metric(reg.series_metric(sid)).name.starts_with("hpcmon.self.")) {
+        continue;
+      }
+      sample.push_back(sid);
+      want.push_back(live.query_range(sid, all));
+    }
+    stack->simulate_crash();
+  }
+
+  MonitoringStack recovered(cluster, parse(cfg));
+  ASSERT_NE(recovered.tiers(), nullptr);
+  const store::TierSpanView<ingest::ShardedTimeSeriesStore> span(
+      recovered.tiers(), recovered.sharded_store());
+  std::size_t nonempty = 0;
+  for (std::size_t k = 0; k < sample.size(); ++k) {
+    EXPECT_EQ(span.query_range(sample[k], all), want[k])
+        << "series " << reg.series_name(sample[k]);
+    if (!want[k].empty()) ++nonempty;
+  }
+  EXPECT_GT(nonempty, 20u);
   fs::remove_all(wal_dir);
+  fs::remove_all(tier_dir);
 }
 
 TEST(StackRecoveryTest, SupervisedStackCollectsNormally) {

@@ -60,7 +60,7 @@ TEST(StackRollup, SyncPathFeedsTreeAndReadsAvoidTheStore) {
   for (int c = 0; c < topo.num_cabinets(); ++c) {
     double sum = 0.0;
     for (const int n : topo.nodes_in_cabinet(c)) {
-      const auto latest = stack.tsdb().hot().latest(
+      const auto latest = stack.sharded_store()->latest(
           cluster.registry().series("node.cpu_util", topo.node(n)));
       ASSERT_TRUE(latest.has_value());
       sum += latest->value;
@@ -80,7 +80,7 @@ TEST(StackRollup, SyncPathFeedsTreeAndReadsAvoidTheStore) {
   const auto from_store = viz::machine_heatmap(
       topo,
       [&](int node) {
-        const auto latest = stack.tsdb().hot().latest(
+        const auto latest = stack.sharded_store()->latest(
             cluster.registry().series("node.cpu_util", topo.node(node)));
         return latest ? latest->value
                       : std::numeric_limits<double>::quiet_NaN();

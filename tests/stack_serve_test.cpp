@@ -49,7 +49,7 @@ TEST(StackServe, ServesLiveStoreOverTheWire) {
   auto remote = client.query_range(series, range);
   ASSERT_TRUE(remote.is_ok()) << remote.message();
   // Byte-identical to the in-process read of the same store.
-  EXPECT_EQ(remote.value(), stack.tsdb().hot().query_range(series, range));
+  EXPECT_EQ(remote.value(), stack.sharded_store()->query_range(series, range));
   EXPECT_FALSE(remote.value().empty());
 
   // Admin: status over the wire equals the in-process status line shape.

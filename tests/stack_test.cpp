@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <memory>
+
 namespace hpcmon::stack {
 namespace {
+
+namespace fs = std::filesystem;
 
 sim::ClusterParams cluster_params() {
   sim::ClusterParams p;
@@ -32,7 +38,7 @@ TEST(StackTest, DefaultConfigCollectsEverything) {
   cluster.start_workload(w);
   cluster.run_for(30 * core::kMinute);
 
-  const auto st = stack.tsdb().hot().stats();
+  const auto st = stack.sharded_store()->stats();
   EXPECT_GT(st.points, 1000u);
   EXPECT_GT(stack.logs().size(), 5u);
   EXPECT_GT(stack.jobs().size(), 3u);
@@ -45,7 +51,7 @@ TEST(StackTest, DefaultConfigCollectsEverything) {
   // them (rules/detectors already query during collection, so just verify
   // the counter is live and reported).
   const auto qs0 = stack.store_query_stats();
-  (void)stack.tsdb().hot().query_range(
+  (void)stack.sharded_store()->query_range(
       cluster.registry().series("node.cpu_load", cluster.topology().node(0)),
       {0, core::kDay});
   EXPECT_GT(stack.store_query_stats().queries, qs0.queries);
@@ -72,7 +78,7 @@ TEST(StackTest, SampleIntervalIsRespected) {
   cluster.run_for(10 * core::kMinute);
   const auto sid = cluster.registry().series("power.system_w",
                                              cluster.topology().system());
-  const auto pts = stack.tsdb().hot().query_range(sid, {0, cluster.now()});
+  const auto pts = stack.sharded_store()->query_range(sid, {0, cluster.now()});
   ASSERT_GE(pts.size(), 19u);  // 10 min / 30 s
   for (std::size_t i = 1; i < pts.size(); ++i) {
     EXPECT_EQ(pts[i].time - pts[i - 1].time, 30 * core::kSecond);
@@ -129,25 +135,42 @@ TEST(StackTest, GateInstalledFromConfig) {
   EXPECT_EQ(stack.gate_stats()->pre_failures, 1u);
 }
 
-TEST(StackTest, ArchiveSpillsToFileAndReloads) {
-  const std::string path = "/tmp/hpcmon_stack_archive_test.bin";
-  std::remove(path.c_str());
+std::string tier_config(const std::string& dir) {
+  return "tier_dir = " + dir +
+         "\ntier_hot_window_s = 1800\nsample_interval_s = 30\n"
+         "chunk_points = 32\n";
+}
+
+// Locate and reload: scheduled compaction spills sealed history into the
+// tier directory, and a TierStore opened on that directory after the stack
+// is gone answers the oldest part of the history the live stack served.
+TEST(StackTest, TierDirSpillsToFilesAndReloads) {
+  const std::string dir = "/tmp/hpcmon_stack_tier_spill_test";
+  fs::remove_all(dir);
   sim::Cluster cluster(cluster_params());
-  const std::string cfg_text =
-      "hot_window_s = 1800\nsample_interval_s = 30\nchunk_points = 32\n"
-      "archive_path = " +
-      path + "\n";
-  MonitoringStack stack(cluster, parse(cfg_text.c_str()));
-  cluster.run_for(3 * core::kHour);
-  EXPECT_GT(stack.archive_saves(), 0u);
-  // The spilled file is a loadable archive containing real history.
-  const auto loaded = store::Archive::load_from_file(path);
-  ASSERT_TRUE(loaded.is_ok());
-  EXPECT_GT(loaded.value().blob_count(), 0u);
   const auto sid = cluster.registry().series("power.system_w",
                                              cluster.topology().system());
-  EXPECT_FALSE(loaded.value().fetch(sid, {0, cluster.now()}).empty());
-  std::remove(path.c_str());
+  const core::TimeRange all{0, 4 * core::kHour};
+  std::vector<core::TimedValue> live;
+  {
+    auto stack = std::make_unique<MonitoringStack>(
+        cluster, parse(tier_config(dir).c_str()));
+    cluster.run_for(3 * core::kHour);
+    ASSERT_NE(stack->tiers(), nullptr);
+    EXPECT_GT(stack->tiers()->file_count(), 0u);
+    live = store::TierSpanView<ingest::ShardedTimeSeriesStore>(
+               stack->tiers(), stack->sharded_store())
+               .query_range(sid, all);
+  }
+  store::TierStore::Options opts;
+  opts.dir = dir;
+  store::TierStore reopened(opts);
+  ASSERT_TRUE(reopened.open().is_ok());
+  const auto cold = reopened.query_range(sid, all);
+  ASSERT_FALSE(cold.empty());
+  ASSERT_LT(cold.size(), live.size());
+  EXPECT_TRUE(std::equal(cold.begin(), cold.end(), live.begin()));
+  fs::remove_all(dir);
 }
 
 TEST(StackTest, NumericAlertsFireOnInjectedConditions) {
@@ -179,21 +202,27 @@ TEST(StackTest, NumericAlertsCanBeDisabled) {
   }
 }
 
-TEST(StackTest, RetentionScheduleArchives) {
+// Retention has one owner: the hourly compaction schedule tiers sealed
+// chunks older than tier_hot_window_s and evicts them from the hot store,
+// while full-fidelity history stays queryable across hot + tiers.
+TEST(StackTest, CompactionScheduleTiersAndEvicts) {
+  const std::string dir = "/tmp/hpcmon_stack_tier_schedule_test";
+  fs::remove_all(dir);
   sim::Cluster cluster(cluster_params());
-  MonitoringStack stack(cluster, parse(R"(
-      hot_window_s = 1800
-      warm_bucket_s = 300
-      sample_interval_s = 30
-      chunk_points = 32
-  )"));
-  cluster.run_for(3 * core::kHour);  // hourly enforcement fires twice
-  EXPECT_GT(stack.tsdb().archive().blob_count(), 0u);
-  // Full-fidelity history still retrievable.
+  MonitoringStack stack(cluster, parse(tier_config(dir).c_str()));
+  cluster.run_for(3 * core::kHour);  // hourly compaction fires
+  ASSERT_NE(stack.tiers(), nullptr);
+  EXPECT_GT(stack.obs_snapshot().counter("compact.chunks_compacted"), 0u);
   const auto sid = cluster.registry().series("power.system_w",
                                              cluster.topology().system());
-  const auto full = stack.tsdb().query_full(sid, {0, cluster.now()});
-  EXPECT_GT(full.size(), 300u);
+  const core::TimeRange all{0, cluster.now() + core::kSecond};
+  const auto hot = stack.sharded_store()->query_range(sid, all);
+  const auto full = store::TierSpanView<ingest::ShardedTimeSeriesStore>(
+                        stack.tiers(), stack.sharded_store())
+                        .query_range(sid, all);
+  EXPECT_LT(hot.size(), full.size());  // the oldest chunks left memory
+  EXPECT_GT(full.size(), 300u);        // 3 h at 30 s, nothing lost
+  fs::remove_all(dir);
 }
 
 }  // namespace

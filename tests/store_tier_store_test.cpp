@@ -275,7 +275,7 @@ TEST(TierStoreTest, StackBreakerOpensUnderDiskFailureAndRecovers) {
   for (int i = 0; i < 20; ++i) {
     batch.push_back({s, i * 10 * kSecond, double(i)});
   }
-  stack.tsdb().hot().append_batch(batch);
+  stack.sharded_store()->append_batch(batch);
 
   // Disk goes dark: every pass fails until the breaker opens and passes
   // stop being attempted at all.
@@ -289,8 +289,9 @@ TEST(TierStoreTest, StackBreakerOpensUnderDiskFailureAndRecovers) {
   stack.run_compaction(t);  // denied by the breaker: no I/O attempted
   EXPECT_EQ(plan.fs_ops(), failed_ops);
   // Serving continues throughout: the hot store still answers.
-  EXPECT_EQ(stack.tsdb().hot().query_range(s, {0, 1000 * kMinute}).size(),
-            20u);
+  EXPECT_EQ(
+      stack.sharded_store()->query_range(s, {0, 1000 * kMinute}).size(),
+      20u);
 
   // Disk recovers; after the cooldown the half-open probe succeeds, the
   // breaker closes, and the ladder catches up.
@@ -334,7 +335,7 @@ TEST(TierStoreTest, HostileTierPolicyFallsBackToTheStandardLadder) {
   for (int i = 0; i < 64; ++i) {
     batch.push_back({s, i * 10 * kSecond, double(i)});
   }
-  stack.tsdb().hot().append_batch(batch);
+  stack.sharded_store()->append_batch(batch);
 
   stack.run_compaction(30 * core::kMinute);
   // Under the standard ladder the raw tier keeps critical data for days, so
