@@ -42,6 +42,13 @@ int main() {
     std::fprintf(stderr, "config error: %s\n", config.message().c_str());
     return 1;
   }
+  // Check the keys and values before deploying: an unknown key or a
+  // malformed value is refused here, with the key and the value named.
+  if (const auto options = stack::StackOptions::parse(config.value());
+      !options.is_ok()) {
+    std::fprintf(stderr, "config error: %s\n", options.message().c_str());
+    return 1;
+  }
   std::printf("deploying with configuration:\n%s\n",
               config.value().dump().c_str());
 

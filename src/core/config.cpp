@@ -1,7 +1,5 @@
 #include "core/config.hpp"
 
-#include <cstdlib>
-
 #include "core/strings.hpp"
 
 namespace hpcmon::core {
@@ -40,10 +38,6 @@ void Config::set_int(std::string_view key, std::int64_t value) {
   set(key, strformat("%lld", static_cast<long long>(value)));
 }
 
-void Config::set_double(std::string_view key, double value) {
-  set(key, strformat("%.17g", value));
-}
-
 void Config::set_bool(std::string_view key, bool value) {
   set(key, value ? "true" : "false");
 }
@@ -56,36 +50,6 @@ std::string Config::get_string(std::string_view key,
                                std::string_view dflt) const {
   if (auto it = values_.find(key); it != values_.end()) return it->second;
   return std::string(dflt);
-}
-
-std::int64_t Config::get_int(std::string_view key, std::int64_t dflt) const {
-  if (auto it = values_.find(key); it != values_.end()) {
-    char* end = nullptr;
-    const auto v = std::strtoll(it->second.c_str(), &end, 10);
-    if (end != it->second.c_str() && *end == '\0') return v;
-  }
-  return dflt;
-}
-
-double Config::get_double(std::string_view key, double dflt) const {
-  if (auto it = values_.find(key); it != values_.end()) {
-    char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end != it->second.c_str() && *end == '\0') return v;
-  }
-  return dflt;
-}
-
-bool Config::get_bool(std::string_view key, bool dflt) const {
-  if (auto it = values_.find(key); it != values_.end()) {
-    if (it->second == "true" || it->second == "1" || it->second == "yes") {
-      return true;
-    }
-    if (it->second == "false" || it->second == "0" || it->second == "no") {
-      return false;
-    }
-  }
-  return dflt;
 }
 
 std::string Config::dump() const {

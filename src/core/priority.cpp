@@ -21,11 +21,4 @@ std::string_view to_string(DegradationMode m) {
   return "?";
 }
 
-Priority priority_from_string(std::string_view name, Priority dflt) {
-  if (name == "critical") return Priority::kCritical;
-  if (name == "standard") return Priority::kStandard;
-  if (name == "bulk") return Priority::kBulk;
-  return dflt;
-}
-
 }  // namespace hpcmon::core

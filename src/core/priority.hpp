@@ -44,7 +44,5 @@ inline constexpr std::size_t kDegradationModes = 4;
 
 std::string_view to_string(Priority p);
 std::string_view to_string(DegradationMode m);
-/// Parse "critical" / "standard" / "bulk"; anything else returns `dflt`.
-Priority priority_from_string(std::string_view name, Priority dflt);
 
 }  // namespace hpcmon::core

@@ -28,8 +28,11 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
+  /// Normal draw; stddev 0 returns `mean`. Scales a standard normal, which
+  /// is bit-identical to normal_distribution(mean, stddev) (libstdc++
+  /// computes z * stddev + mean) without its stddev > 0 precondition.
   double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return std::normal_distribution<double>(0.0, 1.0)(engine_) * stddev + mean;
   }
   /// Exponential with the given mean (not rate).
   double exponential(double mean) {

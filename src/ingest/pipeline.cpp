@@ -26,11 +26,11 @@ std::string_view to_string(OverloadPolicy policy) {
   return "?";
 }
 
-OverloadPolicy policy_from_string(std::string_view name, OverloadPolicy dflt) {
+std::optional<OverloadPolicy> policy_from_string(std::string_view name) {
   if (name == "block") return OverloadPolicy::kBlock;
   if (name == "drop_oldest") return OverloadPolicy::kDropOldest;
   if (name == "reject") return OverloadPolicy::kReject;
-  return dflt;
+  return std::nullopt;
 }
 
 IngestPipeline::IngestPipeline(ShardedTimeSeriesStore& store,

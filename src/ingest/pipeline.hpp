@@ -40,6 +40,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string_view>
 #include <thread>
@@ -58,8 +59,8 @@ namespace hpcmon::ingest {
 enum class OverloadPolicy : std::uint8_t { kBlock, kDropOldest, kReject };
 
 std::string_view to_string(OverloadPolicy policy);
-/// Parse "block" / "drop_oldest" / "reject"; anything else returns `dflt`.
-OverloadPolicy policy_from_string(std::string_view name, OverloadPolicy dflt);
+/// Parse "block" / "drop_oldest" / "reject"; anything else is nullopt.
+std::optional<OverloadPolicy> policy_from_string(std::string_view name);
 
 /// The unit queued on a shard channel: a sub-batch whose samples all share
 /// one priority class (submit() partitions per shard *and* per class), so

@@ -24,6 +24,25 @@ sim::ClusterParams harness_cluster(std::uint64_t seed) {
   return p;
 }
 
+/// The stack both storms land on: 2 drop-oldest ingest shards, a WAL in
+/// `wal_dir`, and every sampler under a watchdog and a breaker. The real
+/// deadline abandons injected hangs to watchdog threads (reclaimed by
+/// release_hangs) instead of stalling the sweep.
+core::Config harness_config(const std::string& wal_dir) {
+  core::Config config;
+  config.set("sample_interval_s", "30");
+  config.set("log_interval_s", "15");
+  config.set("probe_interval_s", "0");
+  config.set("health_interval_s", "120");
+  config.set("ingest_shards", "2");
+  config.set("ingest_queue_cap", "64");
+  config.set("ingest_policy", "drop_oldest");
+  config.set("wal_path", wal_dir);
+  config.set("sampler_deadline_ms", "50");
+  config.set("breaker_threshold", "3");
+  return config;
+}
+
 constexpr std::size_t kBulkSeries = 32;
 constexpr std::size_t kDeadLetterCap = 32;
 
@@ -58,20 +77,8 @@ ChaosReport run_chaos(
   std::filesystem::remove_all(wal_dir);
   std::filesystem::remove_all(tier_dir);
 
-  core::Config config;
-  config.set("sample_interval_s", "30");
-  config.set("log_interval_s", "15");
-  config.set("probe_interval_s", "0");
-  config.set("health_interval_s", "120");
-  config.set("ingest_shards", "2");
-  config.set("ingest_queue_cap", "64");
-  config.set("ingest_policy", "drop_oldest");
-  config.set("wal_path", wal_dir);
+  core::Config config = harness_config(wal_dir);
   config.set("dead_letter_cap", std::to_string(kDeadLetterCap));
-  // A real deadline so injected hangs are abandoned to watchdog threads
-  // (and reclaimed by release_hangs) instead of stalling the sweep.
-  config.set("sampler_deadline_ms", "50");
-  config.set("breaker_threshold", "3");
   config.set("breaker_cooldown_s", "120");
   config.set("degradation", "1");
   config.set("degradation_interval_s", "30");
@@ -288,26 +295,13 @@ NetworkStormReport run_network_storm(
   agg_config.set("health_interval_s", "0");
   agg_config.set("rules", "false");
   agg_config.set("numeric_alerts", "false");
-  for (const auto& [k, v] : scenario.config_overrides) {
-    if (k.rfind("relay_dedupe", 0) == 0) agg_config.set(k, v);
-  }
   MonitoringStack aggregator(agg_cluster, agg_config, &plan);
 
   // Node: the chaos-harness base stack plus the relay tier pointed at the
   // aggregator. Fast real-time backoff so reconnect storms resolve within
   // the test's wall clock; scenarios/overrides may re-pin any knob.
   sim::Cluster cluster(harness_cluster(scenario.seed));
-  core::Config config;
-  config.set("sample_interval_s", "30");
-  config.set("log_interval_s", "15");
-  config.set("probe_interval_s", "0");
-  config.set("health_interval_s", "120");
-  config.set("ingest_shards", "2");
-  config.set("ingest_queue_cap", "64");
-  config.set("ingest_policy", "drop_oldest");
-  config.set("wal_path", node_wal);
-  config.set("sampler_deadline_ms", "50");
-  config.set("breaker_threshold", "3");
+  core::Config config = harness_config(node_wal);
   config.set("relay_upstream", std::to_string(aggregator.serve()->port()));
   config.set("relay_backoff_ms", "2");
   config.set("relay_backoff_max_ms", "50");

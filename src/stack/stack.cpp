@@ -1,7 +1,9 @@
 #include "stack/stack.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <limits>
+#include <stdexcept>
 
 #include "core/strings.hpp"
 #include "transport/codec.hpp"
@@ -12,67 +14,195 @@ using core::Duration;
 using core::kSecond;
 
 namespace {
-/// Parse "res_s:crit_s,std_s,bulk_s;..." (res_s 0 = raw); empty or
-/// unparseable keeps the standard raw/10s/5min/1h ladder. A tier whose
-/// fields don't all parse as non-negative integers with at least one
-/// positive keep is rejected outright — a typo'd ladder must never become
-/// a "keep nothing" ladder that silently expires everything.
-store::TierPolicy tier_policy_from(const core::Config& config) {
-  const std::string spec = config.get_string("tier_policy", "");
+
+constexpr double kCorrosionAlertPpb = 10.0;  // ASHRAE G1 severity limit
+
+/// All of `text` as a base-10 integer in [lo, hi].
+std::optional<std::int64_t> parse_integer(std::string_view text,
+                                          std::int64_t lo, std::int64_t hi) {
+  std::int64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  const bool whole = ec == std::errc{} && stop == end;
+  return whole && v >= lo && v <= hi ? std::optional(v) : std::nullopt;
+}
+
+/// "res_s:crit_s,std_s,bulk_s;..." (res_s 0 = raw); empty is the standard
+/// ladder. Every tier must parse completely and keep something: a typo'd
+/// ladder is refused, never read as one that silently expires data.
+std::optional<store::TierPolicy> parse_ladder(std::string_view spec) {
   if (spec.empty()) return store::TierPolicy::standard();
-  const auto as_seconds = [](std::string_view field) -> long long {
-    const std::string s{core::trim(field)};
-    if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-      return -1;
-    }
-    return std::atoll(s.c_str());
+  const auto seconds = [](std::string_view field) {
+    return parse_integer(core::trim(field), 0,
+                         std::numeric_limits<Duration>::max() / kSecond);
   };
   store::TierPolicy policy;
   for (const auto tier : core::split(spec, ';')) {
     const auto parts = core::split(tier, ':');
-    if (parts.size() != 2) continue;
-    store::TierSpec ts;
-    const long long res = as_seconds(parts[0]);
-    if (res < 0) continue;
-    ts.resolution = res * kSecond;
-    ts.agg = ts.resolution > 0 ? store::Agg::kMean : store::Agg::kLast;
+    if (parts.size() != 2) return std::nullopt;
     const auto keeps = core::split(parts[1], ',');
-    bool valid = !keeps.empty();
-    long long kept = 0;
-    for (std::size_t c = 0; c < core::kPriorityClasses && c < keeps.size();
-         ++c) {
-      const long long keep = as_seconds(keeps[c]);
-      if (keep < 0) {
-        valid = false;
-        break;
-      }
-      ts.keep[c] = keep * kSecond;
-      kept += keep;
+    const auto res = seconds(parts[0]);
+    if (!res || keeps.size() != core::kPriorityClasses) return std::nullopt;
+    store::TierSpec ts;
+    ts.resolution = *res * kSecond;
+    ts.agg = ts.resolution > 0 ? store::Agg::kMean : store::Agg::kLast;
+    for (std::size_t c = 0; c < keeps.size(); ++c) {
+      const auto keep = seconds(keeps[c]);
+      if (!keep) return std::nullopt;
+      ts.keep[c] = *keep * kSecond;
     }
-    if (!valid || kept == 0) continue;
+    if (ts.keep == decltype(ts.keep){}) return std::nullopt;  // keeps nothing
     policy.tiers.push_back(ts);
   }
-  return policy.tiers.empty() ? store::TierPolicy::standard() : policy;
+  return policy;
 }
+
+/// Reads a Config's keys strictly: a value must parse completely and be in
+/// range. Keeps the first error, and finish() refuses any key that no read
+/// asked for.
+class KeyReader {
+ public:
+  explicit KeyReader(const core::Config& config) : config_(config) {}
+
+  /// `key`, when present, as an integer in [lo, the largest T / scale],
+  /// stored times `scale`. Returns whether the key is present.
+  template <typename T>
+  bool integer(std::string_view key, std::int64_t lo, T& out,
+               std::int64_t scale = 1) {
+    constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+    const auto hi = static_cast<std::int64_t>(std::min<std::uint64_t>(
+                        std::numeric_limits<T>::max(), kMax)) / scale;
+    const auto as_t = [&](std::string_view v) -> std::optional<T> {
+      const auto i = parse_integer(v, lo, hi);
+      return i ? std::optional(static_cast<T>(*i * scale)) : std::nullopt;
+    };
+    const auto low = static_cast<long long>(lo);
+    const auto high = static_cast<long long>(hi);
+    return parsed(key, as_t, out,
+                  hi == kMax ? core::strformat("an integer >= %lld", low)
+                             : core::strformat("an integer in [%lld, %lld]",
+                                               low, high));
+  }
+  /// `key`, when present, as whole seconds >= lo.
+  void seconds(std::string_view key, std::int64_t lo, Duration& out) {
+    integer(key, lo, out, kSecond);
+  }
+  /// `key`, when present, through `parse`, for which nullopt is malformed.
+  /// Returns whether the key is present.
+  template <typename T, typename Parse>
+  bool parsed(std::string_view key, Parse parse, T& out,
+              std::string_view expected) {
+    read_.push_back(key);
+    const auto it = config_.entries().find(key);
+    if (it == config_.entries().end()) return false;
+    if (auto v = parse(it->second)) {
+      out = std::move(*v);
+    } else if (error_.empty()) {
+      error_ = core::strformat("config key '%s' = '%s': expected %s",
+                               it->first.c_str(), it->second.c_str(),
+                               std::string(expected).c_str());
+    }
+    return true;
+  }
+  void flag(std::string_view key, bool& out) {
+    const auto as_flag = [](std::string_view v) -> std::optional<bool> {
+      if (v == "true" || v == "1" || v == "yes") return true;
+      if (v == "false" || v == "0" || v == "no") return false;
+      return std::nullopt;
+    };
+    parsed(key, as_flag, out, "true, false, 1, 0, yes or no");
+  }
+  void text(std::string_view key, std::string& out) {
+    parsed(key, [](const std::string& v) { return std::optional(v); }, out,
+           "text");
+  }
+
+  core::Result<StackOptions> finish(StackOptions options) const {
+    if (!error_.empty()) return core::Result<StackOptions>::error(error_);
+    for (const auto& [key, text] : config_.entries()) {
+      if (std::find(read_.begin(), read_.end(), key) == read_.end()) {
+        return core::Result<StackOptions>::error(core::strformat(
+            "unknown config key '%s' (value '%s')", key.c_str(),
+            text.c_str()));
+      }
+    }
+    return options;
+  }
+
+ private:
+  const core::Config& config_;
+  std::vector<std::string_view> read_;
+  std::string error_;
+};
+
+StackOptions parse_or_throw(const core::Config& config) {
+  auto parsed = StackOptions::parse(config);
+  if (!parsed.is_ok()) throw std::invalid_argument(parsed.message());
+  return std::move(parsed).take();
+}
+
 }  // namespace
 
-MonitoringStack::MonitoringStack(sim::Cluster& cluster,
-                                 const core::Config& config)
-    : MonitoringStack(cluster, config, nullptr) {}
+// The stack's one key table. StackOptions says what each key does.
+core::Result<StackOptions> StackOptions::parse(const core::Config& config) {
+  KeyReader r(config);
+  StackOptions o;
+  r.seconds("sample_interval_s", 1, o.sample_interval);
+  r.seconds("log_interval_s", 1, o.log_interval);
+  r.seconds("probe_interval_s", 0, o.probe_interval);
+  r.seconds("health_interval_s", 0, o.health_interval);
+  r.integer("chunk_points", 1, o.chunk_points);
+  r.flag("rules", o.rules);
+  r.flag("numeric_alerts", o.numeric_alerts);
+  r.flag("novelty", o.novelty);
+  r.seconds("novelty_training_s", 0, o.novelty_training);
+  r.flag("gate_pre", o.gate_pre);
+  r.flag("gate_post", o.gate_post);
+  r.seconds("gate_repair_s", 0, o.gate_repair);
+  r.flag("quarantine_on_hw_critical", o.quarantine_on_hw_critical);
+  r.integer("ingest_shards", 0, o.ingest_shards);
+  r.integer("ingest_queue_cap", 1, o.ingest.queue_capacity);
+  r.parsed("ingest_policy", ingest::policy_from_string, o.ingest.policy,
+           "block, drop_oldest or reject");
+  r.flag("ingest_autostart", o.ingest_autostart);
+  r.flag("degradation", o.degradation);
+  r.seconds("degradation_interval_s", 1, o.degradation_interval);
+  r.text("wal_path", o.wal.dir);
+  r.integer("wal_segment_bytes", 1, o.wal.segment_bytes);
+  r.integer("dead_letter_cap", 1, o.delivery.dead_letter_cap);
+  r.integer("sampler_deadline_ms", 0, o.sampler_deadline_ms);
+  r.integer("breaker_threshold", 0, o.breaker_threshold);
+  r.seconds("breaker_cooldown_s", 0, o.breaker.cooldown);
+  o.serve_enable = r.integer("serve_port", 0, o.serve.port);
+  r.integer("serve_writer_threads", 1, o.serve.writer_threads);
+  r.integer("serve_idle_timeout_ms", 0, o.serve.idle_timeout_ms);
+  r.integer("relay_upstream", 0, o.relay.upstream_port);
+  r.integer("relay_source", 0, o.relay.source_id);
+  r.integer("relay_queue_cap", 1, o.relay.queue_cap);
+  r.integer("relay_backoff_ms", 0, o.relay.backoff_ms);
+  r.integer("relay_backoff_max_ms", 0, o.relay.backoff_max_ms);
+  r.text("tier_dir", o.tier_dir);
+  r.parsed("tier_policy", parse_ladder, o.tier_policy,
+           "\"res_s:crit_s,std_s,bulk_s;...\", every tier keeping something");
+  r.seconds("tier_hot_window_s", 0, o.compactor.hot_window);
+  r.seconds("compact_interval_s", 1, o.compact_interval);
+  r.integer("tier_disk_budget_mb", 1, o.tier_disk_budget_bytes, 1 << 20);
+  r.flag("rollup_enable", o.rollup_enable);
+  r.seconds("rollup_tick_s", 1, o.rollup_tick);
+  return r.finish(std::move(o));
+}
 
 MonitoringStack::MonitoringStack(sim::Cluster& cluster,
                                  const core::Config& config,
                                  resilience::FaultPlan* chaos)
     : cluster_(cluster),
+      options_(parse_or_throw(config)),
       detectors_(cluster.registry()),
       collection_(cluster),
-      sharded_(static_cast<std::size_t>(std::max<std::int64_t>(
-                   1, config.get_int("ingest_shards", 0))),
-               static_cast<std::size_t>(config.get_int("chunk_points", 512))),
+      sharded_(std::max<std::size_t>(1, options_.ingest_shards),
+               options_.chunk_points),
       chaos_(chaos) {
-  const Duration sample_interval =
-      config.get_int("sample_interval_s", 60) * kSecond;
-  const Duration log_interval = config.get_int("log_interval_s", 15) * kSecond;
+  const StackOptions& opts = options_;
 
   // Self-observability plane: every tier catalogs its instruments in obs_,
   // and the per-stage latency histograms live in stages_. One snapshot of
@@ -88,15 +218,8 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   // Optional threaded ingest tier (ingest_shards > 0). Without it every
   // numeric batch is appended inline (store_batch), so the default stack
   // stays thread-free, deterministic and reproducible.
-  if (config.get_int("ingest_shards", 0) > 0) {
-    ingest::IngestConfig ic;
-    ic.queue_capacity =
-        static_cast<std::size_t>(config.get_int("ingest_queue_cap", 256));
-    ic.policy = ingest::policy_from_string(
-        config.get_string("ingest_policy", "block"),
-        ingest::OverloadPolicy::kBlock);
-    ic.max_coalesce_batches =
-        static_cast<std::size_t>(config.get_int("ingest_coalesce", 16));
+  if (opts.ingest_shards > 0) {
+    ingest::IngestConfig ic = opts.ingest;
     ic.obs = &obs_;
     ic.stages = &stages_;
     // Priority-aware shedding: the pipeline resolves (and caches) each
@@ -106,7 +229,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
       return cluster_.registry().series_priority(id);
     };
     ingest_ = std::make_unique<ingest::IngestPipeline>(sharded_, ic);
-    if (config.get_bool("ingest_autostart", true)) ingest_->start();
+    if (opts.ingest_autostart) ingest_->start();
     queue_fill_gauge_ = &obs_.gauge(
         {"ingest.queue_fill", "frac",
          "max shard queue depth / capacity (refreshed per snapshot)"});
@@ -117,7 +240,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   // tick publishes an immutable snapshot that the heatmap, fleet health,
   // and kRollupQuery read paths answer from in O(1). Built BEFORE tier
   // recovery and WAL replay so restored history is rolled up too.
-  if (config.get_bool("rollup_enable", false)) {
+  if (opts.rollup_enable) {
     rollup::RollupConfig rc;
     rc.shards = sharded_.shard_count();
     rollup_ = std::make_unique<rollup::RollupTree>(cluster_.registry(), rc);
@@ -125,13 +248,8 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     // The store observes every accepted append into the tree and wires its
     // series-gone listeners to forget_series.
     sharded_.attach_rollup(rollup_.get());
-    // Clamped to >= 1 s: a zero period would repeat at the same sim
-    // timestamp forever (EventQueue repeaters reschedule at now + period).
-    const Duration rollup_tick_interval =
-        std::max<std::int64_t>(1, config.get_int("rollup_tick_s", 5)) *
-        kSecond;
     cluster_.events().schedule_every(
-        cluster_.now() + rollup_tick_interval, rollup_tick_interval,
+        cluster_.now() + opts.rollup_tick, opts.rollup_tick,
         [this, alive = alive_](core::TimePoint) {
           if (!*alive) return;
           rollup_tick();
@@ -141,11 +259,10 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   // Tiered retention: recover the durable tier ladder BEFORE the WAL
   // replays, so the watermark is known and samples already durable in a
   // tier are filtered out of the replay instead of re-ingested.
-  if (const std::string tier_dir = config.get_string("tier_dir", "");
-      !tier_dir.empty()) {
+  if (!opts.tier_dir.empty()) {
     store::TierStore::Options topts;
-    topts.dir = tier_dir;
-    topts.policy = tier_policy_from(config);
+    topts.dir = opts.tier_dir;
+    topts.policy = opts.tier_policy;
     topts.faults = chaos_;
     tiers_ = std::make_unique<store::TierStore>(std::move(topts));
     if (!tiers_->open().is_ok()) {
@@ -163,8 +280,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     span_ = std::make_unique<
         store::TierSpanView<ingest::ShardedTimeSeriesStore>>(tiers_.get(),
                                                              &sharded_);
-    store::CompactorOptions co;
-    co.hot_window = config.get_int("tier_hot_window_s", 21600) * kSecond;
+    store::CompactorOptions co = opts.compactor;
     co.priority_of = [this](core::SeriesId id) {
       return cluster_.registry().series_priority(id);
     };
@@ -177,17 +293,12 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     compact_breaker_ = std::make_unique<resilience::CircuitBreaker>(
         resilience::BreakerConfig{}, 0xD15C);
     compact_breaker_->attach_to(obs_);
-    tier_disk_budget_bytes_ =
-        static_cast<std::int64_t>(config.get_int("tier_disk_budget_mb", 1024)) *
-        1024 * 1024;
     disk_fill_gauge_ = &obs_.gauge(
         {"compact.disk_fill", "frac",
          "tier-ladder disk bytes / tier_disk_budget_mb (refreshed per "
          "snapshot)"});
-    const Duration compact_interval =
-        config.get_int("compact_interval_s", 3600) * kSecond;
     cluster_.events().schedule_every(
-        cluster_.now() + compact_interval, compact_interval,
+        cluster_.now() + opts.compact_interval, opts.compact_interval,
         [this, alive = alive_](core::TimePoint t) {
           if (!*alive) return;
           run_compaction(t);
@@ -197,10 +308,9 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   // Resilience tier: WAL recovery + durable append, sampler supervision.
   // Replay happens BEFORE collection is wired so restored history cannot
   // interleave with new sweeps.
-  const std::string wal_path = config.get_string("wal_path", "");
-  if (!wal_path.empty()) {
+  if (!opts.wal.dir.empty()) {
     replay_stats_ = resilience::WriteAheadLog::replay(
-        wal_path, [this](core::SampleBatch&& batch) {
+        opts.wal.dir, [this](core::SampleBatch&& batch) {
           // Samples below the tier watermark are already durable in a tier
           // file; replaying them would double-count against the span view.
           if (tiers_) {
@@ -229,16 +339,10 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     obs_.counter({"resilience.replay_torn_tails", "records",
                   "torn trailing WAL records tolerated during replay"})
         .add(replay_stats_.torn_tails);
-    resilience::WalOptions wo;
-    wo.dir = wal_path;
-    wo.segment_bytes =
-        static_cast<std::size_t>(config.get_int("wal_segment_bytes", 1 << 20));
+    resilience::WalOptions wo = opts.wal;
     wo.faults = chaos_;
     wal_ = std::make_unique<resilience::WriteAheadLog>(wo);
     wal_->attach_to(obs_);
-    resilience::DeliveryOptions dopts;
-    dopts.dead_letter_cap =
-        static_cast<std::size_t>(config.get_int("dead_letter_cap", 64));
     resilience::ReliableDelivery::DeliverFn append_fn =
         [this](const transport::Frame& f) {
           auto batch = transport::decode_samples(f);
@@ -249,13 +353,12 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
       append_fn = resilience::faulty_deliver(std::move(append_fn), *chaos_);
     }
     wal_delivery_ = std::make_unique<resilience::ReliableDelivery>(
-        std::move(append_fn), dopts);
+        std::move(append_fn), opts.delivery);
     wal_delivery_->attach_to(obs_);
   }
 
-  const int sampler_deadline_ms = config.get_int("sampler_deadline_ms", 0);
-  const int breaker_threshold = config.get_int("breaker_threshold", 0);
-  const bool supervise = sampler_deadline_ms > 0 || breaker_threshold > 0;
+  const bool supervise =
+      opts.sampler_deadline_ms > 0 || opts.breaker_threshold > 0;
   if (supervise) {
     breaker_open_gauge_ = &obs_.gauge(
         {"resilience.breaker_open_frac", "frac",
@@ -278,10 +381,11 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     }
     if (!supervise) return sampler;
     resilience::SupervisorOptions so;
-    so.deadline_ms = sampler_deadline_ms;
-    so.breaker.failure_threshold =
-        breaker_threshold > 0 ? breaker_threshold : 3;
-    so.breaker.cooldown = config.get_int("breaker_cooldown_s", 300) * kSecond;
+    so.deadline_ms = opts.sampler_deadline_ms;
+    so.breaker = opts.breaker;
+    if (opts.breaker_threshold > 0) {
+      so.breaker.failure_threshold = opts.breaker_threshold;
+    }
     so.seed = supervisor_seed++;
     so.priority = priority;
     auto wrapper = std::make_unique<resilience::SupervisedSampler>(
@@ -293,32 +397,31 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
 
   // Collection -> router.
   for (auto& sampler : collect::make_all_samplers(cluster_)) {
-    collection_.add_sampler(supervised(std::move(sampler)), sample_interval,
+    collection_.add_sampler(supervised(std::move(sampler)),
+                            opts.sample_interval,
                             collect::router_sample_sink(router_));
   }
-  collection_.add_log_collector(log_interval,
+  collection_.add_log_collector(opts.log_interval,
                                 collect::router_log_sink(router_));
 
   // Optional probe suite.
-  if (const auto probe_s = config.get_int("probe_interval_s", 600);
-      probe_s > 0) {
+  if (opts.probe_interval > 0) {
     collect::ProbeConfig pc;
     pc.probe_nodes = {0, cluster_.topology().num_nodes() / 2};
     collection_.add_sampler(
         supervised(
             std::make_unique<collect::ProbeSuite>(cluster_, pc, core::Rng(101))),
-        probe_s * kSecond, collect::router_sample_sink(router_));
+        opts.probe_interval, collect::router_sample_sink(router_));
   }
   // Optional health battery. Critical priority: the health signals are what
   // operators steer by during a storm, so the degradation controller never
   // widens this sampler's cadence.
-  if (const auto health_s = config.get_int("health_interval_s", 600);
-      health_s > 0) {
+  if (opts.health_interval > 0) {
     collection_.add_sampler(
         supervised(std::make_unique<collect::HealthCheckSuite>(
                        cluster_, collect::HealthConfig{}),
                    core::Priority::kCritical),
-        health_s * kSecond, collect::router_sample_sink(router_));
+        opts.health_interval, collect::router_sample_sink(router_));
   }
 
   // Storm mode: the degradation controller closes the loop from the stack's
@@ -327,17 +430,15 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   // widen non-critical sampler cadence. Health signals are assembled from
   // the SAME obs snapshot the exporter re-ingests, so the control loop and
   // the operator report cannot disagree.
-  if (config.get_bool("degradation", false)) {
+  if (opts.degradation) {
     degradation_ =
         std::make_unique<resilience::DegradationController>(
             resilience::DegradationConfig{});
     degradation_->attach_to(obs_);
     degradation_->on_change(
         [this](core::DegradationMode mode) { apply_degradation(mode); });
-    const Duration eval_interval =
-        config.get_int("degradation_interval_s", 60) * kSecond;
     cluster_.events().schedule_every(
-        cluster_.now() + eval_interval, eval_interval,
+        cluster_.now() + opts.degradation_interval, opts.degradation_interval,
         [this, alive = alive_](core::TimePoint t) {
           if (!*alive) return;
           // Self-heal before taking the reading: rotate a poisoned WAL onto
@@ -368,16 +469,8 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   // Serving tier: the network front door (queries, streamed scans, live
   // subscriptions, admin surface) — off unless serve_port is present in the
   // config. serve_port = 0 binds an ephemeral port (serve()->port()).
-  if (config.contains("serve_port")) {
-    serve::ServeConfig sc;
-    sc.port = static_cast<std::uint16_t>(config.get_int("serve_port", 0));
-    sc.writer_threads = static_cast<std::size_t>(
-        config.get_int("serve_writer_threads", 2));
-    sc.egress_cap =
-        static_cast<std::size_t>(config.get_int("serve_egress_cap", 256));
-    sc.idle_timeout_ms = config.get_int("serve_idle_timeout_ms", 0);
-    sc.relay_dedupe_window =
-        static_cast<std::size_t>(config.get_int("relay_dedupe_window", 1024));
+  if (opts.serve_enable) {
+    serve::ServeConfig sc = opts.serve;
     sc.socket_faults = chaos_;
     sc.obs = &obs_;
     serve::ServeHooks hooks;
@@ -449,22 +542,12 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   // Relay tier: forward every numeric batch to an upstream aggregator with
   // at-least-once, exactly-applied semantics — off unless relay_upstream
   // names the aggregator's serve port.
-  if (const auto upstream = config.get_int("relay_upstream", 0);
-      upstream > 0) {
-    relay::RelayConfig rc;
-    rc.upstream_port = static_cast<std::uint16_t>(upstream);
-    rc.source_id =
-        static_cast<std::uint64_t>(config.get_int("relay_source", 1));
-    rc.batch_samples =
-        static_cast<std::size_t>(config.get_int("relay_batch_samples", 512));
-    rc.queue_cap =
-        static_cast<std::size_t>(config.get_int("relay_queue_cap", 1024));
-    rc.backoff_ms = config.get_int("relay_backoff_ms", 50);
-    rc.backoff_max_ms = config.get_int("relay_backoff_max_ms", 2000);
+  if (opts.relay.upstream_port > 0) {
+    relay::RelayConfig rc = opts.relay;
     // Seq-lease durability rides in the WAL directory when one exists; a
     // WAL-less node keeps volatile state (the hello heal still prevents
     // seq reuse after a restart).
-    rc.state_path = wal_path.empty() ? "" : wal_path + "/relay.state";
+    rc.state_path = opts.wal.dir.empty() ? "" : opts.wal.dir + "/relay.state";
     rc.priority_of = [this](core::SeriesId id) {
       return cluster_.registry().series_priority(id);
     };
@@ -484,7 +567,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
         {"hpcmon.self", core::ComponentKind::kService,
          cluster_.topology().system()});
     cluster_.events().schedule_every(
-        cluster_.now() + sample_interval, sample_interval,
+        cluster_.now() + opts.sample_interval, opts.sample_interval,
         [this, alive = alive_](core::TimePoint t) {
           if (!*alive) return;
           core::SampleBatch self;
@@ -500,24 +583,22 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
 
   // Numeric alerting: detector bank on key series (Table I: triggers at
   // arbitrary points in the data pathway, here in-stream).
-  const bool numeric_alerts = config.get_bool("numeric_alerts", true);
-  if (numeric_alerts) {
+  if (opts.numeric_alerts) {
     detectors_.watch("node.low_memory", "node.mem_free_gb",
                      analysis::below_factory(
-                         config.get_double("min_free_mem_gb", 8.0), 4.0));
+                         collect::HealthConfig{}.min_free_mem_gb, 4.0));
     detectors_.watch("facility.corrosion", "facility.corrosion_ppb",
-                     analysis::above_factory(
-                         config.get_double("corrosion_alert_ppb", 10.0), 2.0));
+                     analysis::above_factory(kCorrosionAlertPpb, 2.0));
     detectors_.watch("fs.latency_outlier", "fs.ost.latency_ms",
                      analysis::mad_factory(60, 8.0));
   }
 
   // Router -> stores (+ analysis on both pathways).
   router_.subscribe(transport::FrameType::kSamples,
-                    [this, numeric_alerts](const transport::Frame& f) {
+                    [this](const transport::Frame& f) {
                       auto batch = transport::decode_samples(f);
                       if (!batch.is_ok()) return;
-                      if (numeric_alerts) {
+                      if (options_.numeric_alerts) {
                         for (const auto& a : detectors_.process(batch.value())) {
                           alerts_.raise(
                               {a.event.time, response::AlertSeverity::kWarning,
@@ -545,24 +626,22 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
                     [this](const transport::Frame& f) { on_log_frame(f); });
 
   // Rules / novelty / response.
-  if (config.get_bool("rules", true)) {
+  if (opts.rules) {
     for (auto& r : analysis::standard_platform_rules()) {
       rules_.add_rule(std::move(r));
     }
   }
-  if (config.get_bool("novelty", false)) {
+  if (opts.novelty) {
     analysis::NoveltyParams np;
-    np.training_until =
-        config.get_int("novelty_training_s", 14400) * kSecond;
+    np.training_until = opts.novelty_training;
     novelty_ = std::make_unique<analysis::NoveltyDetector>(np);
   }
   alerts_.add_sink(
       [this](const response::Alert& a) { actions_.dispatch(a); });
-  if (config.get_bool("quarantine_on_hw_critical", false)) {
+  if (opts.quarantine_on_hw_critical) {
     actions_.bind("hw_critical", response::AlertSeverity::kWarning,
                   "quarantine",
-                  response::make_quarantine_action(
-                      cluster_, config.get_int("gate_repair_s", 1800) * kSecond));
+                  response::make_quarantine_action(cluster_, opts.gate_repair));
   }
 
   // Job lifecycle -> job store.
@@ -588,12 +667,9 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   });
 
   // Job gating.
-  const bool pre = config.get_bool("gate_pre", false);
-  const bool post = config.get_bool("gate_post", false);
-  if (pre || post) {
-    gate_ = std::make_unique<response::HealthGate>(
-        cluster_, config.get_int("gate_repair_s", 1800) * kSecond);
-    gate_->attach(pre, post);
+  if (opts.gate_pre || opts.gate_post) {
+    gate_ = std::make_unique<response::HealthGate>(cluster_, opts.gate_repair);
+    gate_->attach(opts.gate_pre, opts.gate_post);
   }
 }
 
@@ -690,9 +766,10 @@ void MonitoringStack::refresh_live_gauges() const {
         static_cast<double>(depth) /
         static_cast<double>(ingest_->config().queue_capacity));
   }
-  if (disk_fill_gauge_ != nullptr && tiers_ && tier_disk_budget_bytes_ > 0) {
-    disk_fill_gauge_->set(static_cast<double>(tiers_->disk_bytes()) /
-                          static_cast<double>(tier_disk_budget_bytes_));
+  if (disk_fill_gauge_ != nullptr && tiers_) {
+    disk_fill_gauge_->set(
+        static_cast<double>(tiers_->disk_bytes()) /
+        static_cast<double>(options_.tier_disk_budget_bytes));
   }
   if (breaker_open_gauge_ != nullptr && !supervised_.empty()) {
     std::size_t open = 0;

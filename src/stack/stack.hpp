@@ -6,116 +6,8 @@
 // job store, plus the rule engine -> alert manager -> action dispatcher
 // chain, entirely from a flat Config — the deployment description a site
 // would keep in version control. Every subsystem remains reachable for
-// extension (add samplers, rules, sinks after construction).
-//
-// Recognized configuration keys (defaults in parentheses):
-//   sample_interval_s   (60)    synchronized sweep period
-//   log_interval_s      (15)    log drain period
-//   probe_interval_s    (600)   0 disables the probe suite
-//   health_interval_s   (600)   0 disables the health battery
-//   chunk_points        (512)   TSDB chunk seal threshold
-//   rules               (true)  install the standard platform rule set
-//   numeric_alerts      (true)  detector bank on key numeric series
-//   min_free_mem_gb     (8)     below-threshold watch on node free memory
-//   corrosion_alert_ppb (10)    ASHRAE G1 watch on facility gas level
-//   novelty             (false) log-template novelty detection
-//   novelty_training_s  (14400)
-//   gate_pre / gate_post (false) CSCS-style GPU job gating
-//   gate_repair_s       (1800)
-//   quarantine_on_hw_critical (false) automated node quarantine action
-//   ingest_shards       (0)     >0 routes numeric samples through the
-//                               threaded ingest tier (src/ingest) into that
-//                               many store shards; 0 keeps one shard and
-//                               appends inline on the collecting thread
-//                               (the thread-free, deterministic default)
-//   ingest_queue_cap    (256)   bounded sub-batches per shard queue
-//   ingest_policy       (block) overload policy: block|drop_oldest|reject
-//   ingest_coalesce     (16)    max sub-batches merged per shard append
-//   ingest_autostart    (1)     0 constructs the pipeline without starting
-//                               its workers (deterministic overload tests,
-//                               wedged-shutdown drills)
-//   degradation         (0)     1 runs the storm-mode DegradationController:
-//                               series priorities (registry) drive the
-//                               ingest door, and the controller walks
-//                               NORMAL->SHED_BULK->SUMMARIZE->QUARANTINE on
-//                               live health signals with hysteresis
-//   degradation_interval_s (60) controller evaluation cadence
-//   wal_path            ("")    when set, every sample frame is appended to
-//                               a segmented write-ahead log in this
-//                               directory before ingestion, and existing
-//                               segments are REPLAYED into the store at
-//                               construction (crash recovery)
-//   wal_segment_bytes   (1048576) WAL segment rotation size
-//   dead_letter_cap     (64)    bounded dead-letter queue for frames whose
-//                               WAL append keeps failing (retried first)
-//   sampler_deadline_ms (0)     >0 runs each sampler under a real-time
-//                               watchdog; a call past the deadline is
-//                               abandoned and the sweep continues
-//   breaker_threshold   (0)     >0 wraps every sampler in a circuit breaker
-//                               (open after N consecutive failures,
-//                               half-open probe after backoff+jitter)
-//   breaker_cooldown_s  (300)   first open->half-open cooldown
-//   serve_port          (unset) when PRESENT, start the network serving tier
-//                               (src/serve) on 127.0.0.1:<port>; 0 binds an
-//                               ephemeral port (read it back via
-//                               serve()->port()). Absent = no server.
-//   serve_writer_threads (2)    serve writer pool size (one writer drains
-//                               every (conn id % pool)-th connection)
-//   serve_egress_cap    (256)   per-connection egress queue bound; the
-//                               storm-mode priority door engages above it
-//   serve_idle_timeout_ms (0)   >0 closes serve connections with no traffic
-//                               for this long (real ms); half-open peers
-//                               stop pinning reactor state forever
-//   relay_upstream      (0)     >0 forwards every numeric sample batch to
-//                               the aggregator stack serving on
-//                               127.0.0.1:<port> with at-least-once,
-//                               exactly-applied semantics (src/relay)
-//   relay_source        (1)     durable source identity for relay dedupe
-//   relay_batch_samples (512)   max samples per relay append frame
-//   relay_queue_cap     (1024)  pending relay entries; unsent bulk/standard
-//                               shed above it, critical never
-//   relay_backoff_ms    (50)    first reconnect backoff (doubles, jittered,
-//                               capped at relay_backoff_max_ms (2000))
-//   relay_dedupe_window (1024)  server-side dedupe window above the acked
-//                               watermark (appends beyond it are refused
-//                               un-applied and resent later)
-//   tier_dir            ("")    when set, sealed hot chunks age through
-//                               journaled on-disk resolution tiers in this
-//                               directory (raw -> 10s -> 5min -> 1h by
-//                               default) and queries served over the network
-//                               transparently span hot + every tier. The
-//                               directory is recovered at construction
-//                               (journal replay) BEFORE the WAL replays, so
-//                               samples already durable in a tier are not
-//                               re-ingested. It is the only cold tier and
-//                               the only retention: without it sealed
-//                               chunks stay in the hot store and the WAL is
-//                               never truncated.
-//   compact_interval_s  (3600)  compactor pass cadence (simulated timeline)
-//   tier_hot_window_s   (21600) age at which sealed hot chunks are tiered
-//                               out and evicted behind the durable
-//                               watermark (the WAL is truncated behind it)
-//   tier_disk_budget_mb (1024)  denominator of the compact.disk_fill gauge
-//                               that feeds disk pressure into storm mode
-//   tier_policy         ("")    override the tier ladder:
-//                               "res_s:crit_s,std_s,bulk_s;..." per tier,
-//                               e.g. "0:172800,86400,21600;10:604800,
-//                               259200,86400" (res_s 0 = raw); empty keeps
-//                               the standard raw/10s/5min/1h ladder
-//   rollup_enable       (0)     1 maintains the topology rollup tree
-//                               (src/rollup): every ingested sample updates
-//                               node->blade->chassis->cabinet->system
-//                               running stats incrementally, and fleet-wide
-//                               reads (machine heatmap, fleet health, the
-//                               kRollupQuery/kRollupSub wire surface) answer
-//                               from an immutable snapshot in O(1) instead
-//                               of scatter-gathering every per-node series
-//   rollup_tick_s       (5)     coalescing-merge cadence (simulated
-//                               timeline, clamped >= 1): each tick drains
-//                               the per-shard pending deltas, re-folds
-//                               dirty levels, publishes a fresh snapshot,
-//                               and pushes each kRollupSub subscriber its
-//                               level when it differs from the last sent
+// extension (add samplers, rules, sinks after construction). StackOptions
+// below lists every key the Config may hold.
 #pragma once
 
 #include <chrono>
@@ -154,6 +46,74 @@
 
 namespace hpcmon::stack {
 
+/// Everything a MonitoringStack is built from, read once from the Config by
+/// parse(). Each field names its key; a key whose tier is off is accepted
+/// and ignored. Values that belong to a component live in that component's
+/// struct, so each default is declared once, by the component.
+struct StackOptions {
+  core::Duration sample_interval = core::kMinute;       // sample_interval_s
+  core::Duration log_interval = 15 * core::kSecond;     // log_interval_s
+  core::Duration probe_interval = 10 * core::kMinute;   // probe_interval_s,
+  core::Duration health_interval = 10 * core::kMinute;  // health_interval_s:
+                                                        // 0 turns either off
+  std::size_t chunk_points = 512;  // chunk_points: head seal threshold
+  bool rules = true;               // rules: standard platform rule set
+  bool numeric_alerts = true;      // numeric_alerts: detector bank
+  bool novelty = false;            // novelty: log-template novelty
+  core::Duration novelty_training = 4 * core::kHour;  // novelty_training_s
+  bool gate_pre = false;   // gate_pre, gate_post: CSCS-style GPU job gating
+  bool gate_post = false;
+  core::Duration gate_repair = 30 * core::kMinute;  // gate_repair_s
+  bool quarantine_on_hw_critical = false;  // quarantine_on_hw_critical
+
+  /// ingest_shards: > 0 routes numeric samples through the threaded ingest
+  /// tier into that many store shards; 0 keeps one shard and appends inline
+  /// on the collecting thread (the thread-free, deterministic default).
+  std::size_t ingest_shards = 0;
+  ingest::IngestConfig ingest;  // ingest_queue_cap, ingest_policy
+  bool ingest_autostart = true;  // ingest_autostart: false = workers idle
+  bool degradation = false;  // degradation: storm-mode controller
+  /// degradation_interval_s: the controller's evaluation cadence.
+  core::Duration degradation_interval = core::kMinute;
+
+  /// wal_path (wal.dir): when set, every sample frame is appended to a
+  /// segmented write-ahead log there before ingestion, and segments left by
+  /// a previous incarnation are replayed at construction. wal_segment_bytes.
+  resilience::WalOptions wal;
+  resilience::DeliveryOptions delivery;  // dead_letter_cap
+  int sampler_deadline_ms = 0;  // > 0: run each sampler under a watchdog
+  int breaker_threshold = 0;    // > 0: wrap each sampler in a breaker
+  resilience::BreakerConfig breaker;  // breaker_cooldown_s
+
+  /// Set by the presence of serve_port: serve on 127.0.0.1:<serve_port>, 0
+  /// binding an ephemeral port. serve_writer_threads, serve_idle_timeout_ms.
+  bool serve_enable = false;
+  serve::ServeConfig serve;
+  /// relay_upstream (relay.upstream_port): > 0 forwards every numeric batch
+  /// to the aggregator serving there. relay_source, relay_queue_cap,
+  /// relay_backoff_ms, relay_backoff_max_ms.
+  relay::RelayConfig relay;
+
+  /// tier_dir: journaled on-disk resolution tiers, recovered before the WAL
+  /// replays. It is the only cold tier and the only retention: without it
+  /// sealed chunks stay hot and the WAL is never truncated.
+  std::string tier_dir;
+  /// tier_policy: "res_s:crit_s,std_s,bulk_s;..." per tier, res_s 0 = raw.
+  store::TierPolicy tier_policy = store::TierPolicy::standard();
+  store::CompactorOptions compactor;              // tier_hot_window_s
+  core::Duration compact_interval = core::kHour;  // compact_interval_s
+  /// tier_disk_budget_mb: the denominator of the compact.disk_fill gauge.
+  std::int64_t tier_disk_budget_bytes = std::int64_t{1024} << 20;
+  bool rollup_enable = false;  // rollup_enable: topology rollup tree
+  core::Duration rollup_tick = 5 * core::kSecond;  // rollup_tick_s
+
+  /// Fill every field from `config`. An unknown key, a value that does not
+  /// parse completely, or one out of range (a period below 1 s, a count or
+  /// capacity below 1, a port above 65535, a tier that keeps nothing) is an
+  /// error that names the key and the value.
+  static core::Result<StackOptions> parse(const core::Config& config);
+};
+
 /// What shutdown() left behind when its drain deadline expired. With a
 /// healthy pipeline everything drains and the report is all zeros; a wedged
 /// tier (workers never started, a hung store) is REPORTED instead of hanging
@@ -171,18 +131,19 @@ struct ShutdownReport {
 class MonitoringStack {
  public:
   /// Assemble and attach the full pipeline to `cluster` per `config`.
-  /// The cluster must outlive the stack. When `wal_path` is configured and
-  /// holds segments from a previous incarnation, they are replayed into the
-  /// store here, before any new collection happens.
-  MonitoringStack(sim::Cluster& cluster, const core::Config& config);
-
-  /// Chaos-harness variant: every fault surface is threaded through `chaos`
-  /// when non-null — samplers are wrapped in FaultySampler, the WAL consults
-  /// it before each physical append, and the WAL delivery path injects
-  /// delivery failures. The plan must outlive the stack (and any hung
-  /// sampler threads; call chaos->release_hangs() before teardown).
+  /// The cluster must outlive the stack. The config is parsed first
+  /// (StackOptions::parse); a rejected config throws std::invalid_argument
+  /// carrying the parse error before any file, thread or schedule exists.
+  /// When `wal_path` holds segments from a previous incarnation, they are
+  /// replayed into the store here, before any new collection happens.
+  ///
+  /// With a non-null `chaos` (the chaos harness) every fault surface is
+  /// threaded through it: samplers are wrapped in FaultySampler, the WAL
+  /// consults it before each physical append, and the WAL delivery path
+  /// injects delivery failures. The plan must outlive the stack (and any
+  /// hung sampler threads; call chaos->release_hangs() before teardown).
   MonitoringStack(sim::Cluster& cluster, const core::Config& config,
-                  resilience::FaultPlan* chaos);
+                  resilience::FaultPlan* chaos = nullptr);
 
   /// Orderly teardown: drain the ingest pipeline into the stores (bounded by
   /// `deadline` of real time), flush the WAL, then stop the workers. Work
@@ -331,6 +292,8 @@ class MonitoringStack {
   std::size_t store_batch(const core::SampleBatch& batch);
 
   sim::Cluster& cluster_;
+  // Parsed first: a rejected config throws before any tier is built.
+  const StackOptions options_;
   // Declared before every tier: instruments attach into the registry at
   // construction and the registry must outlive their detachment-free
   // teardown (nobody snapshots during destruction).
@@ -372,14 +335,13 @@ class MonitoringStack {
   std::unique_ptr<store::Compactor> compactor_;
   std::unique_ptr<resilience::CircuitBreaker> compact_breaker_;
   std::unique_ptr<store::TierSpanView<ingest::ShardedTimeSeriesStore>> span_;
-  std::int64_t tier_disk_budget_bytes_ = 0;
   // Declared after the stores/ingest tier: destroyed first, so the serve
   // threads stop answering before the data they serve is torn down.
   std::unique_ptr<serve::ServeServer> serve_;
   // Declared after serve_: the forwarder stops before the (local) serving
   // tier, and its worker thread is joined before any store teardown.
   std::unique_ptr<relay::RelayClient> relay_;
-  resilience::FaultPlan* chaos_ = nullptr;  // not owned; see chaos ctor
+  resilience::FaultPlan* chaos_ = nullptr;  // not owned; see constructor
   // Registry-owned fill gauges the stack refreshes before each snapshot
   // (they summarize state the tiers do not hold as single instruments).
   obs::Gauge* queue_fill_gauge_ = nullptr;

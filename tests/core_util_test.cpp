@@ -11,7 +11,7 @@
 namespace hpcmon::core {
 namespace {
 
-TEST(ConfigTest, ParseAndTypedGet) {
+TEST(ConfigTest, ParseKeepsRawValues) {
   const auto r = Config::parse(
       "# comment\n"
       "interval = 60\n"
@@ -21,11 +21,14 @@ TEST(ConfigTest, ParseAndTypedGet) {
       "\n");
   ASSERT_TRUE(r.is_ok());
   const auto& c = r.value();
-  EXPECT_EQ(c.get_int("interval", 0), 60);
-  EXPECT_DOUBLE_EQ(c.get_double("threshold", 0.0), 2.5);
-  EXPECT_TRUE(c.get_bool("enabled", false));
+  const Config::Entries expected = {{"enabled", "true"},
+                                    {"interval", "60"},
+                                    {"name", "hot store"},
+                                    {"threshold", "2.5"}};
+  EXPECT_EQ(c.entries(), expected);
   EXPECT_EQ(c.get_string("name", ""), "hot store");
-  EXPECT_EQ(c.get_int("missing", -1), -1);
+  EXPECT_FALSE(c.contains("missing"));
+  EXPECT_EQ(c.get_string("missing", "dflt"), "dflt");
 }
 
 TEST(ConfigTest, ParseErrors) {
@@ -33,11 +36,15 @@ TEST(ConfigTest, ParseErrors) {
   EXPECT_FALSE(Config::parse("= value").is_ok());
 }
 
-TEST(ConfigTest, BadValueFallsBackToDefault) {
+// Config stores text; the strict typed parse lives with its consumer
+// (stack_options_test covers malformed values).
+TEST(ConfigTest, SetKeepsRawTextAndLaterLayersOverride) {
   Config c;
   c.set("x", "not_a_number");
-  EXPECT_EQ(c.get_int("x", 7), 7);
-  EXPECT_DOUBLE_EQ(c.get_double("x", 1.5), 1.5);
+  EXPECT_EQ(c.entries().at("x"), "not_a_number");
+  c.set_int("x", 7);
+  EXPECT_EQ(c.get_string("x", ""), "7");
+  EXPECT_EQ(c.size(), 1u);
 }
 
 TEST(ConfigTest, RoundTripThroughDump) {
@@ -46,8 +53,9 @@ TEST(ConfigTest, RoundTripThroughDump) {
   c.set_bool("b", true);
   const auto r = Config::parse(c.dump());
   ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(r.value().get_int("a", 0), 42);
-  EXPECT_TRUE(r.value().get_bool("b", false));
+  EXPECT_EQ(r.value().entries(), c.entries());
+  EXPECT_EQ(r.value().get_string("a", ""), "42");
+  EXPECT_EQ(r.value().get_string("b", ""), "true");
 }
 
 TEST(CsvTest, EscapingAndRows) {

@@ -241,14 +241,12 @@ TEST(IngestPolicyTest, SubmitAfterStopIsRejected) {
 }
 
 TEST(IngestPolicyTest, PolicyNamesRoundTrip) {
-  EXPECT_EQ(policy_from_string("block", OverloadPolicy::kReject),
-            OverloadPolicy::kBlock);
-  EXPECT_EQ(policy_from_string("drop_oldest", OverloadPolicy::kBlock),
-            OverloadPolicy::kDropOldest);
-  EXPECT_EQ(policy_from_string("reject", OverloadPolicy::kBlock),
-            OverloadPolicy::kReject);
-  EXPECT_EQ(policy_from_string("bogus", OverloadPolicy::kDropOldest),
-            OverloadPolicy::kDropOldest);
+  EXPECT_EQ(policy_from_string("block"), OverloadPolicy::kBlock);
+  EXPECT_EQ(policy_from_string("drop_oldest"), OverloadPolicy::kDropOldest);
+  EXPECT_EQ(policy_from_string("reject"), OverloadPolicy::kReject);
+  // No fallback: a misspelt policy is refused, not read as some default.
+  EXPECT_EQ(policy_from_string("bogus"), std::nullopt);
+  EXPECT_EQ(policy_from_string("drop-oldest"), std::nullopt);
   EXPECT_EQ(to_string(OverloadPolicy::kDropOldest), "drop_oldest");
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
 
 #include "core/config.hpp"
 #include "resilience/fault.hpp"
@@ -303,11 +304,12 @@ TEST(TierStoreTest, StackBreakerOpensUnderDiskFailureAndRecovers) {
   EXPECT_GT(stack.tiers()->file_count(), 0u);
 }
 
-// A typo'd tier_policy must fall back to the standard ladder, not become a
-// "keep nothing" ladder: every segment here is malformed (no colon, empty,
-// non-numeric fields, negative resolution), so nothing survives parsing and
-// the stack must behave exactly as if the knob were unset.
-TEST(TierStoreTest, HostileTierPolicyFallsBackToTheStandardLadder) {
+// A typo'd tier_policy must never become a ladder that silently expires
+// data. It is refused outright: every segment malformed, one typo'd tier in
+// an otherwise valid ladder, a tier that keeps nothing, or a tier missing a
+// class makes the stack throw before it creates the tier directory. A
+// valid two-tier ladder is taken as written and keeps critical data.
+TEST(TierStoreTest, HostileTierPolicyIsRejected) {
   const std::string dir = scratch_dir("tier_hostile_policy");
   sim::ClusterParams params;
   params.shape.cabinets = 1;
@@ -321,9 +323,28 @@ TEST(TierStoreTest, HostileTierPolicyFallsBackToTheStandardLadder) {
   config.set("compact_interval_s", "300");
   config.set("probe_interval_s", "0");
   config.set("health_interval_s", "0");
-  config.set("tier_policy", "garbage;;;not:a,ladder;-5:x;10:,,");
+  for (const char* ladder :
+       {"garbage;;;not:a,ladder;-5:x;10:,,",
+        "0:172800,86400,21600;10:60480O,259200,86400", "0:0,0,0",
+        "0:172800,86400", "0:172800,86400,21600;"}) {
+    config.set("tier_policy", ladder);
+    const auto parsed = stack::StackOptions::parse(config);
+    ASSERT_FALSE(parsed.is_ok()) << ladder;
+    EXPECT_NE(parsed.message().find("tier_policy"), std::string::npos);
+    EXPECT_THROW({ stack::MonitoringStack s(cluster, config); },
+                 std::invalid_argument)
+        << ladder;
+    EXPECT_FALSE(std::filesystem::exists(dir)) << ladder;
+  }
+
+  config.set("tier_policy", "0:172800,86400,21600;10:604800,259200,86400");
   stack::MonitoringStack stack(cluster, config);
   ASSERT_NE(stack.tiers(), nullptr);
+  const auto& tiers = stack.tiers()->policy().tiers;
+  ASSERT_EQ(tiers.size(), 2u);
+  EXPECT_EQ(tiers[0].resolution, 0);
+  EXPECT_EQ(tiers[1].resolution, 10 * kSecond);
+  EXPECT_EQ(tiers[1].keep[0], 604800 * kSecond);
 
   const auto m = cluster.registry().register_metric(
       {"test.hostile", "u", "hostile policy series", true,
@@ -338,8 +359,8 @@ TEST(TierStoreTest, HostileTierPolicyFallsBackToTheStandardLadder) {
   stack.sharded_store()->append_batch(batch);
 
   stack.run_compaction(30 * core::kMinute);
-  // Under the standard ladder the raw tier keeps critical data for days, so
-  // the pass must have produced a file and the samples must still answer.
+  // The raw tier keeps critical data for two days, so the pass must have
+  // produced a file and the samples must still answer.
   EXPECT_GT(stack.tiers()->file_count(), 0u);
   const auto pts = stack.tiers()->query_range(
       s, {core::TimePoint{0}, 30 * core::kMinute});
