@@ -335,18 +335,21 @@ int main(int argc, char** argv) {
     for (auto& t : producers) t.join();
     pipe.drain();
     const double wall = seconds_since(t0);
-    const auto m = pipe.metrics().snapshot();
+    const auto m = obs::snapshot_of(pipe);
+    const auto accepted = m.counter("ingest.accepted_samples");
     std::printf(
         "\nReference (real threads, 8 producers, 4 shards, kBlock): "
         "%.1f ms wall, %.2f Msamples/s\n  accepted=%llu appends=%llu "
         "mean_batch=%.1f blocked=%llu\n",
         wall * 1e3, total / wall / 1e6,
-        static_cast<unsigned long long>(m.accepted_samples),
-        static_cast<unsigned long long>(m.appends), m.mean_batch_samples(),
-        static_cast<unsigned long long>(m.blocked_pushes));
-    shape_check(m.accepted_samples == total,
+        static_cast<unsigned long long>(accepted),
+        static_cast<unsigned long long>(m.counter("ingest.appends")),
+        m.histogram("ingest.batch_samples")->mean(),
+        static_cast<unsigned long long>(m.counter("ingest.blocked_pushes")));
+    shape_check(accepted == total,
                 "threaded kBlock run is lossless: every sample accepted");
-    shape_check(m.dropped_samples == 0 && m.rejected_samples == 0,
+    shape_check(m.counter("ingest.dropped_samples") == 0 &&
+                    m.counter("ingest.rejected_samples") == 0,
                 "threaded kBlock run drops/rejects nothing");
 
     // Differential: the pipeline's sharded store answers queries exactly
@@ -378,9 +381,10 @@ int main(int argc, char** argv) {
       b.samples.push_back({SeriesId{0}, b.sweep_time, 1.0});
       pipe.submit(b);
     }
-    const auto m = pipe.metrics().snapshot();
-    shape_check(m.enqueued_batches == 4 && m.rejected_batches == 5 &&
-                    m.rejected_samples == 5,
+    const auto m = obs::snapshot_of(pipe);
+    shape_check(m.counter("ingest.enqueued_batches") == 4 &&
+                    m.counter("ingest.rejected_batches") == 5 &&
+                    m.counter("ingest.rejected_samples") == 5,
                 "kReject with capacity 4 and 9 submits rejects exactly 5 "
                 "(counters exact)");
   }
@@ -395,9 +399,10 @@ int main(int argc, char** argv) {
       b.samples.push_back({SeriesId{0}, b.sweep_time, 1.0});
       pipe.submit(b);
     }
-    const auto m = pipe.metrics().snapshot();
-    shape_check(m.enqueued_batches == 9 && m.dropped_batches == 5 &&
-                    m.dropped_samples == 5,
+    const auto m = obs::snapshot_of(pipe);
+    shape_check(m.counter("ingest.enqueued_batches") == 9 &&
+                    m.counter("ingest.dropped_batches") == 5 &&
+                    m.counter("ingest.dropped_samples") == 5,
                 "kDropOldest with capacity 4 and 9 submits drops exactly the "
                 "5 oldest (counters exact)");
   }

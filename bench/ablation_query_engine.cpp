@@ -124,20 +124,22 @@ int main(int argc, char** argv) {
   std::printf("  new engine (summary-covered chunks): %7.1f ms  (%.1fx)\n",
               t_new * 1e3, agg_speedup);
   std::printf("  (answer drift from reassociation: %.3g)\n", sink);
-  const auto qs = engine.query_stats();
+  const auto qs = obs::snapshot_of(engine);
+  const auto summary_chunks = qs.counter("store.summary_chunks");
+  const auto cursor_chunks = qs.counter("store.cursor_chunks");
   std::printf(
       "  store.queries=%llu store.summary_chunks=%llu "
       "store.cursor_chunks=%llu store.cache_hits=%llu\n",
-      static_cast<unsigned long long>(qs.queries),
-      static_cast<unsigned long long>(qs.summary_chunks),
-      static_cast<unsigned long long>(qs.cursor_chunks),
-      static_cast<unsigned long long>(qs.cache_hits));
+      static_cast<unsigned long long>(qs.counter("store.queries")),
+      static_cast<unsigned long long>(summary_chunks),
+      static_cast<unsigned long long>(cursor_chunks),
+      static_cast<unsigned long long>(qs.counter("store.cache_hits")));
   json_metric("query.agg_speedup_x", agg_speedup);
   shape_check(agg_speedup >= 5.0,
               core::strformat("summary-answered range aggregate is >= 5x "
                               "faster than full decode (%.1fx)",
                               agg_speedup));
-  shape_check(qs.summary_chunks > 0 && qs.summary_chunks >= 100 * qs.cursor_chunks,
+  shape_check(summary_chunks > 0 && summary_chunks >= 100 * cursor_chunks,
               "full-range aggregates are answered almost entirely from "
               "summaries (boundary chunks only on the cursor path)");
 
@@ -153,13 +155,15 @@ int main(int argc, char** argv) {
     }
     const double t_cold = seconds_since(t0);
     (void)engine.query_range(SeriesId{0}, window);  // warm the cache
-    const auto hits_before = engine.query_stats().cache_hits;
+    const auto hits_before =
+        obs::snapshot_of(engine).counter("store.cache_hits");
     t0 = steady_clock::now();
     for (int r = 0; r < kQueryReps; ++r) {
       n -= engine.query_range(SeriesId{0}, window).size();
     }
     const double t_warm = seconds_since(t0);
-    const auto hits = engine.query_stats().cache_hits - hits_before;
+    const auto hits =
+        obs::snapshot_of(engine).counter("store.cache_hits") - hits_before;
     std::printf("\nRepeated 1-hour window query (x%d): uncached %6.1f ms, "
                 "cached %6.1f ms (%.1fx), %llu cache hits, sizes cancel to "
                 "%zu\n",

@@ -19,7 +19,7 @@
 // full-MonitoringStack A/B for the serialized reference plus the
 // calibrated ingest-path model that the <5% target gates on (see the
 // comment at the bottom) — and a proof that rollup reads issue ZERO store
-// queries (query_stats().queries delta == 0).
+// queries (store.queries delta == 0).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -104,7 +104,8 @@ ReadTimings measure_reads(Fleet& f, core::TimePoint now) {
   volatile double sink = 0;
 
   // Rollup read: O(depth) — really O(1) against the published snapshot.
-  const auto queries_before = f.store.query_stats().queries;
+  const auto queries_before =
+      obs::snapshot_of(f.store).counter("store.queries");
   const int rollup_reps = 100000;
   auto t0 = steady_clock::now();
   for (int i = 0; i < rollup_reps; ++i) {
@@ -113,7 +114,8 @@ ReadTimings measure_reads(Fleet& f, core::TimePoint now) {
   }
   r.rollup_ns = seconds_since(t0) * 1e9 / rollup_reps;
   r.rollup_sum = sink;
-  r.rollup_store_queries = f.store.query_stats().queries - queries_before;
+  r.rollup_store_queries =
+      obs::snapshot_of(f.store).counter("store.queries") - queries_before;
 
   // Cheapest conceivable scatter-gather: flat latest() fold over every
   // node series. No decode, no window walk — just N routed lookups.

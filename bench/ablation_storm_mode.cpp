@@ -59,7 +59,7 @@ Priority class_of(SeriesId id) {
 }
 
 struct RunResult {
-  ingest::IngestSnapshot snap;
+  obs::ObsSnapshot snap;  // the pipeline's ingest.* instruments at the end
   std::array<double, core::kPriorityClasses> stored_frac{};
   /// offered - queryable, per class. This is the config-independent loss
   /// measure: the baseline has no priority hook, so its by-class drop
@@ -84,6 +84,7 @@ RunResult run(bool with_priority, bool with_controller) {
   ingest::IngestPipeline pipe(store, cfg);
 
   resilience::DegradationController controller;
+  resilience::HealthSignalAssembler assembler;
   RunResult r;
   if (with_controller) {
     controller.on_change([&](core::DegradationMode m) {
@@ -117,25 +118,23 @@ RunResult run(bool with_priority, bool with_controller) {
       }
     }
     if (with_controller) {
-      // The stack's gather_health, at pipeline scope: live queue fill plus
-      // the cumulative loss/shed counters (the controller uses the deltas).
-      resilience::HealthSignals hs;
+      // The stack's signal assembly, at pipeline scope: the cumulative
+      // loss/shed counters (the controller uses the deltas) plus the live
+      // queue fill, which only a stack exports (ingest.queue_fill).
+      auto hs = assembler.assemble(obs::snapshot_of(pipe));
       std::size_t depth = 0;
       for (std::size_t i = 0; i < kShards; ++i) {
         depth = std::max(depth, pipe.queue_depth(i));
       }
       hs.queue_fill =
           static_cast<double>(depth) / static_cast<double>(kQueueCap);
-      const auto s = pipe.metrics().snapshot();
-      hs.lost_samples = s.lost_samples();
-      hs.shed_samples = s.shed_samples();
-      controller.evaluate(t, hs);
+      controller.evaluate(hs);
     }
   }
   pipe.drain();
   pipe.stop();
 
-  r.snap = pipe.metrics().snapshot();
+  r.snap = obs::snapshot_of(pipe);
   r.final_mode = controller.mode();
   // Store completeness per class: queried-back points / offered points.
   std::array<std::uint64_t, core::kPriorityClasses> offered{};
@@ -164,19 +163,21 @@ void print_row(const char* label, const RunResult& r) {
   constexpr auto kCrit = static_cast<std::size_t>(Priority::kCritical);
   constexpr auto kStd = static_cast<std::size_t>(Priority::kStandard);
   constexpr auto kBlk = static_cast<std::size_t>(Priority::kBulk);
+  const auto lost = [&r](const std::string& cls) {
+    return static_cast<unsigned long long>(
+        r.snap.counter("ingest.dropped_" + cls + "_samples") +
+        r.snap.counter("ingest.rejected_" + cls + "_samples"));
+  };
   std::printf(
       "  %-10s stored: crit %6.2f%%  std %6.2f%%  bulk %6.2f%%   "
       "lost: crit %llu / std %llu / bulk %llu   shed: std %llu / bulk %llu\n",
       label, 100.0 * r.stored_frac[kCrit], 100.0 * r.stored_frac[kStd],
-      100.0 * r.stored_frac[kBlk],
-      static_cast<unsigned long long>(r.snap.dropped_by_class[kCrit] +
-                                      r.snap.rejected_by_class[kCrit]),
-      static_cast<unsigned long long>(r.snap.dropped_by_class[kStd] +
-                                      r.snap.rejected_by_class[kStd]),
-      static_cast<unsigned long long>(r.snap.dropped_by_class[kBlk] +
-                                      r.snap.rejected_by_class[kBlk]),
-      static_cast<unsigned long long>(r.snap.shed_by_class[kStd]),
-      static_cast<unsigned long long>(r.snap.shed_by_class[kBlk]));
+      100.0 * r.stored_frac[kBlk], lost("critical"), lost("standard"),
+      lost("bulk"),
+      static_cast<unsigned long long>(
+          r.snap.counter("ingest.shed_standard_samples")),
+      static_cast<unsigned long long>(
+          r.snap.counter("ingest.shed_bulk_samples")));
 }
 
 }  // namespace
@@ -215,8 +216,6 @@ int main(int argc, char** argv) {
       std::string(hpcmon::core::to_string(storm.final_mode)).c_str());
 
   constexpr auto kCrit = static_cast<std::size_t>(Priority::kCritical);
-  constexpr auto kStd = static_cast<std::size_t>(Priority::kStandard);
-  constexpr auto kBlk = static_cast<std::size_t>(Priority::kBulk);
 
   // Loss is judged from the store (offered minus queryable): the baseline
   // has no priority hook, so its by-class drop ledger cannot see which
@@ -235,21 +234,22 @@ int main(int argc, char** argv) {
               "the controller engaged during the storm (left NORMAL)");
   shape_check(storm.final_mode == hpcmon::core::DegradationMode::kNormal,
               "the controller returned to NORMAL after the storm");
-  const double storm_bulk_shed_frac =
-      static_cast<double>(storm.snap.shed_by_class[kBlk]) /
-      static_cast<double>(storm.snap.submitted_by_class[kBlk] +
-                          storm.snap.shed_by_class[kBlk] + 1);
-  const double storm_std_shed_frac =
-      static_cast<double>(storm.snap.shed_by_class[kStd]) /
-      static_cast<double>(storm.snap.submitted_by_class[kStd] +
-                          storm.snap.shed_by_class[kStd] + 1);
+  const auto shed_frac = [&storm](const std::string& cls) {
+    const auto shed = storm.snap.counter("ingest.shed_" + cls + "_samples");
+    return static_cast<double>(shed) /
+           static_cast<double>(
+               storm.snap.counter("ingest.submitted_" + cls + "_samples") +
+               shed + 1);
+  };
+  const double storm_bulk_shed_frac = shed_frac("bulk");
+  const double storm_std_shed_frac = shed_frac("standard");
   json_metric("storm.crit_lost_baseline",
               static_cast<double>(crit_lost(baseline)));
   json_metric("storm.bulk_shed_frac", storm_bulk_shed_frac);
   json_metric("storm.std_shed_frac", storm_std_shed_frac);
   shape_check(storm_bulk_shed_frac >= storm_std_shed_frac,
               "degradation sheds bulk at least as hard as standard");
-  shape_check(storm.snap.shed_by_class[kCrit] == 0,
+  shape_check(storm.snap.counter("ingest.shed_critical_samples") == 0,
               "degradation never sheds critical at the door");
 
   return finish();

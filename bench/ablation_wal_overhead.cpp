@@ -60,7 +60,7 @@ double run_store_only(const std::vector<SampleBatch>& sweeps) {
 
 double run_with_wal(const std::vector<SampleBatch>& sweeps,
                     std::size_t segment_bytes,
-                    resilience::WalStats* stats_out) {
+                    obs::ObsSnapshot* stats_out) {
   const std::string dir = "/tmp/hpcmon_bench_wal";
   std::filesystem::remove_all(dir);
   store::TimeSeriesStore store(kChunkPoints);
@@ -71,7 +71,7 @@ double run_with_wal(const std::vector<SampleBatch>& sweeps,
     store.append_batch(b.samples);
   }
   const double secs = seconds_since(t0);
-  if (stats_out != nullptr) *stats_out = wal.stats();
+  if (stats_out != nullptr) *stats_out = obs::snapshot_of(wal);
   return secs;
 }
 
@@ -93,9 +93,9 @@ int main(int argc, char** argv) {
   // Warm-up pass absorbs first-touch costs, then measure.
   run_store_only(sweeps);
   const double base = run_store_only(sweeps);
-  hpcmon::resilience::WalStats wal_stats;
+  hpcmon::obs::ObsSnapshot wal_stats;
   const double walled = run_with_wal(sweeps, 1u << 20, &wal_stats);
-  hpcmon::resilience::WalStats churn_stats;
+  hpcmon::obs::ObsSnapshot churn_stats;
   const double churned = run_with_wal(sweeps, 16u << 10, &churn_stats);
 
   const double overhead = walled / base;
@@ -104,10 +104,12 @@ int main(int argc, char** argv) {
               base * 1e3, total_samples / base / 1e6);
   std::printf("wal + store (1MiB): %8.3f ms  overhead x%.2f, %llu segs\n",
               walled * 1e3, overhead,
-              static_cast<unsigned long long>(wal_stats.segments_created));
+              static_cast<unsigned long long>(
+                  wal_stats.counter("resilience.wal_segments_created")));
   std::printf("wal + store (16KiB): %7.3f ms  overhead x%.2f, %llu segs\n",
               churned * 1e3, churn_overhead,
-              static_cast<unsigned long long>(churn_stats.segments_created));
+              static_cast<unsigned long long>(
+                  churn_stats.counter("resilience.wal_segments_created")));
 
   // Replay the churned log and confirm nothing was lost.
   std::size_t replayed = 0;
@@ -118,7 +120,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(rs.records), replayed,
               rs.to_string().c_str());
 
-  shape_check(wal_stats.appended_records == static_cast<std::uint64_t>(kSweeps),
+  shape_check(wal_stats.counter("resilience.wal_records") ==
+                  static_cast<std::uint64_t>(kSweeps),
               "every sweep frame is WAL-appended before the store append");
   shape_check(rs.records == static_cast<std::uint64_t>(kSweeps) &&
                   replayed == total_samples,

@@ -74,11 +74,12 @@ int main() {
 
   // ---- Architecture ---------------------------------------------------------
   {
-    const auto& rs = mc.router.stats();
+    const auto rs = obs::snapshot_of(mc.router);
+    const auto frames = rs.counter("transport.frames");
     row("Architecture", "raw data at maximum fidelity, documented interface",
-        rs.frames > 50 && rs.dropped == 0,
+        frames > 50 && rs.counter("transport.unrouted_frames") == 0,
         core::strformat("%llu frames routed losslessly, binary codec documented",
-                        static_cast<unsigned long long>(rs.frames)));
+                        static_cast<unsigned long long>(frames)));
   }
   {
     // Multiple consumers: add a second subscriber + a topic bus fan-out.

@@ -9,17 +9,18 @@
 # scenario — so the relay worker thread vs reactor vs ingest interleavings
 # are all race-checked; and the `rollup` label pulls in the rollup tree's
 # concurrent appender/ticker/reader property hammer against the
-# epoch-buffered drain and lazily-materialized snapshots); asan and ubsan
-# run the full suite — which includes the `codec`-labeled adversarial
+# epoch-buffered drain and lazily-materialized snapshots); asan runs the
+# full suite under AddressSanitizer and UndefinedBehaviorSanitizer with
+# every UB finding fatal — which includes the `codec`-labeled adversarial
 # sweep (store_codec_property_test): the word-at-a-time Gorilla decoder
 # against bit-flipped and truncated frames, where an out-of-bounds read or
 # shift-UB would otherwise hide. CI re-asserts that label by name
-# (`ctest -L codec`) in the instrumented trees.
+# (`ctest -L codec`) in the instrumented tree.
 #
 # Usage:
-#   scripts/run_sanitizers.sh              # tsan, asan, ubsan in sequence
+#   scripts/run_sanitizers.sh              # tsan, then asan
 #   scripts/run_sanitizers.sh tsan         # one preset
-#   scripts/run_sanitizers.sh asan ubsan   # any subset, in order
+#   scripts/run_sanitizers.sh asan tsan    # any subset, in order
 #
 # Each preset builds into its own tree (build-<preset>), so runs are
 # incremental and independent of the default build/. Exits nonzero on the
@@ -30,16 +31,16 @@ cd "$(dirname "$0")/.."
 
 presets=("$@")
 if [ ${#presets[@]} -eq 0 ]; then
-  presets=(tsan asan ubsan)
+  presets=(tsan asan)
 fi
 
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 for preset in "${presets[@]}"; do
   case "$preset" in
-    tsan|asan|ubsan) ;;
+    tsan|asan) ;;
     *)
-      echo "error: unknown preset '$preset' (expected tsan, asan, or ubsan)" >&2
+      echo "error: unknown preset '$preset' (expected tsan or asan)" >&2
       exit 2
       ;;
   esac

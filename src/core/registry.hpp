@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -58,6 +59,7 @@ class MetricRegistry {
   std::optional<std::uint32_t> find_metric(std::string_view name) const;
   std::optional<ComponentId> find_component(std::string_view name) const;
 
+  /// The reference stays valid for the registry's lifetime.
   const MetricInfo& metric(std::uint32_t index) const;
   const ComponentInfo& component(ComponentId id) const;
   /// Metric/component of an interned series.
@@ -87,9 +89,11 @@ class MetricRegistry {
   };
 
   mutable std::mutex mu_;
-  std::vector<MetricInfo> metrics_;
+  // Deques, not vectors: metric() and component() return references that
+  // callers read after mu_ is released, so growth must never move an entry.
+  std::deque<MetricInfo> metrics_;
   std::unordered_map<std::string, std::uint32_t> metric_by_name_;
-  std::vector<ComponentInfo> components_;
+  std::deque<ComponentInfo> components_;
   std::unordered_map<std::string, ComponentId> component_by_name_;
   std::vector<SeriesRec> series_;
   std::unordered_map<std::uint64_t, SeriesId> series_by_key_;

@@ -1,6 +1,5 @@
 #include "ingest/metrics.hpp"
 
-#include <algorithm>
 #include <string>
 
 namespace hpcmon::ingest {
@@ -18,45 +17,6 @@ void IngestMetrics::record_append(std::size_t merged_batches,
   out_of_order_samples_.add(out_of_order);
   append_us_.add(duration_us);
   batch_samples_.record(accepted + out_of_order);
-}
-
-IngestSnapshot IngestMetrics::snapshot() const {
-  IngestSnapshot s;
-  s.submitted_batches = submitted_batches_.value();
-  s.submitted_samples = submitted_samples_.value();
-  s.enqueued_batches = enqueued_batches_.value();
-  s.appends = appends_.value();
-  s.coalesced_batches = coalesced_batches_.value();
-  s.accepted_samples = accepted_samples_.value();
-  s.out_of_order_samples = out_of_order_samples_.value();
-  s.dropped_batches = dropped_batches_.value();
-  s.dropped_samples = dropped_samples_.value();
-  s.rejected_batches = rejected_batches_.value();
-  s.rejected_samples = rejected_samples_.value();
-  s.blocked_pushes = blocked_pushes_.value();
-  s.block_wait_us = block_wait_us_.value();
-  s.append_us = append_us_.value();
-  s.queue_hwm.reserve(queue_hwm_.size());
-  for (const auto& h : queue_hwm_) {
-    s.queue_hwm.push_back(static_cast<std::uint64_t>(h.value()));
-  }
-  for (const auto& a : arena_bytes_) {
-    s.arena_bytes += static_cast<std::uint64_t>(a.value());
-  }
-  s.batch_samples = batch_samples_.snapshot();
-  for (std::size_t c = 0; c < core::kPriorityClasses; ++c) {
-    s.submitted_by_class[c] = submitted_by_class_[c].value();
-    s.shed_by_class[c] = shed_by_class_[c].value();
-    s.dropped_by_class[c] = dropped_by_class_[c].value();
-    s.rejected_by_class[c] = rejected_by_class_[c].value();
-  }
-  return s;
-}
-
-std::uint64_t IngestSnapshot::max_queue_hwm() const {
-  std::uint64_t m = 0;
-  for (const auto h : queue_hwm) m = std::max(m, h);
-  return m;
 }
 
 void IngestMetrics::attach_to(obs::ObsRegistry& registry) const {

@@ -9,7 +9,7 @@
 // stays cheap. The instruments are the single source of truth: attach_to()
 // catalogs them in the shared ObsRegistry, where the degradation control
 // loop, the hpcmon.self.* export, and the operator report all read the same
-// atomics. snapshot() is a typed view for tests and benches.
+// atomics; a pipeline outside a stack is read with obs::snapshot_of().
 //
 // Clock note: the library's telemetry runs on the simulated timeline, but the
 // ingest tier is real threads doing real work, so its latency self-metrics
@@ -25,55 +25,6 @@
 #include "obs/registry.hpp"
 
 namespace hpcmon::ingest {
-
-/// Point-in-time copy of every counter (plain values, safe to print/compare).
-struct IngestSnapshot {
-  std::uint64_t submitted_batches = 0;  // batches offered via submit()
-  std::uint64_t submitted_samples = 0;
-  std::uint64_t enqueued_batches = 0;   // per-shard sub-batches queued
-  std::uint64_t appends = 0;            // worker append_batch calls
-  std::uint64_t coalesced_batches = 0;  // sub-batches merged into appends
-  std::uint64_t accepted_samples = 0;   // stored by a shard
-  std::uint64_t out_of_order_samples = 0;  // store rejected (time <= last)
-  std::uint64_t dropped_batches = 0;    // kDropOldest evictions
-  std::uint64_t dropped_samples = 0;
-  std::uint64_t rejected_batches = 0;   // kReject refusals (or closed pipe)
-  std::uint64_t rejected_samples = 0;
-  std::uint64_t blocked_pushes = 0;     // kBlock producer stalls
-  std::uint64_t block_wait_us = 0;      // producer time spent in backpressure
-  std::uint64_t append_us = 0;          // worker time spent appending
-  std::vector<std::uint64_t> queue_hwm;  // per-shard depth high-water mark
-  std::uint64_t arena_bytes = 0;  // summed retained worker-arena allocation
-  /// Coalesced samples-per-append distribution (log-bucketed, mergeable).
-  obs::HistogramSnapshot batch_samples;
-
-  // Per-priority-class accounting (indexed by core::Priority). "Shed" is the
-  // voluntary kind — samples the degradation controller turned away at the
-  // door (bulk shed, standard downsampled) — as opposed to dropped/rejected,
-  // which are involuntary overload losses. The storm-mode invariant is
-  // dropped_by_class[kCritical] == rejected_by_class[kCritical] == 0, always.
-  std::array<std::uint64_t, core::kPriorityClasses> submitted_by_class{};
-  std::array<std::uint64_t, core::kPriorityClasses> shed_by_class{};
-  std::array<std::uint64_t, core::kPriorityClasses> dropped_by_class{};
-  std::array<std::uint64_t, core::kPriorityClasses> rejected_by_class{};
-
-  std::uint64_t shed_samples() const {
-    std::uint64_t total = 0;
-    for (const auto s : shed_by_class) total += s;
-    return total;
-  }
-  std::uint64_t lost_samples() const {
-    return dropped_samples + rejected_samples;
-  }
-
-  double mean_batch_samples() const { return batch_samples.mean(); }
-  double mean_append_us() const {
-    return appends == 0
-               ? 0.0
-               : static_cast<double>(append_us) / static_cast<double>(appends);
-  }
-  std::uint64_t max_queue_hwm() const;
-};
 
 class IngestMetrics {
  public:
@@ -121,8 +72,6 @@ class IngestMetrics {
     arena_bytes_[shard].set(static_cast<double>(bytes));
   }
 
-  IngestSnapshot snapshot() const;
-
   /// Catalog every instrument as ingest.* in `registry` (critical priority:
   /// the ingest tier's vitals must survive the storms they report on).
   void attach_to(obs::ObsRegistry& registry) const;
@@ -145,6 +94,10 @@ class IngestMetrics {
   std::vector<obs::Gauge> queue_hwm_;  // per shard; merged via GaugeAgg::kMax
   std::vector<obs::Gauge> arena_bytes_;  // per shard; merged via GaugeAgg::kSum
   obs::Histogram batch_samples_;
+  // Per-class accounting (indexed by core::Priority). "Shed" is voluntary —
+  // turned away at the door by degradation mode — as opposed to the
+  // involuntary dropped/rejected losses. The storm-mode invariant is that
+  // the critical drop and reject counters stay 0, always.
   std::array<obs::Counter, core::kPriorityClasses> submitted_by_class_;
   std::array<obs::Counter, core::kPriorityClasses> shed_by_class_;
   std::array<obs::Counter, core::kPriorityClasses> dropped_by_class_;

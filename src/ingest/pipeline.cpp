@@ -39,8 +39,6 @@ IngestPipeline::IngestPipeline(ShardedTimeSeriesStore& store,
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
   if (config_.max_coalesce_batches == 0) config_.max_coalesce_batches = 1;
   if (config_.standard_stride == 0) config_.standard_stride = 1;
-  obs_ = config_.obs != nullptr ? config_.obs : &own_obs_;
-  metrics_.attach_to(*obs_);
   channels_.reserve(store_.shard_count());
   for (std::size_t i = 0; i < store_.shard_count(); ++i) {
     channels_.push_back(std::make_unique<transport::Channel<PrioritizedBatch>>(

@@ -87,9 +87,6 @@ struct IngestConfig {
   /// In SUMMARIZE mode, admit every Nth standard-class sample per series
   /// (downsample-on-ingest); the rest are counted as voluntarily shed.
   std::size_t standard_stride = 4;
-  /// Shared obs registry to catalog the tier's instruments in. Unset => the
-  /// pipeline attaches them to a private registry (see obs()).
-  obs::ObsRegistry* obs = nullptr;
   /// Stage timer for queue_wait / shard_worker / store_append spans; unset
   /// disables span recording.
   obs::StageTimer* stages = nullptr;
@@ -150,10 +147,10 @@ class IngestPipeline {
     return in_flight_.load(std::memory_order_acquire);
   }
 
-  const IngestMetrics& metrics() const { return metrics_; }
-  /// The registry this pipeline's instruments are cataloged in — the shared
-  /// one from IngestConfig::obs, or the private fallback.
-  const obs::ObsRegistry& obs() const { return *obs_; }
+  /// Catalog the tier's ingest.* instruments in `registry`.
+  void attach_to(obs::ObsRegistry& registry) const {
+    metrics_.attach_to(registry);
+  }
   ShardedTimeSeriesStore& store() { return store_; }
   const IngestConfig& config() const { return config_; }
   std::size_t queue_depth(std::size_t shard) const {
@@ -168,8 +165,6 @@ class IngestPipeline {
   ShardedTimeSeriesStore& store_;
   IngestConfig config_;
   IngestMetrics metrics_;
-  obs::ObsRegistry own_obs_;       // fallback when config_.obs is unset
-  obs::ObsRegistry* obs_ = nullptr;
   std::vector<std::unique_ptr<transport::Channel<PrioritizedBatch>>> channels_;
   std::vector<std::thread> workers_;
   std::atomic<std::int64_t> in_flight_{0};  // enqueued, not yet appended

@@ -150,10 +150,4 @@ store::StoreStats ShardedTimeSeriesStore::stats() const {
   return merged;
 }
 
-store::QueryStats ShardedTimeSeriesStore::query_stats() const {
-  store::QueryStats merged;
-  for (const auto& shard : shards_) merged += shard->query_stats();
-  return merged;
-}
-
 }  // namespace hpcmon::ingest

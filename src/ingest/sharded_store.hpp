@@ -114,8 +114,6 @@ class ShardedTimeSeriesStore {
                                                     store::Chunk&&)>& sink);
   /// Merged stats across shards (series are disjoint, so sums are exact).
   store::StoreStats stats() const;
-  /// Merged read-path self-metrics across shards.
-  store::QueryStats query_stats() const;
 
   // -- Rollup tree (incremental topology aggregation) ------------------------
   /// Feed every append into `tree` (per-shard delta domains, no cross-shard

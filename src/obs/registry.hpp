@@ -115,4 +115,15 @@ class ObsRegistry {
   std::deque<Histogram> owned_histograms_;
 };
 
+/// One component's instruments, read on their own: a fresh registry, the
+/// component's attach_to, one snapshot. The read path for a tier held
+/// outside a MonitoringStack (tests, benches); inside one, read
+/// MonitoringStack::obs_snapshot().
+template <class T>
+ObsSnapshot snapshot_of(const T& component) {
+  ObsRegistry registry;
+  component.attach_to(registry);
+  return registry.snapshot();
+}
+
 }  // namespace hpcmon::obs

@@ -50,9 +50,7 @@ RelayClient::RelayClient(RelayConfig config)
                   core::kMillisecond,
               .jitter = 0.1,
           },
-          0x5EEDB4EAull ^ config_.source_id) {
-  attach_to(config_.obs != nullptr ? *config_.obs : own_obs_);
-}
+          0x5EEDB4EAull ^ config_.source_id) {}
 
 RelayClient::~RelayClient() { stop(); }
 

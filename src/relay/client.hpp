@@ -84,11 +84,10 @@ struct RelayConfig {
   /// Fault injection (tests only): socket ops and state-file fs ops.
   core::SocketFaultInjector* socket_faults = nullptr;
   core::FsFaultInjector* fs_faults = nullptr;
-  /// Shared obs registry for the relay.* instruments; unset => private.
-  obs::ObsRegistry* obs = nullptr;
 };
 
-/// Typed view over the relay.* instruments.
+/// Typed view over the relay.* instruments. e2ebench still reads it; new
+/// readers use the catalog names (attach_to, obs::snapshot_of).
 struct RelayStats {
   std::uint64_t submitted_batches = 0;
   std::uint64_t submitted_samples = 0;
@@ -137,8 +136,7 @@ class RelayClient {
   std::size_t pending() const;
   RelayStats stats() const;
 
-  /// Catalog the relay.* instruments in `registry` (done automatically for
-  /// RelayConfig::obs at construction).
+  /// Catalog the relay.* instruments in `registry`.
   void attach_to(obs::ObsRegistry& registry) const;
 
  private:
@@ -185,7 +183,6 @@ class RelayClient {
   std::uint64_t watermark_ = 0;
 
   // relay.* instruments.
-  obs::ObsRegistry own_obs_;
   obs::Counter submitted_batches_;
   obs::Counter submitted_samples_;
   obs::Counter shed_batches_;

@@ -69,15 +69,6 @@ void CircuitBreaker::open(core::TimePoint now) {
   retry_at_ = now + static_cast<core::Duration>(std::max(cooldown, 1.0));
 }
 
-BreakerStats CircuitBreaker::stats() const {
-  BreakerStats s;
-  s.opens = opens_.value();
-  s.half_open_probes = half_open_probes_.value();
-  s.closes = closes_.value();
-  s.denied = denied_.value();
-  return s;
-}
-
 void CircuitBreaker::attach_to(obs::ObsRegistry& registry) const {
   registry.attach({"resilience.breaker_opens", "transitions",
                    "circuit breakers opened (quarantine began)"},

@@ -37,14 +37,6 @@ struct BreakerConfig {
   double jitter = 0.1;  // +/- fraction of the cooldown, drawn per open
 };
 
-/// Typed view over a breaker's obs instruments.
-struct BreakerStats {
-  std::uint64_t opens = 0;             // closed/half-open -> open transitions
-  std::uint64_t half_open_probes = 0;  // probes admitted while half-open
-  std::uint64_t closes = 0;            // half-open -> closed recoveries
-  std::uint64_t denied = 0;            // calls refused while open
-};
-
 class CircuitBreaker {
  public:
   explicit CircuitBreaker(BreakerConfig config = {},
@@ -63,7 +55,6 @@ class CircuitBreaker {
   int consecutive_failures() const { return consecutive_failures_; }
   /// Earliest time a half-open probe will be admitted (meaningful when open).
   core::TimePoint retry_at() const { return retry_at_; }
-  BreakerStats stats() const;
   /// Catalog the breaker's counters as resilience.breaker_* in `registry`
   /// (shared names across breakers; the registry sums at snapshot time).
   void attach_to(obs::ObsRegistry& registry) const;

@@ -31,19 +31,6 @@ HealthSignals HealthSignalAssembler::assemble(const obs::ObsSnapshot& snap) {
   return hs;
 }
 
-HealthSignals HealthSignalAssembler::assemble(
-    const obs::ObsSnapshot& snap, const rollup::RollupSnapshot* fleet,
-    core::ComponentId system) {
-  HealthSignals hs = assemble(snap);
-  if (fleet == nullptr) return hs;
-  if (const auto* s = fleet->find(system, "node.cpu_util");
-      s != nullptr && !s->empty()) {
-    hs.fleet_utilization = rollup::MeanReducer::reduce(*s);
-    hs.fleet_nodes_live = s->count;
-  }
-  return hs;
-}
-
 DegradationController::DegradationController(DegradationConfig config)
     : config_(config) {
   config_.enter_ticks = std::max<std::uint32_t>(1, config_.enter_ticks);
@@ -89,10 +76,9 @@ double DegradationController::pressure(const HealthSignals& signals) {
 }
 
 core::DegradationMode DegradationController::evaluate(
-    core::TimePoint now, const HealthSignals& signals) {
+    const HealthSignals& signals) {
   evaluations_.add();
   const auto level = static_cast<std::size_t>(mode_);
-  ticks_in_mode_[level].add();
   const double p = pressure(signals);
   pressure_gauge_.set(p);
 
@@ -105,7 +91,6 @@ core::DegradationMode DegradationController::evaluate(
     } else {
       deescalations_.add();
     }
-    last_transition_ = now;
     above_ticks_ = 0;
     below_ticks_ = 0;
     shed_hold_used_ = 0;  // each level gets a fresh anti-flap hold budget
@@ -134,20 +119,6 @@ core::DegradationMode DegradationController::evaluate(
   above_ticks_ = 0;
   below_ticks_ = 0;
   return mode_;
-}
-
-DegradationStats DegradationController::stats() const {
-  DegradationStats s;
-  s.evaluations = evaluations_.value();
-  s.transitions = transitions_.value();
-  s.escalations = escalations_.value();
-  s.deescalations = deescalations_.value();
-  for (std::size_t i = 0; i < core::kDegradationModes; ++i) {
-    s.ticks_in_mode[i] = ticks_in_mode_[i].value();
-  }
-  s.last_transition = last_transition_;
-  s.last_pressure = pressure_gauge_.value();
-  return s;
 }
 
 void DegradationController::attach_to(obs::ObsRegistry& registry) const {

@@ -46,11 +46,8 @@
 #include <cstdint>
 #include <functional>
 
-#include "core/ids.hpp"
 #include "core/priority.hpp"
-#include "core/time.hpp"
 #include "obs/registry.hpp"
-#include "rollup/tree.hpp"
 
 namespace hpcmon::resilience {
 
@@ -68,12 +65,6 @@ struct HealthSignals {
   std::uint64_t lost_samples = 0;
   /// Cumulative voluntarily shed samples (degradation-mode door sheds).
   std::uint64_t shed_samples = 0;
-
-  // -- Fleet context from the rollup tree (advisory; NOT a pressure input —
-  // the controller reacts to the stack's own health, these give the operator
-  // report and chaos assertions the "what is the machine doing" side).
-  double fleet_utilization = 0.0;       // system-level mean node.cpu_util
-  std::uint64_t fleet_nodes_live = 0;   // node.cpu_util series still rolled up
 };
 
 /// Builds a HealthSignals reading from an ObsSnapshot — the SAME snapshot
@@ -86,14 +77,6 @@ struct HealthSignals {
 class HealthSignalAssembler {
  public:
   HealthSignals assemble(const obs::ObsSnapshot& snap);
-
-  /// Same reading, plus fleet context looked up O(depth) from the rollup
-  /// tree's `system`-level node.cpu_util stat. `fleet` may be nullptr (tree
-  /// disabled): fleet fields stay zero and the reading is identical to the
-  /// two-free-argument overload.
-  HealthSignals assemble(const obs::ObsSnapshot& snap,
-                         const rollup::RollupSnapshot* fleet,
-                         core::ComponentId system);
 
  private:
   std::uint64_t last_wal_failures_ = 0;
@@ -121,17 +104,6 @@ struct DegradationConfig {
                                                                       4};
 };
 
-/// Typed view over the controller's obs instruments (see attach_to).
-struct DegradationStats {
-  std::uint64_t evaluations = 0;
-  std::uint64_t transitions = 0;
-  std::uint64_t escalations = 0;
-  std::uint64_t deescalations = 0;
-  std::array<std::uint64_t, core::kDegradationModes> ticks_in_mode{};
-  core::TimePoint last_transition{};
-  double last_pressure = 0.0;
-};
-
 class DegradationController {
  public:
   explicit DegradationController(DegradationConfig config = {});
@@ -144,11 +116,9 @@ class DegradationController {
   /// Fold one reading of the stack's health into the control loop; returns
   /// the mode in force after the evaluation. Call at a fixed cadence on the
   /// simulated timeline.
-  core::DegradationMode evaluate(core::TimePoint now,
-                                 const HealthSignals& signals);
+  core::DegradationMode evaluate(const HealthSignals& signals);
 
   core::DegradationMode mode() const { return mode_; }
-  DegradationStats stats() const;
   const DegradationConfig& config() const { return config_; }
 
   /// Scalar pressure in [0,1] derived from `signals` (max of the fill
@@ -169,10 +139,8 @@ class DegradationController {
   obs::Counter transitions_;
   obs::Counter escalations_;
   obs::Counter deescalations_;
-  std::array<obs::Counter, core::kDegradationModes> ticks_in_mode_;
   obs::Gauge mode_gauge_;      // 0=NORMAL..3=QUARANTINE, set on commit
   obs::Gauge pressure_gauge_;  // last evaluation's scalar pressure
-  core::TimePoint last_transition_{};
   std::uint32_t above_ticks_ = 0;  // consecutive evals arming escalation
   std::uint32_t below_ticks_ = 0;  // consecutive evals arming de-escalation
   std::uint64_t last_lost_ = 0;

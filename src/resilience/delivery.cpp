@@ -80,17 +80,6 @@ std::size_t ReliableDelivery::redeliver() {
   return ok;
 }
 
-DeliveryStats ReliableDelivery::stats() const {
-  DeliveryStats s;
-  s.delivered = delivered_.value();
-  s.retries = retries_.value();
-  s.failures = failures_.value();
-  s.dead_lettered = dead_lettered_.value();
-  s.evicted = evicted_.value();
-  s.redelivered = redelivered_.value();
-  return s;
-}
-
 void ReliableDelivery::attach_to(obs::ObsRegistry& registry) const {
   registry.attach({"resilience.delivered_frames", "frames",
                    "frames that eventually got through"},

@@ -36,16 +36,6 @@ struct DeliveryOptions {
   std::size_t dead_letter_cap = 64;
 };
 
-/// Typed view over the delivery instruments.
-struct DeliveryStats {
-  std::uint64_t delivered = 0;     // frames that eventually got through
-  std::uint64_t retries = 0;       // extra attempts beyond the first
-  std::uint64_t failures = 0;      // frames that exhausted every attempt
-  std::uint64_t dead_lettered = 0;
-  std::uint64_t evicted = 0;       // oldest dead letters pushed out by cap
-  std::uint64_t redelivered = 0;   // dead letters later delivered
-};
-
 class ReliableDelivery {
  public:
   using DeliverFn = std::function<core::Status(const transport::Frame&)>;
@@ -64,7 +54,6 @@ class ReliableDelivery {
   const std::deque<transport::Frame>& dead_letters() const {
     return dead_letters_;
   }
-  DeliveryStats stats() const;
   const DeliveryOptions& options() const { return options_; }
   /// Catalog the delivery counters and the live DLQ fill gauge as
   /// resilience.* in `registry`.

@@ -7,17 +7,6 @@
 
 namespace hpcmon::resilience {
 
-SupervisorStats& SupervisorStats::operator+=(const SupervisorStats& o) {
-  calls += o.calls;
-  successes += o.successes;
-  errors += o.errors;
-  timeouts += o.timeouts;
-  skipped += o.skipped;
-  downsampled += o.downsampled;
-  samples_merged += o.samples_merged;
-  return *this;
-}
-
 SupervisedSampler::SupervisedSampler(std::unique_ptr<collect::Sampler> inner,
                                      SupervisorOptions options)
     : inner_(std::move(inner)),
@@ -114,18 +103,6 @@ void SupervisedSampler::run_with_deadline(core::TimePoint sweep_time,
   successes_.add();
   samples_merged_.add(job->batch.samples.size());
   breaker_.record_success(sweep_time);
-}
-
-SupervisorStats SupervisedSampler::stats() const {
-  SupervisorStats s;
-  s.calls = calls_.value();
-  s.successes = successes_.value();
-  s.errors = errors_.value();
-  s.timeouts = timeouts_.value();
-  s.skipped = skipped_.value();
-  s.downsampled = downsampled_.value();
-  s.samples_merged = samples_merged_.value();
-  return s;
 }
 
 void SupervisedSampler::attach_to(obs::ObsRegistry& registry) const {

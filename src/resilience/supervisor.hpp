@@ -47,21 +47,6 @@ struct SupervisorOptions {
   core::Priority priority = core::Priority::kStandard;
 };
 
-/// Typed view over a supervised sampler's obs instruments; operator+= merges
-/// views across samplers (the registry does the same at snapshot time when
-/// every sampler attaches under the shared resilience.sampler_* names).
-struct SupervisorStats {
-  std::uint64_t calls = 0;      // sweeps routed at this sampler
-  std::uint64_t successes = 0;  // completed within deadline, no error
-  std::uint64_t errors = 0;     // sampler threw
-  std::uint64_t timeouts = 0;   // deadline exceeded, call abandoned
-  std::uint64_t skipped = 0;    // quarantined by the open breaker
-  std::uint64_t downsampled = 0;  // sweeps skipped by a cadence stride > 1
-  std::uint64_t samples_merged = 0;
-
-  SupervisorStats& operator+=(const SupervisorStats& o);
-};
-
 class SupervisedSampler : public collect::Sampler {
  public:
   /// Takes ownership of `inner`. The inner sampler may outlive this wrapper
@@ -76,7 +61,6 @@ class SupervisedSampler : public collect::Sampler {
 
   BreakerState breaker_state() const { return breaker_.state(); }
   const CircuitBreaker& breaker() const { return breaker_; }
-  SupervisorStats stats() const;
   core::Priority priority() const { return options_.priority; }
 
   /// Catalog this sampler's instruments as resilience.sampler_* in

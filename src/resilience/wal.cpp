@@ -279,17 +279,6 @@ ReplayStats WriteAheadLog::replay(
   return stats;
 }
 
-WalStats WriteAheadLog::stats() const {
-  WalStats s;
-  s.appended_records = appended_records_.value();
-  s.appended_samples = appended_samples_.value();
-  s.appended_bytes = appended_bytes_.value();
-  s.append_failures = append_failures_.value();
-  s.segments_created = segments_created_.value();
-  s.segments_truncated = segments_truncated_.value();
-  return s;
-}
-
 void WriteAheadLog::attach_to(obs::ObsRegistry& registry) const {
   registry.attach({"resilience.wal_records", "records",
                    "sample batches appended to the write-ahead log"},

@@ -53,16 +53,6 @@ struct WalOptions {
   FaultPlan* faults = nullptr;           // optional file-layer fault injection
 };
 
-/// Typed view over the WAL's obs instruments (see WriteAheadLog::attach_to).
-struct WalStats {
-  std::uint64_t appended_records = 0;
-  std::uint64_t appended_samples = 0;
-  std::uint64_t appended_bytes = 0;
-  std::uint64_t append_failures = 0;  // injected/real I/O errors, short writes
-  std::uint64_t segments_created = 0;
-  std::uint64_t segments_truncated = 0;
-};
-
 struct ReplayStats {
   std::uint64_t segments = 0;
   std::uint64_t records = 0;
@@ -111,7 +101,6 @@ class WriteAheadLog {
   /// active segment is never deleted. Returns segments removed.
   std::size_t truncate_before(core::TimePoint cutoff);
 
-  WalStats stats() const;
   /// Catalog the WAL's instruments as resilience.wal_* in `registry`.
   void attach_to(obs::ObsRegistry& registry) const;
   std::size_t sealed_segments() const { return sealed_.size(); }

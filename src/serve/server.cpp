@@ -55,9 +55,7 @@ ServeServer::Connection::~Connection() {
 }
 
 ServeServer::ServeServer(ServeConfig config, ServeHooks hooks)
-    : config_(std::move(config)), hooks_(std::move(hooks)) {
-  attach_to(config_.obs != nullptr ? *config_.obs : own_obs_);
-}
+    : config_(std::move(config)), hooks_(std::move(hooks)) {}
 
 ServeServer::~ServeServer() { stop(); }
 

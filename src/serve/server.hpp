@@ -85,8 +85,6 @@ struct ServeConfig {
   std::size_t relay_dedupe_window = 1024;
   /// Fault injection consulted before every recv/send (tests only).
   core::SocketFaultInjector* socket_faults = nullptr;
-  /// Shared obs registry for the serve.* instruments; unset => private.
-  obs::ObsRegistry* obs = nullptr;
 };
 
 /// Everything the server needs from the host process. The five query
@@ -154,8 +152,8 @@ void bind_query_hooks(ServeHooks& hooks, Store& store) {
   };
 }
 
-/// Typed view over the serve.* instruments (tests/benches want fields, the
-/// export path wants the registry — same values).
+/// Typed view over the serve.* instruments. e2ebench still reads it; new
+/// readers use the catalog names (attach_to, obs::snapshot_of).
 struct ServeStats {
   std::uint64_t connections_total = 0;
   std::uint64_t requests = 0;
@@ -217,8 +215,7 @@ class ServeServer {
 
   ServeStats stats() const;
 
-  /// Catalog the serve.* instruments in `registry` (done automatically for
-  /// ServeConfig::obs at construction).
+  /// Catalog the serve.* instruments in `registry`.
   void attach_to(obs::ObsRegistry& registry) const;
 
  private:
@@ -340,9 +337,7 @@ class ServeServer {
   /// subs_mu_ (publish_batch holds it while fanning out).
   std::vector<std::uint8_t> pri_cache_;
 
-  // serve.* instruments (server-owned; attached to config_.obs at
-  // construction when provided).
-  obs::ObsRegistry own_obs_;
+  // serve.* instruments (server-owned; see attach_to).
   obs::Counter connections_total_;
   obs::Gauge connections_;
   obs::Gauge subscriptions_;

@@ -208,9 +208,9 @@ ChaosReport run_chaos(
   report.standard_shed = snap.counter("ingest.shed_standard_samples");
   report.involuntary_lost = snap.counter("ingest.dropped_samples") +
                             snap.counter("ingest.rejected_samples");
+  report.transitions = snap.counter("resilience.degradation.transitions");
   report.dead_letters = shutdown_report.dead_letters;
   if (const auto* d = stack->degradation()) {
-    report.transitions = d->stats().transitions;
     report.returned_to_normal = d->mode() == core::DegradationMode::kNormal;
   }
   // Byte-completeness spans the tier ladder: heartbeats compacted out of the

@@ -220,7 +220,6 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   // stays thread-free, deterministic and reproducible.
   if (opts.ingest_shards > 0) {
     ingest::IngestConfig ic = opts.ingest;
-    ic.obs = &obs_;
     ic.stages = &stages_;
     // Priority-aware shedding: the pipeline resolves (and caches) each
     // series' class from the registry, so bulk drops first and critical is
@@ -229,6 +228,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
       return cluster_.registry().series_priority(id);
     };
     ingest_ = std::make_unique<ingest::IngestPipeline>(sharded_, ic);
+    ingest_->attach_to(obs_);
     if (opts.ingest_autostart) ingest_->start();
     queue_fill_gauge_ = &obs_.gauge(
         {"ingest.queue_fill", "frac",
@@ -237,7 +237,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
 
   // Topology rollup tree (rollup_enable = 1): every sample folds into a
   // per-shard pending cell on the append path, and the scheduled coalescing
-  // tick publishes an immutable snapshot that the heatmap, fleet health,
+  // tick publishes an immutable snapshot that the heatmap, fleet glance,
   // and kRollupQuery read paths answer from in O(1). Built BEFORE tier
   // recovery and WAL replay so restored history is rolled up too.
   if (opts.rollup_enable) {
@@ -439,7 +439,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
         [this](core::DegradationMode mode) { apply_degradation(mode); });
     cluster_.events().schedule_every(
         cluster_.now() + opts.degradation_interval, opts.degradation_interval,
-        [this, alive = alive_](core::TimePoint t) {
+        [this, alive = alive_](core::TimePoint) {
           if (!*alive) return;
           // Self-heal before taking the reading: rotate a poisoned WAL onto
           // a fresh segment, then run one redelivery pass over the
@@ -450,19 +450,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
           if (wal_delivery_ && wal_delivery_->dead_letter_count() > 0) {
             wal_delivery_->redeliver();
           }
-          // With the rollup tree live, the assembler also reads the fleet
-          // line — system-level utilization and live-node count — straight
-          // from the current snapshot (advisory fields; the pressure model
-          // is unchanged).
-          if (rollup_) {
-            const auto fleet = rollup_->snapshot();
-            degradation_->evaluate(
-                t, health_assembler_.assemble(obs_snapshot(), fleet.get(),
-                                              cluster_.topology().system()));
-          } else {
-            degradation_->evaluate(
-                t, health_assembler_.assemble(obs_snapshot()));
-          }
+          degradation_->evaluate(health_assembler_.assemble(obs_snapshot()));
         });
   }
 
@@ -472,7 +460,6 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   if (opts.serve_enable) {
     serve::ServeConfig sc = opts.serve;
     sc.socket_faults = chaos_;
-    sc.obs = &obs_;
     serve::ServeHooks hooks;
     // Queries answer from the numeric store — the exact object in-process
     // callers read, so results are byte-identical. With a tier ladder
@@ -536,6 +523,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
       return applied;
     };
     serve_ = std::make_unique<serve::ServeServer>(sc, std::move(hooks));
+    serve_->attach_to(obs_);
     serve_->start();
   }
 
@@ -553,8 +541,8 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     };
     rc.socket_faults = chaos_;
     rc.fs_faults = chaos_;
-    rc.obs = &obs_;
     relay_ = std::make_unique<relay::RelayClient>(std::move(rc));
+    relay_->attach_to(obs_);
     relay_->start();
   }
 
@@ -786,12 +774,6 @@ obs::ObsSnapshot MonitoringStack::obs_snapshot() const {
   return obs_.snapshot();
 }
 
-resilience::SupervisorStats MonitoringStack::supervisor_stats() const {
-  resilience::SupervisorStats total;
-  for (const auto* s : supervised_) total += s->stats();
-  return total;
-}
-
 void MonitoringStack::on_log_frame(const transport::Frame& frame) {
   auto events = transport::decode_logs(frame);
   if (!events.is_ok()) return;
@@ -813,6 +795,7 @@ void MonitoringStack::on_log_frame(const transport::Frame& frame) {
 }
 
 std::string MonitoringStack::status() const {
+  const auto snap = obs_snapshot();
   const auto st = sharded_.stats();
   std::string line = core::strformat(
       "t=%s series=%zu points=%zu logs=%zu jobs=%zu alerts_active=%zu "
@@ -830,14 +813,14 @@ std::string MonitoringStack::status() const {
     line += core::strformat(
         " | mode=%s p=%.2f",
         std::string(core::to_string(degradation_->mode())).c_str(),
-        degradation_->stats().last_pressure);
+        snap.gauge("resilience.degradation.pressure"));
   }
   if (rollup_) {
-    const auto snap = rollup_->snapshot();
+    const auto fleet = rollup_->snapshot();
     line += core::strformat(
         " | rollup v=%llu levels=%zu",
-        static_cast<unsigned long long>(snap->version()),
-        snap->entry_count());
+        static_cast<unsigned long long>(fleet->version()),
+        fleet->entry_count());
   }
   if (!supervised_.empty()) {
     std::size_t open = 0;
@@ -855,7 +838,7 @@ std::string MonitoringStack::status() const {
   // Everything else — ingest/store/wal/supervisor/degradation counters and
   // the per-stage latency histograms — is the exporter's one-line rendering
   // of the same snapshot the control loop reads.
-  line += " | " + exporter_.report_line(obs_snapshot());
+  line += " | " + exporter_.report_line(snap);
   return line;
 }
 

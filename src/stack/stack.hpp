@@ -203,8 +203,6 @@ class MonitoringStack {
       const {
     return supervised_;
   }
-  /// Sum of every supervised sampler's counters.
-  resilience::SupervisorStats supervisor_stats() const;
   /// Storm-mode controller; nullptr unless `degradation` is configured.
   resilience::DegradationController* degradation() {
     return degradation_.get();
@@ -260,12 +258,6 @@ class MonitoringStack {
   }
   const response::GateStats* gate_stats() const {
     return gate_ ? &gate_->stats() : nullptr;
-  }
-
-  /// Read-path self-metrics of the numeric store; also reported as store.*
-  /// in status().
-  store::QueryStats store_query_stats() const {
-    return sharded_.query_stats();
   }
 
   // -- Self-observability ----------------------------------------------------

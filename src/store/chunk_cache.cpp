@@ -38,19 +38,6 @@ void ChunkCache::erase(std::uint64_t chunk_id) {
   entries_.set(static_cast<double>(lru_.size()));
 }
 
-ChunkCache::Stats ChunkCache::stats() const {
-  Stats s;
-  s.hits = hits_.value();
-  s.misses = misses_.value();
-  s.evictions = evictions_.value();
-  s.invalidations = invalidations_.value();
-  {
-    std::scoped_lock lock(mu_);
-    s.entries = lru_.size();
-  }
-  return s;
-}
-
 void ChunkCache::attach_to(obs::ObsRegistry& registry) const {
   using obs::GaugeAgg;
   registry.attach({"store.cache_hits", "chunks", "decode-cache hits"}, &hits_);

@@ -26,15 +26,6 @@ using DecodedChunk = std::shared_ptr<const std::vector<core::TimedValue>>;
 
 class ChunkCache {
  public:
-  /// Point-in-time view of the cache's obs instruments.
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;      // pushed out by capacity
-    std::uint64_t invalidations = 0;  // dropped by erase() (store eviction)
-    std::size_t entries = 0;
-  };
-
   /// `capacity`: maximum cached chunks; 0 disables caching entirely.
   explicit ChunkCache(std::size_t capacity) : capacity_(capacity) {}
 
@@ -48,8 +39,6 @@ class ChunkCache {
   /// Drop a chunk (store eviction); counts as an invalidation if present.
   void erase(std::uint64_t chunk_id);
 
-  Stats stats() const;
-
   /// Catalog the cache's instruments as store.cache_* in `registry`. Entries
   /// gauges sum across attachments so sharded stores report total residency.
   void attach_to(obs::ObsRegistry& registry) const;
@@ -57,12 +46,12 @@ class ChunkCache {
  private:
   using LruList = std::list<std::pair<std::uint64_t, DecodedChunk>>;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::size_t capacity_;
   LruList lru_;  // front = most recently used
   std::unordered_map<std::uint64_t, LruList::iterator> index_;
   // Counted straight into obs instruments: the degradation loop, the
-  // hpcmon.self.* export, and query_stats() all read the same atomics.
+  // hpcmon.self.* export, and status() all read the same atomics.
   obs::Counter hits_;
   obs::Counter misses_;
   obs::Counter evictions_;

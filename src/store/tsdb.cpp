@@ -52,18 +52,6 @@ std::optional<double> aggregate_points(const std::vector<TimedValue>& pts,
   return std::nullopt;
 }
 
-QueryStats& QueryStats::operator+=(const QueryStats& o) {
-  queries += o.queries;
-  summary_chunks += o.summary_chunks;
-  cursor_chunks += o.cursor_chunks;
-  cache_hits += o.cache_hits;
-  cache_misses += o.cache_misses;
-  cache_evictions += o.cache_evictions;
-  cache_invalidations += o.cache_invalidations;
-  cache_entries += o.cache_entries;
-  return *this;
-}
-
 bool TimeSeriesStore::append(SeriesId id, TimePoint t, double value) {
   const auto i = core::raw(id);
   {
@@ -474,20 +462,6 @@ StoreStats TimeSeriesStore::stats() const {
     }
   }
   return st;
-}
-
-QueryStats TimeSeriesStore::query_stats() const {
-  QueryStats qs;
-  qs.queries = queries_.value();
-  qs.summary_chunks = summary_chunks_.value();
-  qs.cursor_chunks = cursor_chunks_.value();
-  const auto cs = cache_.stats();
-  qs.cache_hits = cs.hits;
-  qs.cache_misses = cs.misses;
-  qs.cache_evictions = cs.evictions;
-  qs.cache_invalidations = cs.invalidations;
-  qs.cache_entries = cs.entries;
-  return qs;
 }
 
 void TimeSeriesStore::attach_to(obs::ObsRegistry& registry) const {

@@ -49,23 +49,6 @@ struct StoreStats {
   std::size_t head_points = 0;       // not yet sealed
 };
 
-/// Typed view over the read-path obs instruments (cumulative). The
-/// instruments are the source of truth; this struct exists for tests and
-/// benches that want field access instead of name lookups. Rendering goes
-/// through obs::ObsExporter, not a bespoke to_string.
-struct QueryStats {
-  std::uint64_t queries = 0;         // query_range+aggregate+downsample+scan
-  std::uint64_t summary_chunks = 0;  // chunks answered from summaries alone
-  std::uint64_t cursor_chunks = 0;   // boundary chunks streamed point-by-point
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;      // decode cache capacity evictions
-  std::uint64_t cache_invalidations = 0;  // dropped by evict_before
-  std::size_t cache_entries = 0;
-
-  QueryStats& operator+=(const QueryStats& o);
-};
-
 class TimeSeriesStore {
  public:
   /// `chunk_points`: head size at which a chunk is sealed and compressed.
@@ -157,7 +140,6 @@ class TimeSeriesStore {
 
   bool has_series(core::SeriesId series) const;
   StoreStats stats() const;
-  QueryStats query_stats() const;
 
   /// Catalog the read-path instruments (store.* counters, cache gauges) in
   /// `registry`. Attaching several stores (shards) under the same names

@@ -101,21 +101,6 @@ void EventRouter::publish(const Frame& frame) {
   if (!delivered) dropped_.add();
 }
 
-RouterStats EventRouter::stats() const {
-  RouterStats s;
-  s.frames = frames_.value();
-  s.bytes = bytes_.value();
-  for (std::size_t i = 0; i < frames_by_type_.size(); ++i) {
-    s.frames_by_type[i] = frames_by_type_[i].value();
-  }
-  s.dropped = dropped_.value();
-  s.subscriber_failures = subscriber_failures_.value();
-  s.fanout_dropped = fanout_dropped_.value();
-  s.fanout_pending_hwm =
-      static_cast<std::uint64_t>(fanout_pending_hwm_.value());
-  return s;
-}
-
 void EventRouter::attach_to(obs::ObsRegistry& registry) const {
   registry.attach({"transport.frames", "frames", "frames published"},
                   &frames_);

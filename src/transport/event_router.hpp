@@ -21,17 +21,6 @@
 
 namespace hpcmon::transport {
 
-/// Typed view over the router's obs instruments (see EventRouter::attach_to).
-struct RouterStats {
-  std::uint64_t frames = 0;
-  std::uint64_t bytes = 0;
-  std::array<std::uint64_t, 4> frames_by_type{};  // indexed by FrameType
-  std::uint64_t dropped = 0;                      // no subscriber, no forward
-  std::uint64_t subscriber_failures = 0;          // handlers that threw
-  std::uint64_t fanout_dropped = 0;   // frames shed by full buffered queues
-  std::uint64_t fanout_pending_hwm = 0;  // max pending across buffered subs
-};
-
 class EventRouter;
 
 /// A bounded pending-frame queue for a subscriber that consumes at its own
@@ -40,7 +29,7 @@ class EventRouter;
 /// process down with it; this queue caps pending frames at `max_pending` and
 /// sheds — lowest priority first, oldest first within a class — when full.
 /// An incoming frame that outranks nothing already queued is itself dropped.
-/// Every shed frame is counted here and in RouterStats::fanout_dropped.
+/// Every shed frame is counted here and in transport.fanout_dropped.
 /// Single-threaded like the router itself (threaded deployments put a
 /// Channel between routers).
 class BufferedSubscription {
@@ -88,12 +77,10 @@ class EventRouter {
 
   /// Publish one frame: raw taps, then type subscribers (synchronous, then
   /// buffered), then forwards. A handler that throws is contained and
-  /// counted (subscriber_failures); fan-out always continues to the
+  /// counted (transport.subscriber_failures); fan-out always continues to the
   /// remaining subscribers — one bad consumer must never take down the data
   /// path for the rest.
   void publish(const Frame& frame);
-
-  RouterStats stats() const;
 
   /// Catalog the router's instruments as transport.* in `registry`.
   void attach_to(obs::ObsRegistry& registry) const;

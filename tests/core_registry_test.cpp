@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
 namespace hpcmon::core {
@@ -56,6 +57,24 @@ TEST(RegistryTest, DescribeAllListsUnitsAndDocs) {
   EXPECT_NE(text.find("hsn.link.stalls [events] (counter): credit stalls"),
             std::string::npos);
   EXPECT_NE(text.find("mystery [-]: (undocumented)"), std::string::npos);
+}
+
+TEST(RegistryTest, InfoReferencesSurviveGrowth) {
+  // metric() and component() hand out references that callers (the rollup
+  // tree's shard workers among them) read after the registry lock is
+  // released, while other threads keep registering.
+  MetricRegistry reg;
+  const auto& metric = reg.metric(
+      reg.register_metric({"first.metric", "W", "the first family", false}));
+  const auto& system = reg.component(
+      reg.register_component({"system", ComponentKind::kSystem, kNoComponent}));
+  for (int i = 0; i < 1000; ++i) {
+    const auto n = std::to_string(i);
+    reg.register_metric({"m" + n, "", "", false});
+    reg.register_component({"c" + n, ComponentKind::kNode, kNoComponent});
+  }
+  EXPECT_EQ(metric.name, "first.metric");
+  EXPECT_EQ(system.name, "system");
 }
 
 TEST(RegistryTest, ConcurrentInterningIsSafe) {

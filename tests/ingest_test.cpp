@@ -152,21 +152,21 @@ TEST(IngestPolicyTest, RejectCountsAreExact) {
   for (int k = 4; k < 9; ++k) {
     EXPECT_EQ(pipe.submit(one_series_batch(0, k, 3)), 0u);
   }
-  const auto m = pipe.metrics().snapshot();
-  EXPECT_EQ(m.submitted_batches, 9u);
-  EXPECT_EQ(m.submitted_samples, 27u);
-  EXPECT_EQ(m.enqueued_batches, 4u);
-  EXPECT_EQ(m.rejected_batches, 5u);
-  EXPECT_EQ(m.rejected_samples, 15u);
-  EXPECT_EQ(m.dropped_samples, 0u);
-  EXPECT_EQ(m.blocked_pushes, 0u);
-  EXPECT_EQ(m.queue_hwm[0], 4u);
+  const auto m = obs::snapshot_of(pipe);
+  EXPECT_EQ(m.counter("ingest.submitted_batches"), 9u);
+  EXPECT_EQ(m.counter("ingest.submitted_samples"), 27u);
+  EXPECT_EQ(m.counter("ingest.enqueued_batches"), 4u);
+  EXPECT_EQ(m.counter("ingest.rejected_batches"), 5u);
+  EXPECT_EQ(m.counter("ingest.rejected_samples"), 15u);
+  EXPECT_EQ(m.counter("ingest.dropped_samples"), 0u);
+  EXPECT_EQ(m.counter("ingest.blocked_pushes"), 0u);
+  EXPECT_EQ(m.gauge("ingest.queue_hwm"), 4.0);
   // Now run the workers: the 4 queued batches (12 samples) all land; the
   // rejected ones are gone for good.
   pipe.start();
   pipe.drain();
-  const auto m2 = pipe.metrics().snapshot();
-  EXPECT_EQ(m2.accepted_samples, 12u);
+  const auto m2 = obs::snapshot_of(pipe);
+  EXPECT_EQ(m2.counter("ingest.accepted_samples"), 12u);
   EXPECT_EQ(store.stats().points, 12u);
 }
 
@@ -179,17 +179,17 @@ TEST(IngestPolicyTest, DropOldestCountsAreExact) {
   for (int k = 4; k < 10; ++k) {
     EXPECT_EQ(pipe.submit(one_series_batch(0, k, 2)), 2u);  // admitted
   }
-  const auto m = pipe.metrics().snapshot();
-  EXPECT_EQ(m.enqueued_batches, 10u);
-  EXPECT_EQ(m.dropped_batches, 6u);
-  EXPECT_EQ(m.dropped_samples, 12u);
-  EXPECT_EQ(m.rejected_samples, 0u);
+  const auto m = obs::snapshot_of(pipe);
+  EXPECT_EQ(m.counter("ingest.enqueued_batches"), 10u);
+  EXPECT_EQ(m.counter("ingest.dropped_batches"), 6u);
+  EXPECT_EQ(m.counter("ingest.dropped_samples"), 12u);
+  EXPECT_EQ(m.counter("ingest.rejected_samples"), 0u);
   pipe.start();
   pipe.drain();
   // Survivors are the NEWEST 4 batches (k = 6..9): drop-oldest keeps fresh
   // telemetry, and their later timestamps still append in order.
-  const auto m2 = pipe.metrics().snapshot();
-  EXPECT_EQ(m2.accepted_samples, 8u);
+  const auto m2 = obs::snapshot_of(pipe);
+  EXPECT_EQ(m2.counter("ingest.accepted_samples"), 8u);
   const auto pts = store.query_range(SeriesId{0}, kAll);
   ASSERT_EQ(pts.size(), 8u);
   EXPECT_EQ(pts.front().time, 7 * core::kSecond);  // k=6 sweep
@@ -206,25 +206,27 @@ TEST(IngestPolicyTest, BlockBackpressureIsLosslessAndCounted) {
   // the wait, so observing it reach 1 proves the producer is stalled —
   // deterministically, before any worker exists to free space.
   std::thread producer([&pipe] { pipe.submit(one_series_batch(0, 2, 1)); });
-  while (pipe.metrics().snapshot().blocked_pushes < 1) {
+  while (obs::snapshot_of(pipe).counter("ingest.blocked_pushes") < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  const auto stalled = pipe.metrics().snapshot();
-  EXPECT_EQ(stalled.blocked_pushes, 1u);  // exact: the one parked producer
-  EXPECT_EQ(stalled.enqueued_batches, 2u);
-  EXPECT_EQ(stalled.dropped_samples, 0u);
-  EXPECT_EQ(stalled.rejected_samples, 0u);
+  const auto stalled = obs::snapshot_of(pipe);
+  // Exact: the one parked producer.
+  EXPECT_EQ(stalled.counter("ingest.blocked_pushes"), 1u);
+  EXPECT_EQ(stalled.counter("ingest.enqueued_batches"), 2u);
+  EXPECT_EQ(stalled.counter("ingest.dropped_samples"), 0u);
+  EXPECT_EQ(stalled.counter("ingest.rejected_samples"), 0u);
   pipe.start();  // workers free space; the parked push completes
   producer.join();
   for (int k = 3; k < 8; ++k) pipe.submit(one_series_batch(0, k, 1));
   pipe.drain();
-  const auto m = pipe.metrics().snapshot();
+  const auto m = obs::snapshot_of(pipe);
   // Lossless: everything submitted was eventually accepted.
-  EXPECT_EQ(m.submitted_samples, 8u);
-  EXPECT_EQ(m.accepted_samples, 8u);
-  EXPECT_EQ(m.dropped_samples, 0u);
-  EXPECT_EQ(m.rejected_samples, 0u);
-  EXPECT_GE(m.blocked_pushes, 1u);  // later submits may stall again
+  EXPECT_EQ(m.counter("ingest.submitted_samples"), 8u);
+  EXPECT_EQ(m.counter("ingest.accepted_samples"), 8u);
+  EXPECT_EQ(m.counter("ingest.dropped_samples"), 0u);
+  EXPECT_EQ(m.counter("ingest.rejected_samples"), 0u);
+  // Later submits may stall again.
+  EXPECT_GE(m.counter("ingest.blocked_pushes"), 1u);
   EXPECT_EQ(store.stats().points, 8u);
 }
 
@@ -235,9 +237,9 @@ TEST(IngestPolicyTest, SubmitAfterStopIsRejected) {
   pipe.submit(one_series_batch(0, 0, 2));
   pipe.stop();
   EXPECT_EQ(pipe.submit(one_series_batch(0, 1, 3)), 0u);
-  const auto m = pipe.metrics().snapshot();
-  EXPECT_EQ(m.rejected_samples, 3u);
-  EXPECT_EQ(m.accepted_samples, 2u);
+  const auto m = obs::snapshot_of(pipe);
+  EXPECT_EQ(m.counter("ingest.rejected_samples"), 3u);
+  EXPECT_EQ(m.counter("ingest.accepted_samples"), 2u);
 }
 
 TEST(IngestPolicyTest, PolicyNamesRoundTrip) {
@@ -287,12 +289,14 @@ TEST(IngestPipelineTest, ConcurrentProducersMatchSynchronousIngest) {
     EXPECT_EQ(reference.query_range(SeriesId{s}, kAll),
               sharded.query_range(SeriesId{s}, kAll));
   }
-  const auto m = pipe.metrics().snapshot();
-  EXPECT_EQ(m.accepted_samples, kSeries * static_cast<std::size_t>(kPoints));
-  EXPECT_EQ(m.out_of_order_samples, 0u);
-  EXPECT_GT(m.appends, 0u);
+  const auto m = obs::snapshot_of(pipe);
+  EXPECT_EQ(m.counter("ingest.accepted_samples"),
+            kSeries * static_cast<std::size_t>(kPoints));
+  EXPECT_EQ(m.counter("ingest.out_of_order_samples"), 0u);
+  EXPECT_GT(m.counter("ingest.appends"), 0u);
   // Every append recorded exactly one batch-size histogram entry.
-  EXPECT_EQ(m.batch_samples.count, m.appends);
+  EXPECT_EQ(m.histogram("ingest.batch_samples")->count,
+            m.counter("ingest.appends"));
 }
 
 TEST(IngestPipelineTest, QueueWaitNeverExceedsWallTime) {
@@ -347,10 +351,10 @@ TEST(IngestMetricsTest, SelfMetricsBecomeSeries) {
   core::MetricRegistry reg;
   const auto comp = reg.register_component(
       {"ingest.pipeline", core::ComponentKind::kService, core::kNoComponent});
-  // The pipeline cataloged its instruments in its obs registry; the exporter
-  // renders one snapshot as hpcmon.self.* samples.
+  // The exporter renders one snapshot of the pipeline's instruments as
+  // hpcmon.self.* samples.
   const auto samples = obs::ObsExporter().to_samples(
-      pipe.obs().snapshot(), reg, comp, 42 * core::kSecond);
+      obs::snapshot_of(pipe), reg, comp, 42 * core::kSecond);
   ASSERT_GE(samples.size(), 8u);
   // The monitor monitors itself: re-ingest its own counters.
   pipe.submit({42 * core::kSecond, comp, samples});

@@ -144,8 +144,9 @@ TEST(IntegrationTest, FullPipelineEndToEnd) {
   EXPECT_TRUE(hw_alert);
 
   // Transport stats are consistent.
-  EXPECT_GT(p.router.stats().frames, 30u);
-  EXPECT_EQ(p.router.stats().dropped, 0u);
+  const auto snap = obs::snapshot_of(p.router);
+  EXPECT_GT(snap.counter("transport.frames"), 30u);
+  EXPECT_EQ(snap.counter("transport.unrouted_frames"), 0u);
 }
 
 TEST(IntegrationTest, TieredRetentionPreservesQueryability) {

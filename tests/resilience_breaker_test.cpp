@@ -32,7 +32,7 @@ TEST(BreakerTest, OpensAfterConsecutiveFailures) {
   b.record_failure(t);
   b.record_failure(t);
   EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_EQ(b.stats().opens, 1u);
+  EXPECT_EQ(obs::snapshot_of(b).counter("resilience.breaker_opens"), 1u);
   EXPECT_EQ(b.retry_at(), t + core::kMinute);
 }
 
@@ -42,14 +42,14 @@ TEST(BreakerTest, DeniesWhileOpenThenAdmitsOneProbe) {
   ASSERT_EQ(b.state(), BreakerState::kOpen);
   EXPECT_FALSE(b.allow(core::kSecond));
   EXPECT_FALSE(b.allow(30 * core::kSecond));
-  EXPECT_EQ(b.stats().denied, 2u);
+  EXPECT_EQ(obs::snapshot_of(b).counter("resilience.breaker_denied"), 2u);
   // Cooldown elapsed: exactly one probe admitted; further calls wait for
   // the probe's verdict.
   EXPECT_TRUE(b.allow(core::kMinute));
   EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
-  EXPECT_EQ(b.stats().half_open_probes, 1u);
+  EXPECT_EQ(obs::snapshot_of(b).counter("resilience.breaker_probes"), 1u);
   EXPECT_FALSE(b.allow(core::kMinute));
-  EXPECT_EQ(b.stats().denied, 3u);
+  EXPECT_EQ(obs::snapshot_of(b).counter("resilience.breaker_denied"), 3u);
 }
 
 TEST(BreakerTest, ProbeSuccessCloses) {
@@ -58,7 +58,7 @@ TEST(BreakerTest, ProbeSuccessCloses) {
   ASSERT_TRUE(b.allow(core::kMinute));
   b.record_success(core::kMinute);
   EXPECT_EQ(b.state(), BreakerState::kClosed);
-  EXPECT_EQ(b.stats().closes, 1u);
+  EXPECT_EQ(obs::snapshot_of(b).counter("resilience.breaker_closes"), 1u);
   EXPECT_TRUE(b.allow(core::kMinute + core::kSecond));
 }
 
@@ -82,7 +82,7 @@ TEST(BreakerTest, ProbeFailureReopensWithExponentialBackoff) {
   b.record_failure(t);
   // Capped at max_cooldown (4 min), not 8.
   EXPECT_EQ(b.retry_at(), t + 4 * core::kMinute);
-  EXPECT_EQ(b.stats().opens, 4u);
+  EXPECT_EQ(obs::snapshot_of(b).counter("resilience.breaker_opens"), 4u);
   // A successful probe resets the backoff streak entirely.
   t = b.retry_at();
   ASSERT_TRUE(b.allow(t));

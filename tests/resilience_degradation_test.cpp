@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string_view>
 #include <vector>
 
 #include "core/priority.hpp"
@@ -24,6 +25,11 @@ using core::Priority;
 using core::SampleBatch;
 using core::SeriesId;
 
+/// A controller's counter, read by its name in the obs catalog.
+std::uint64_t count(const DegradationController& c, std::string_view name) {
+  return obs::snapshot_of(c).counter(name);
+}
+
 HealthSignals fill(double queue_fill) {
   HealthSignals s;
   s.queue_fill = queue_fill;
@@ -33,58 +39,57 @@ HealthSignals fill(double queue_fill) {
 TEST(DegradationControllerTest, StaysNormalInFairWeather) {
   DegradationController c;
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(c.evaluate(i * core::kMinute, fill(0.3)), DegradationMode::kNormal);
+    EXPECT_EQ(c.evaluate(fill(0.3)), DegradationMode::kNormal);
   }
-  EXPECT_EQ(c.stats().evaluations, 100u);
-  EXPECT_EQ(c.stats().transitions, 0u);
-  EXPECT_EQ(c.stats().ticks_in_mode[0], 100u);
+  EXPECT_EQ(count(c, "resilience.degradation.evaluations"), 100u);
+  EXPECT_EQ(count(c, "resilience.degradation.transitions"), 0u);
 }
 
 TEST(DegradationControllerTest, EscalationNeedsConsecutiveTicks) {
   DegradationController c;  // enter_ticks = 2
-  EXPECT_EQ(c.evaluate(1, fill(0.8)), DegradationMode::kNormal);
-  EXPECT_EQ(c.evaluate(2, fill(0.8)), DegradationMode::kShedBulk);
-  EXPECT_EQ(c.stats().escalations, 1u);
+  EXPECT_EQ(c.evaluate(fill(0.8)), DegradationMode::kNormal);
+  EXPECT_EQ(c.evaluate(fill(0.8)), DegradationMode::kShedBulk);
+  EXPECT_EQ(count(c, "resilience.degradation.escalations"), 1u);
 
   // A single calm reading disarms the counter: no transition on 0.8-calm-0.8.
   DegradationController d;
-  EXPECT_EQ(d.evaluate(1, fill(0.8)), DegradationMode::kNormal);
-  EXPECT_EQ(d.evaluate(2, fill(0.3)), DegradationMode::kNormal);
-  EXPECT_EQ(d.evaluate(3, fill(0.8)), DegradationMode::kNormal);
-  EXPECT_EQ(d.stats().transitions, 0u);
+  EXPECT_EQ(d.evaluate(fill(0.8)), DegradationMode::kNormal);
+  EXPECT_EQ(d.evaluate(fill(0.3)), DegradationMode::kNormal);
+  EXPECT_EQ(d.evaluate(fill(0.8)), DegradationMode::kNormal);
+  EXPECT_EQ(count(d, "resilience.degradation.transitions"), 0u);
 }
 
 TEST(DegradationControllerTest, SustainedOverloadClimbsOneLevelAtATime) {
   DegradationController c;
   std::vector<DegradationMode> changes;
   c.on_change([&](DegradationMode m) { changes.push_back(m); });
-  for (int i = 1; i <= 6; ++i) c.evaluate(i, fill(0.99));
+  for (int i = 1; i <= 6; ++i) c.evaluate(fill(0.99));
   EXPECT_EQ(changes,
             (std::vector<DegradationMode>{DegradationMode::kShedBulk,
                                           DegradationMode::kSummarize,
                                           DegradationMode::kQuarantine}));
   EXPECT_EQ(c.mode(), DegradationMode::kQuarantine);
   // Saturated: more pressure cannot escalate past the top level.
-  for (int i = 7; i <= 10; ++i) c.evaluate(i, fill(1.0));
+  for (int i = 7; i <= 10; ++i) c.evaluate(fill(1.0));
   EXPECT_EQ(c.mode(), DegradationMode::kQuarantine);
-  EXPECT_EQ(c.stats().escalations, 3u);
+  EXPECT_EQ(count(c, "resilience.degradation.escalations"), 3u);
 }
 
 TEST(DegradationControllerTest, DeadBandHoldsAndExitNeedsConsecutiveTicks) {
   DegradationController c;  // exit[1] = 0.40, enter[2] = 0.90, exit_ticks = 3
-  c.evaluate(1, fill(0.8));
-  c.evaluate(2, fill(0.8));
+  c.evaluate(fill(0.8));
+  c.evaluate(fill(0.8));
   ASSERT_EQ(c.mode(), DegradationMode::kShedBulk);
   // The dead band between exit and the next enter threshold holds the mode.
   for (int i = 3; i < 53; ++i) {
-    EXPECT_EQ(c.evaluate(i, fill(0.5)), DegradationMode::kShedBulk);
+    EXPECT_EQ(c.evaluate(fill(0.5)), DegradationMode::kShedBulk);
   }
-  EXPECT_EQ(c.stats().transitions, 1u);
+  EXPECT_EQ(count(c, "resilience.degradation.transitions"), 1u);
   // Calm readings de-escalate only after exit_ticks consecutive evaluations.
-  EXPECT_EQ(c.evaluate(53, fill(0.3)), DegradationMode::kShedBulk);
-  EXPECT_EQ(c.evaluate(54, fill(0.3)), DegradationMode::kShedBulk);
-  EXPECT_EQ(c.evaluate(55, fill(0.3)), DegradationMode::kNormal);
-  EXPECT_EQ(c.stats().deescalations, 1u);
+  EXPECT_EQ(c.evaluate(fill(0.3)), DegradationMode::kShedBulk);
+  EXPECT_EQ(c.evaluate(fill(0.3)), DegradationMode::kShedBulk);
+  EXPECT_EQ(c.evaluate(fill(0.3)), DegradationMode::kNormal);
+  EXPECT_EQ(count(c, "resilience.degradation.deescalations"), 1u);
 }
 
 TEST(DegradationControllerTest, AlternatingPressureNeverFlaps) {
@@ -92,10 +97,10 @@ TEST(DegradationControllerTest, AlternatingPressureNeverFlaps) {
   // every tick. Consecutive-tick arming means the controller never moves.
   DegradationController c;
   for (int i = 0; i < 100; ++i) {
-    c.evaluate(i, fill(i % 2 == 0 ? 0.95 : 0.2));
+    c.evaluate(fill(i % 2 == 0 ? 0.95 : 0.2));
   }
   EXPECT_EQ(c.mode(), DegradationMode::kNormal);
-  EXPECT_EQ(c.stats().transitions, 0u);
+  EXPECT_EQ(count(c, "resilience.degradation.transitions"), 0u);
 }
 
 TEST(DegradationControllerTest, InvoluntaryLossSprintsPressureToFull) {
@@ -111,8 +116,8 @@ TEST(DegradationControllerTest, InvoluntaryLossSprintsPressureToFull) {
 
 TEST(DegradationControllerTest, ActiveSheddingHoldsForItsBudgetThenProbes) {
   DegradationController c;
-  c.evaluate(1, fill(0.8));
-  c.evaluate(2, fill(0.8));
+  c.evaluate(fill(0.8));
+  c.evaluate(fill(0.8));
   ASSERT_EQ(c.mode(), DegradationMode::kShedBulk);
   // Fills look calm BECAUSE the door is shedding; fresh sheds hold pressure
   // at the exit threshold so the mode does not relax the instant the gauges
@@ -123,23 +128,23 @@ TEST(DegradationControllerTest, ActiveSheddingHoldsForItsBudgetThenProbes) {
   const auto hold = c.config().shed_hold_ticks;
   for (std::uint32_t i = 0; i < hold; ++i) {
     s.shed_samples += 100;  // the door turned more load away
-    EXPECT_EQ(c.evaluate(3 + i, s), DegradationMode::kShedBulk);
+    EXPECT_EQ(c.evaluate(s), DegradationMode::kShedBulk);
   }
-  EXPECT_EQ(c.stats().transitions, 1u);
+  EXPECT_EQ(count(c, "resilience.degradation.transitions"), 1u);
   // Budget spent, gauges still calm: even with the door still shedding, the
   // controller probes downward after exit_ticks more evaluations.
   for (std::uint32_t i = 0; i < c.config().exit_ticks; ++i) {
     s.shed_samples += 100;
-    c.evaluate(3 + hold + i, s);
+    c.evaluate(s);
   }
   EXPECT_EQ(c.mode(), DegradationMode::kNormal);
-  EXPECT_EQ(c.stats().deescalations, 1u);
+  EXPECT_EQ(count(c, "resilience.degradation.deescalations"), 1u);
 }
 
 TEST(DegradationControllerTest, GenuinePressureRefillsTheShedHold) {
   DegradationController c;
-  c.evaluate(1, fill(0.8));
-  c.evaluate(2, fill(0.8));
+  c.evaluate(fill(0.8));
+  c.evaluate(fill(0.8));
   ASSERT_EQ(c.mode(), DegradationMode::kShedBulk);
   // Alternate shed-only calm readings with real fill pressure: the hold
   // budget refills on every genuine reading, so the mode never relaxes
@@ -148,9 +153,9 @@ TEST(DegradationControllerTest, GenuinePressureRefillsTheShedHold) {
   for (int i = 3; i < 60; ++i) {
     s.queue_fill = (i % 3 == 0) ? 0.6 : 0.1;  // storm keeps resurfacing
     s.shed_samples += 50;
-    EXPECT_EQ(c.evaluate(i, s), DegradationMode::kShedBulk) << "tick " << i;
+    EXPECT_EQ(c.evaluate(s), DegradationMode::kShedBulk) << "tick " << i;
   }
-  EXPECT_EQ(c.stats().transitions, 1u);
+  EXPECT_EQ(count(c, "resilience.degradation.transitions"), 1u);
 }
 
 TEST(DegradationControllerTest, SeededWalksNeverSkipLevels) {
@@ -172,13 +177,13 @@ TEST(DegradationControllerTest, SeededWalksNeverSkipLevels) {
       s.queue_fill = rng.uniform(0.0, 1.0);
       s.dlq_fill = rng.uniform(0.0, 1.0);
       if (rng.uniform() < 0.05) s.lost_samples += 1;
-      const auto m = static_cast<int>(c.evaluate(i, s));
+      const auto m = static_cast<int>(c.evaluate(s));
       EXPECT_GE(m, 0);
       EXPECT_LT(m, static_cast<int>(core::kDegradationModes));
       EXPECT_EQ(m, prev);  // on_change fired for every committed change
     }
-    EXPECT_EQ(c.stats().transitions, observed);
-    EXPECT_EQ(c.stats().escalations + c.stats().deescalations, observed);
+    EXPECT_EQ(count(c, "resilience.degradation.transitions"), observed);
+    EXPECT_EQ(count(c, "resilience.degradation.escalations") + count(c, "resilience.degradation.deescalations"), observed);
   }
 }
 
@@ -186,8 +191,8 @@ TEST(DegradationControllerTest, OperatorSurfaces) {
   DegradationController c;
   obs::ObsRegistry registry;
   c.attach_to(registry);
-  c.evaluate(1, fill(0.8));
-  c.evaluate(2, fill(0.8));
+  c.evaluate(fill(0.8));
+  c.evaluate(fill(0.8));
   ASSERT_EQ(c.mode(), DegradationMode::kShedBulk);
 
   // The controller's instruments surface through the shared registry.
@@ -247,10 +252,9 @@ TEST(PriorityDoorTest, CriticalEvictsBulkUnderDropOldest) {
   EXPECT_EQ(pipe.queue_depth(0), 4u);
   // Critical arrives at a full queue: the oldest bulk item makes room.
   EXPECT_EQ(pipe.submit(one(0, core::kMinute)), 1u);
-  const auto snap = pipe.metrics().snapshot();
-  EXPECT_EQ(snap.dropped_by_class[static_cast<std::size_t>(Priority::kBulk)], 1u);
-  EXPECT_EQ(snap.dropped_by_class[static_cast<std::size_t>(Priority::kCritical)],
-            0u);
+  const auto snap = obs::snapshot_of(pipe);
+  EXPECT_EQ(snap.counter("ingest.dropped_bulk_samples"), 1u);
+  EXPECT_EQ(snap.counter("ingest.dropped_critical_samples"), 0u);
   EXPECT_EQ(pipe.queue_depth(0), 4u);
 }
 
@@ -267,12 +271,10 @@ TEST(PriorityDoorTest, NothingEvictsCritical) {
   // batch is dropped, the critical backlog is untouched.
   EXPECT_EQ(pipe.submit(one(4, core::kMinute)), 0u);
   EXPECT_EQ(pipe.submit(one(9, core::kMinute)), 0u);
-  const auto snap = pipe.metrics().snapshot();
-  EXPECT_EQ(snap.dropped_by_class[static_cast<std::size_t>(Priority::kStandard)],
-            1u);
-  EXPECT_EQ(snap.dropped_by_class[static_cast<std::size_t>(Priority::kBulk)], 1u);
-  EXPECT_EQ(snap.dropped_by_class[static_cast<std::size_t>(Priority::kCritical)],
-            0u);
+  const auto snap = obs::snapshot_of(pipe);
+  EXPECT_EQ(snap.counter("ingest.dropped_standard_samples"), 1u);
+  EXPECT_EQ(snap.counter("ingest.dropped_bulk_samples"), 1u);
+  EXPECT_EQ(snap.counter("ingest.dropped_critical_samples"), 0u);
   EXPECT_EQ(pipe.queue_depth(0), 3u);
 }
 
@@ -286,12 +288,10 @@ TEST(PriorityDoorTest, CriticalBypassesReject) {
   EXPECT_EQ(pipe.submit(one(4, core::kMinute)), 0u);
   // ...critical falls back to evicting bulk instead of being refused.
   EXPECT_EQ(pipe.submit(one(0, core::kMinute)), 1u);
-  const auto snap = pipe.metrics().snapshot();
-  EXPECT_EQ(snap.rejected_by_class[static_cast<std::size_t>(Priority::kStandard)],
-            1u);
-  EXPECT_EQ(snap.rejected_by_class[static_cast<std::size_t>(Priority::kCritical)],
-            0u);
-  EXPECT_EQ(snap.dropped_by_class[static_cast<std::size_t>(Priority::kBulk)], 1u);
+  const auto snap = obs::snapshot_of(pipe);
+  EXPECT_EQ(snap.counter("ingest.rejected_standard_samples"), 1u);
+  EXPECT_EQ(snap.counter("ingest.rejected_critical_samples"), 0u);
+  EXPECT_EQ(snap.counter("ingest.dropped_bulk_samples"), 1u);
 }
 
 TEST(PriorityDoorTest, ModesShedAtTheDoor) {
@@ -299,36 +299,35 @@ TEST(PriorityDoorTest, ModesShedAtTheDoor) {
   auto cfg = door_config(ingest::OverloadPolicy::kBlock, 256);
   cfg.standard_stride = 4;
   ingest::IngestPipeline pipe(store, cfg);
-  constexpr auto kStd = static_cast<std::size_t>(Priority::kStandard);
-  constexpr auto kBulk = static_cast<std::size_t>(Priority::kBulk);
   core::TimePoint t = core::kSecond;
 
   pipe.set_mode(core::DegradationMode::kShedBulk);
   EXPECT_EQ(pipe.submit(one(8, t += core::kSecond)), 0u);  // bulk turned away
   EXPECT_EQ(pipe.submit(one(4, t += core::kSecond)), 1u);  // standard flows
-  auto snap = pipe.metrics().snapshot();
-  EXPECT_EQ(snap.shed_by_class[kBulk], 1u);
+  auto snap = obs::snapshot_of(pipe);
+  EXPECT_EQ(snap.counter("ingest.shed_bulk_samples"), 1u);
 
   pipe.set_mode(core::DegradationMode::kSummarize);
   std::size_t admitted = 0;
   for (int i = 0; i < 8; ++i) admitted += pipe.submit(one(4, t += core::kSecond));
   EXPECT_EQ(admitted, 2u);  // every 4th standard sample of the series
-  snap = pipe.metrics().snapshot();
-  EXPECT_EQ(snap.shed_by_class[kStd], 6u);
+  snap = obs::snapshot_of(pipe);
+  EXPECT_EQ(snap.counter("ingest.shed_standard_samples"), 6u);
 
   pipe.set_mode(core::DegradationMode::kQuarantine);
   EXPECT_EQ(pipe.submit(one(4, t += core::kSecond)), 0u);  // standard shed
   EXPECT_EQ(pipe.submit(one(0, t += core::kSecond)), 1u);  // critical flows
-  snap = pipe.metrics().snapshot();
-  EXPECT_EQ(snap.shed_by_class[kStd], 7u);
-  EXPECT_EQ(snap.shed_by_class[static_cast<std::size_t>(Priority::kCritical)],
-            0u);
+  snap = obs::snapshot_of(pipe);
+  EXPECT_EQ(snap.counter("ingest.shed_standard_samples"), 7u);
+  EXPECT_EQ(snap.counter("ingest.shed_critical_samples"), 0u);
 
   pipe.set_mode(core::DegradationMode::kNormal);
   EXPECT_EQ(pipe.submit(one(8, t += core::kSecond)), 1u);  // bulk readmitted
   // Voluntary sheds are not involuntary losses.
-  snap = pipe.metrics().snapshot();
-  EXPECT_EQ(snap.lost_samples(), 0u);
+  snap = obs::snapshot_of(pipe);
+  EXPECT_EQ(snap.counter("ingest.dropped_samples") +
+                snap.counter("ingest.rejected_samples"),
+            0u);
 }
 
 TEST(PriorityDoorTest, UnknownSeriesDefaultsToHookResult) {
@@ -342,10 +341,9 @@ TEST(PriorityDoorTest, UnknownSeriesDefaultsToHookResult) {
   EXPECT_EQ(pipe.submit(one(0, core::kSecond)), 1u);
   EXPECT_EQ(pipe.submit(one(1, 2 * core::kSecond)), 1u);
   EXPECT_EQ(pipe.submit(one(2, 3 * core::kSecond)), 1u);  // evicts oldest
-  const auto snap = pipe.metrics().snapshot();
-  EXPECT_EQ(snap.dropped_batches, 1u);
-  EXPECT_EQ(snap.dropped_by_class[static_cast<std::size_t>(Priority::kStandard)],
-            1u);
+  const auto snap = obs::snapshot_of(pipe);
+  EXPECT_EQ(snap.counter("ingest.dropped_batches"), 1u);
+  EXPECT_EQ(snap.counter("ingest.dropped_standard_samples"), 1u);
 }
 
 // The headline property, end to end through real worker threads: across
@@ -385,13 +383,12 @@ TEST(PriorityDoorTest, SeededStormsNeverLoseCritical) {
       }
       pipe.drain();
       pipe.stop();
-      const auto snap = pipe.metrics().snapshot();
-      constexpr auto kCrit = static_cast<std::size_t>(Priority::kCritical);
-      EXPECT_EQ(snap.dropped_by_class[kCrit], 0u)
+      const auto snap = obs::snapshot_of(pipe);
+      EXPECT_EQ(snap.counter("ingest.dropped_critical_samples"), 0u)
           << "policy " << static_cast<int>(policy) << " seed " << seed;
-      EXPECT_EQ(snap.rejected_by_class[kCrit], 0u);
-      EXPECT_EQ(snap.shed_by_class[kCrit], 0u);
-      EXPECT_EQ(snap.submitted_by_class[kCrit],
+      EXPECT_EQ(snap.counter("ingest.rejected_critical_samples"), 0u);
+      EXPECT_EQ(snap.counter("ingest.shed_critical_samples"), 0u);
+      EXPECT_EQ(snap.counter("ingest.submitted_critical_samples"),
                 static_cast<std::uint64_t>(kSubmits) * kCriticalSeries);
       // Byte-complete: every critical sample is in the store.
       for (std::uint32_t s = 0; s < kCriticalSeries; ++s) {

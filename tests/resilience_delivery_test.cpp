@@ -27,9 +27,10 @@ TEST(DeliveryTest, RetriesUntilTransientFailureClears) {
       {.max_attempts = 3});
   EXPECT_TRUE(d.deliver(make_frame(1)));
   EXPECT_EQ(attempts, 3);
-  EXPECT_EQ(d.stats().delivered, 1u);
-  EXPECT_EQ(d.stats().retries, 2u);
-  EXPECT_EQ(d.stats().failures, 0u);
+  const auto snap = obs::snapshot_of(d);
+  EXPECT_EQ(snap.counter("resilience.delivered_frames"), 1u);
+  EXPECT_EQ(snap.counter("resilience.delivery_retries"), 2u);
+  EXPECT_EQ(snap.counter("resilience.delivery_failures"), 0u);
   EXPECT_EQ(d.dead_letter_count(), 0u);
 }
 
@@ -37,9 +38,10 @@ TEST(DeliveryTest, ExhaustedFramesAreDeadLettered) {
   ReliableDelivery d([](const Frame&) { return Status::error("down"); },
                      {.max_attempts = 2});
   EXPECT_FALSE(d.deliver(make_frame(1)));
-  EXPECT_EQ(d.stats().retries, 1u);
-  EXPECT_EQ(d.stats().failures, 1u);
-  EXPECT_EQ(d.stats().dead_lettered, 1u);
+  const auto snap = obs::snapshot_of(d);
+  EXPECT_EQ(snap.counter("resilience.delivery_retries"), 1u);
+  EXPECT_EQ(snap.counter("resilience.delivery_failures"), 1u);
+  EXPECT_EQ(snap.counter("resilience.dead_letters"), 1u);
   ASSERT_EQ(d.dead_letter_count(), 1u);
   EXPECT_EQ(d.dead_letters().front().payload[0], 1);
 }
@@ -51,8 +53,9 @@ TEST(DeliveryTest, DeadLetterQueueIsBounded) {
   d.deliver(make_frame(2));
   d.deliver(make_frame(3));  // evicts frame 1
   EXPECT_EQ(d.dead_letter_count(), 2u);
-  EXPECT_EQ(d.stats().evicted, 1u);
-  EXPECT_EQ(d.stats().dead_lettered, 3u);
+  const auto snap = obs::snapshot_of(d);
+  EXPECT_EQ(snap.counter("resilience.dead_letter_evictions"), 1u);
+  EXPECT_EQ(snap.counter("resilience.dead_letters"), 3u);
   EXPECT_EQ(d.dead_letters().front().payload[0], 2);
   EXPECT_EQ(d.dead_letters().back().payload[0], 3);
 }
@@ -71,7 +74,7 @@ TEST(DeliveryTest, RedeliverFlushesQueueAfterRecovery) {
   down = false;
   EXPECT_EQ(d.redeliver(), 2u);
   EXPECT_EQ(d.dead_letter_count(), 0u);
-  EXPECT_EQ(d.stats().redelivered, 2u);
+  EXPECT_EQ(obs::snapshot_of(d).counter("resilience.redelivered"), 2u);
 }
 
 TEST(DeliveryTest, ThrowingDeliveryFunctionIsContained) {
@@ -79,7 +82,7 @@ TEST(DeliveryTest, ThrowingDeliveryFunctionIsContained) {
       [](const Frame&) -> Status { throw std::runtime_error("boom"); },
       {.max_attempts = 2});
   EXPECT_FALSE(d.deliver(make_frame(1)));  // no exception escapes
-  EXPECT_EQ(d.stats().failures, 1u);
+  EXPECT_EQ(obs::snapshot_of(d).counter("resilience.delivery_failures"), 1u);
   EXPECT_EQ(d.dead_letter_count(), 1u);
 }
 
@@ -97,10 +100,11 @@ TEST(DeliveryTest, FaultPlanDrivesInjectedFailures) {
                      {.max_attempts = 2});
   // First attempt eats the injected fault; the retry goes through.
   EXPECT_TRUE(d.deliver(make_frame(1)));
-  EXPECT_EQ(d.stats().retries, 1u);
+  const auto snap = obs::snapshot_of(d);
+  EXPECT_EQ(snap.counter("resilience.delivery_retries"), 1u);
   EXPECT_EQ(plan.injected().delivery_errors, 1u);
   EXPECT_EQ(inner_calls, 1);
-  EXPECT_EQ(d.stats().delivered, 1u);
+  EXPECT_EQ(snap.counter("resilience.delivered_frames"), 1u);
 }
 
 }  // namespace

@@ -53,12 +53,13 @@ TEST(SupervisorTest, InlineErrorsContainedAndPartialOutputDiscarded) {
   sup.sample(0, out);
   // The sampler pushed a sample before throwing; the supervisor discarded it.
   EXPECT_TRUE(out.samples.empty());
-  EXPECT_EQ(sup.stats().errors, 1u);
+  EXPECT_EQ(obs::snapshot_of(sup).counter("resilience.sampler_errors"), 1u);
   fail = false;
   sup.sample(core::kMinute, out);
   EXPECT_EQ(out.samples.size(), 1u);
-  EXPECT_EQ(sup.stats().successes, 1u);
-  EXPECT_EQ(sup.stats().samples_merged, 1u);
+  const auto snap = obs::snapshot_of(sup);
+  EXPECT_EQ(snap.counter("resilience.sampler_successes"), 1u);
+  EXPECT_EQ(snap.counter("resilience.sampler_samples"), 1u);
 }
 
 TEST(SupervisorTest, BreakerOpensHalfOpensAndCloses) {
@@ -74,16 +75,19 @@ TEST(SupervisorTest, BreakerOpensHalfOpensAndCloses) {
   EXPECT_EQ(sup.breaker_state(), BreakerState::kOpen);
   sweep(2 * core::kMinute);  // quarantined: inner sampler not called
   sweep(3 * core::kMinute);
-  EXPECT_EQ(sup.stats().skipped, 2u);
-  EXPECT_EQ(sup.stats().errors, 2u);
+  auto snap = obs::snapshot_of(sup);
+  EXPECT_EQ(snap.counter("resilience.sampler_skipped"), 2u);
+  EXPECT_EQ(snap.counter("resilience.sampler_errors"), 2u);
 
   fail = false;  // source repaired; next admitted call is the probe
   sweep(6 * core::kMinute);  // past retry_at (1min open + 5min cooldown)
   EXPECT_EQ(sup.breaker_state(), BreakerState::kClosed);
-  EXPECT_EQ(sup.breaker().stats().half_open_probes, 1u);
-  EXPECT_EQ(sup.breaker().stats().closes, 1u);
+  // The sampler's snapshot includes its breaker's counters.
+  snap = obs::snapshot_of(sup);
+  EXPECT_EQ(snap.counter("resilience.breaker_probes"), 1u);
+  EXPECT_EQ(snap.counter("resilience.breaker_closes"), 1u);
   EXPECT_EQ(out.samples.size(), 1u);
-  EXPECT_EQ(sup.stats().calls, 5u);
+  EXPECT_EQ(snap.counter("resilience.sampler_calls"), 5u);
 }
 
 TEST(SupervisorTest, DeadlineAbandonsHungCallAndQuarantines) {
@@ -106,8 +110,10 @@ TEST(SupervisorTest, DeadlineAbandonsHungCallAndQuarantines) {
   for (int i = 0; i < 5; ++i) {
     sup.sample(i * core::kMinute, out);  // returns despite the hang
   }
-  EXPECT_EQ(sup.stats().timeouts, 2u);  // two abandoned watchdog calls
-  EXPECT_EQ(sup.stats().skipped, 3u);   // then the breaker quarantined it
+  const auto snap = obs::snapshot_of(sup);
+  // Two abandoned watchdog calls, then the breaker quarantined it.
+  EXPECT_EQ(snap.counter("resilience.sampler_timeouts"), 2u);
+  EXPECT_EQ(snap.counter("resilience.sampler_skipped"), 3u);
   EXPECT_EQ(sup.breaker_state(), BreakerState::kOpen);
   EXPECT_TRUE(out.samples.empty());
   EXPECT_EQ(plan.active_hangs(), 2u);
@@ -156,17 +162,23 @@ TEST(SupervisorTest, HungSamplerNeverStallsTheSweep) {
   // Both healthy sources produced on every sweep; the hung one contributed
   // nothing but cost at most two 25 ms deadlines before quarantine.
   EXPECT_EQ(healthy_samples, 2u * kSweeps);
-  EXPECT_EQ(samplers[0]->stats().timeouts, 2u);
-  EXPECT_EQ(samplers[0]->stats().skipped, kSweeps - 2u);
+  const auto hung = obs::snapshot_of(*samplers[0]);
+  EXPECT_EQ(hung.counter("resilience.sampler_timeouts"), 2u);
+  EXPECT_EQ(hung.counter("resilience.sampler_skipped"), kSweeps - 2u);
   EXPECT_EQ(samplers[0]->breaker_state(), BreakerState::kOpen);
-  EXPECT_EQ(samplers[1]->stats().successes, static_cast<std::uint64_t>(kSweeps));
-  EXPECT_EQ(samplers[2]->stats().successes, static_cast<std::uint64_t>(kSweeps));
+  for (std::size_t i = 1; i < samplers.size(); ++i) {
+    EXPECT_EQ(obs::snapshot_of(*samplers[i])
+                  .counter("resilience.sampler_successes"),
+              static_cast<std::uint64_t>(kSweeps));
+  }
   EXPECT_EQ(plan.injected().sampler_hangs, 2u);
 
-  SupervisorStats total;
-  for (auto& s : samplers) total += s->stats();
-  EXPECT_EQ(total.calls, 3u * kSweeps);
-  EXPECT_EQ(total.timeouts, 2u);
+  // Attached to one registry, the samplers' shared names sum.
+  obs::ObsRegistry registry;
+  for (auto& s : samplers) s->attach_to(registry);
+  const auto total = registry.snapshot();
+  EXPECT_EQ(total.counter("resilience.sampler_calls"), 3u * kSweeps);
+  EXPECT_EQ(total.counter("resilience.sampler_timeouts"), 2u);
 
   plan.release_hangs();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -183,12 +195,12 @@ TEST(SupervisorTest, DeadlinePathMergesSuccessfulOutput) {
   sup.sample(core::kMinute, out);
   ASSERT_EQ(out.samples.size(), 2u);
   EXPECT_EQ(out.samples[1].time, core::kMinute);
-  EXPECT_EQ(sup.stats().successes, 1u);
+  EXPECT_EQ(obs::snapshot_of(sup).counter("resilience.sampler_successes"), 1u);
   // A thrown error on the watchdog thread is contained and counted too.
   fail = true;
   sup.sample(2 * core::kMinute, out);
   EXPECT_EQ(out.samples.size(), 2u);
-  EXPECT_EQ(sup.stats().errors, 1u);
+  EXPECT_EQ(obs::snapshot_of(sup).counter("resilience.sampler_errors"), 1u);
 }
 
 }  // namespace

@@ -48,9 +48,10 @@ TEST(WalTest, AppendReplayRoundTrip) {
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(wal.append(make_batch((i + 1) * core::kMinute)).is_ok());
     }
-    EXPECT_EQ(wal.stats().appended_records, 3u);
-    EXPECT_EQ(wal.stats().appended_samples, 24u);
-    EXPECT_GT(wal.stats().appended_bytes, 0u);
+    const auto snap = obs::snapshot_of(wal);
+    EXPECT_EQ(snap.counter("resilience.wal_records"), 3u);
+    EXPECT_EQ(snap.counter("resilience.wal_samples"), 24u);
+    EXPECT_GT(snap.counter("resilience.wal_bytes"), 0u);
   }
   ReplayStats stats;
   const auto batches = replay_all(dir, &stats);
@@ -73,7 +74,7 @@ TEST(WalTest, EmptyBatchIsNoOp) {
   const auto dir = fresh_dir("empty");
   WriteAheadLog wal({.dir = dir});
   EXPECT_TRUE(wal.append(SampleBatch{}).is_ok());
-  EXPECT_EQ(wal.stats().appended_records, 0u);
+  EXPECT_EQ(obs::snapshot_of(wal).counter("resilience.wal_records"), 0u);
   fs::remove_all(dir);
 }
 
@@ -86,7 +87,9 @@ TEST(WalTest, RotationSealsSegments) {
       ASSERT_TRUE(wal.append(make_batch((i + 1) * core::kMinute)).is_ok());
     }
     EXPECT_EQ(wal.sealed_segments(), 5u);
-    EXPECT_EQ(wal.stats().segments_created, 6u);  // 5 sealed + active
+    const auto snap = obs::snapshot_of(wal);
+    EXPECT_EQ(snap.counter("resilience.wal_segments_created"),
+              6u);  // 5 sealed + active
   }
   ReplayStats stats;
   const auto batches = replay_all(dir, &stats);
@@ -109,7 +112,8 @@ TEST(WalTest, TruncateBeforeDropsOnlySealedOldSegments) {
   const auto removed = wal.truncate_before(2 * core::kMinute + core::kSecond);
   EXPECT_EQ(removed, 2u);
   EXPECT_EQ(wal.sealed_segments(), 2u);
-  EXPECT_EQ(wal.stats().segments_truncated, 2u);
+  const auto snap = obs::snapshot_of(wal);
+  EXPECT_EQ(snap.counter("resilience.wal_segments_truncated"), 2u);
   // The surviving records are exactly the newer two.
   const auto batches = replay_all(dir);
   ASSERT_EQ(batches.size(), 2u);
@@ -132,7 +136,8 @@ TEST(WalTest, TornTailToleratedOnReplay) {
     EXPECT_TRUE(wal.poisoned());
     // The poisoned log refuses further appends (damage bounded to the tear).
     EXPECT_FALSE(wal.append(make_batch(3 * core::kMinute)).is_ok());
-    EXPECT_EQ(wal.stats().append_failures, 2u);
+    const auto snap = obs::snapshot_of(wal);
+    EXPECT_EQ(snap.counter("resilience.wal_append_failures"), 2u);
   }
   ReplayStats stats;
   const auto batches = replay_all(dir, &stats);
@@ -237,8 +242,9 @@ TEST(WalTest, InjectedErrorFailsOneAppend) {
     EXPECT_FALSE(wal.append(make_batch(2 * core::kMinute)).is_ok());
     EXPECT_FALSE(wal.poisoned());  // plain error, not a torn write
     EXPECT_TRUE(wal.append(make_batch(3 * core::kMinute)).is_ok());
-    EXPECT_EQ(wal.stats().append_failures, 1u);
-    EXPECT_EQ(wal.stats().appended_records, 2u);
+    const auto snap = obs::snapshot_of(wal);
+    EXPECT_EQ(snap.counter("resilience.wal_append_failures"), 1u);
+    EXPECT_EQ(snap.counter("resilience.wal_records"), 2u);
   }
   EXPECT_EQ(plan.injected().fs_errors, 1u);
   EXPECT_EQ(plan.fs_ops(), 3u);

@@ -59,9 +59,10 @@ TEST(StackRecoveryTest, CrashRecoveryRestoresHotTierByteIdentical) {
     auto stack = std::make_unique<MonitoringStack>(cluster, parse(cfg));
     cluster.run_for(kRunTime);
     ASSERT_NE(stack->wal(), nullptr);
-    EXPECT_GT(stack->wal()->stats().appended_records, 0u);
-    EXPECT_EQ(stack->wal()->stats().append_failures, 0u);
-    walled_records = stack->wal()->stats().appended_records;
+    const auto snap = stack->obs_snapshot();
+    EXPECT_GT(snap.counter("resilience.wal_records"), 0u);
+    EXPECT_EQ(snap.counter("resilience.wal_append_failures"), 0u);
+    walled_records = snap.counter("resilience.wal_records");
     stack->simulate_crash();  // destructor skips shutdown(): hot tier lost
   }
 
@@ -123,15 +124,16 @@ TEST(StackRecoveryTest, ShutdownDrainsIngestBeforeTeardown) {
   stack.shutdown();
 
   ASSERT_NE(stack.ingest_pipeline(), nullptr);
-  const auto snap = stack.ingest_pipeline()->metrics().snapshot();
-  EXPECT_GT(snap.submitted_samples, 0u);
+  const auto snap = stack.obs_snapshot();
+  const auto accepted = snap.counter("ingest.accepted_samples");
+  EXPECT_GT(snap.counter("ingest.submitted_samples"), 0u);
   // Everything submitted was appended (or rejected as out-of-order) — no
   // sample stranded in a shard queue when the workers stopped.
-  EXPECT_EQ(snap.submitted_samples,
-            snap.accepted_samples + snap.out_of_order_samples);
-  EXPECT_EQ(snap.dropped_samples, 0u);
+  EXPECT_EQ(snap.counter("ingest.submitted_samples"),
+            accepted + snap.counter("ingest.out_of_order_samples"));
+  EXPECT_EQ(snap.counter("ingest.dropped_samples"), 0u);
   ASSERT_NE(stack.sharded_store(), nullptr);
-  EXPECT_EQ(stack.sharded_store()->stats().points, snap.accepted_samples);
+  EXPECT_EQ(stack.sharded_store()->stats().points, accepted);
   // shutdown() is idempotent.
   stack.shutdown();
 }
@@ -162,8 +164,9 @@ TEST(StackRecoveryTest, WalTruncatesOnlyBehindTheTierWatermark) {
     ASSERT_NE(stack->wal(), nullptr);
     ASSERT_NE(stack->tiers(), nullptr);
     // Small segments rotated often; those wholly behind the watermark went.
-    EXPECT_GT(stack->wal()->stats().segments_created, 2u);
-    EXPECT_GT(stack->wal()->stats().segments_truncated, 0u);
+    const auto snap = stack->obs_snapshot();
+    EXPECT_GT(snap.counter("resilience.wal_segments_created"), 2u);
+    EXPECT_GT(snap.counter("resilience.wal_segments_truncated"), 0u);
     const store::TierSpanView<ingest::ShardedTimeSeriesStore> live(
         stack->tiers(), stack->sharded_store());
     for (std::uint32_t i = 0; i < reg.series_count(); i += 7) {
@@ -200,11 +203,11 @@ TEST(StackRecoveryTest, SupervisedStackCollectsNormally) {
   )"));
   cluster.run_for(10 * core::kMinute);
   ASSERT_FALSE(stack.supervised_samplers().empty());
-  const auto sup = stack.supervisor_stats();
-  EXPECT_GT(sup.calls, 0u);
-  EXPECT_EQ(sup.errors, 0u);
-  EXPECT_EQ(sup.skipped, 0u);
-  EXPECT_GT(sup.samples_merged, 0u);
+  const auto sup = stack.obs_snapshot();
+  EXPECT_GT(sup.counter("resilience.sampler_calls"), 0u);
+  EXPECT_EQ(sup.counter("resilience.sampler_errors"), 0u);
+  EXPECT_EQ(sup.counter("resilience.sampler_skipped"), 0u);
+  EXPECT_GT(sup.counter("resilience.sampler_samples"), 0u);
   // Healthy samplers: every breaker closed, and the stack says so.
   for (const auto* s : stack.supervised_samplers()) {
     EXPECT_EQ(s->breaker_state(), resilience::BreakerState::kClosed);

@@ -1,6 +1,6 @@
 // MonitoringStack + rollup tree: off by default, wired behind rollup_enable
 // on both the synchronous and sharded ingest paths, ticked on the simulated
-// timeline, feeding the heatmap / fleet-glance / fleet-health read paths with
+// timeline, feeding the heatmap / fleet-glance read paths with
 // zero store scatter-gather, and served over the wire as kRollupQuery /
 // kRollupSub / kRollupUnsub.
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <cmath>
 #include <limits>
 
-#include "resilience/degradation.hpp"
 #include "serve/client.hpp"
 #include "stack/stack.hpp"
 #include "viz/fleet.hpp"
@@ -86,10 +85,10 @@ TEST(StackRollup, SyncPathFeedsTreeAndReadsAvoidTheStore) {
                       : std::numeric_limits<double>::quiet_NaN();
       },
       opts);
-  const auto queries_before = stack.store_query_stats().queries;
+  const auto queries_before = stack.obs_snapshot().counter("store.queries");
   const auto from_rollup =
       viz::machine_heatmap(topo, *snap, "node.cpu_util", opts);
-  EXPECT_EQ(stack.store_query_stats().queries, queries_before)
+  EXPECT_EQ(stack.obs_snapshot().counter("store.queries"), queries_before)
       << "rollup-fed heatmap must not scatter-gather the store";
   EXPECT_EQ(from_rollup, from_store);
 
@@ -99,7 +98,7 @@ TEST(StackRollup, SyncPathFeedsTreeAndReadsAvoidTheStore) {
   EXPECT_NE(glance.find("system"), std::string::npos);
   EXPECT_NE(glance.find("c1-0"), std::string::npos);
   EXPECT_NE(glance.find("rollup v"), std::string::npos);
-  EXPECT_EQ(stack.store_query_stats().queries, queries_before);
+  EXPECT_EQ(stack.obs_snapshot().counter("store.queries"), queries_before);
 
   // rollup.* instruments ride the shared obs plane; status reports the tree.
   const auto obs = stack.obs_snapshot();
@@ -135,27 +134,6 @@ TEST(StackRollup, ShardedPathObservesThroughTheShards) {
     sum += latest->value;
   }
   EXPECT_EQ(*mean, sum / topo.num_nodes());
-}
-
-TEST(StackRollup, FleetHealthReadsFromTheSnapshot) {
-  sim::Cluster cluster(cluster_params());
-  MonitoringStack stack(cluster, parse("rollup_enable = 1\n"
-                                       "degradation = 1\n"));
-  cluster.run_for(10 * core::kMinute);
-  const auto snap = stack.rollup()->snapshot();
-  const auto* sys = snap->find(cluster.topology().system(), "node.cpu_util");
-  ASSERT_NE(sys, nullptr);
-  ASSERT_FALSE(sys->empty());
-
-  resilience::HealthSignalAssembler assembler;
-  const auto hs = assembler.assemble(stack.obs_snapshot(), snap.get(),
-                                     cluster.topology().system());
-  EXPECT_EQ(hs.fleet_nodes_live, sys->count);
-  EXPECT_EQ(hs.fleet_utilization, rollup::MeanReducer::reduce(*sys));
-  // Without a snapshot the fleet fields stay at their defaults.
-  const auto bare = assembler.assemble(stack.obs_snapshot());
-  EXPECT_EQ(bare.fleet_nodes_live, 0u);
-  EXPECT_EQ(bare.fleet_utilization, 0.0);
 }
 
 TEST(StackRollup, ServedOverTheWire) {

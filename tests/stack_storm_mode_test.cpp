@@ -44,15 +44,19 @@ TEST(StormModeStackTest, FairWeatherStaysNormalAndEvaluates) {
   MonitoringStack stack(cluster, parse(kStormCfg));
   ASSERT_NE(stack.degradation(), nullptr);
   cluster.run_for(10 * core::kMinute);
-  const auto* d = stack.degradation();
-  EXPECT_GE(d->stats().evaluations, 10u);  // 30 s cadence over 10 min
-  EXPECT_EQ(d->mode(), core::DegradationMode::kNormal);
-  EXPECT_EQ(d->stats().transitions, 0u);
+  const auto snap = stack.obs_snapshot();
+  // 30 s cadence over 10 min.
+  EXPECT_GE(snap.counter("resilience.degradation.evaluations"), 10u);
+  EXPECT_EQ(stack.degradation()->mode(), core::DegradationMode::kNormal);
+  EXPECT_EQ(snap.counter("resilience.degradation.transitions"), 0u);
   EXPECT_EQ(stack.ingest_pipeline()->mode(), core::DegradationMode::kNormal);
   // A healthy run sheds nothing and loses nothing.
-  const auto snap = stack.ingest_pipeline()->metrics().snapshot();
-  EXPECT_EQ(snap.shed_samples(), 0u);
-  EXPECT_EQ(snap.lost_samples(), 0u);
+  for (const char* name :
+       {"ingest.shed_critical_samples", "ingest.shed_standard_samples",
+        "ingest.shed_bulk_samples", "ingest.dropped_samples",
+        "ingest.rejected_samples"}) {
+    EXPECT_EQ(snap.counter(name), 0u) << name;
+  }
 }
 
 TEST(StormModeStackTest, ControllerTelemetryIsIngestedCritical) {
@@ -88,13 +92,13 @@ TEST(StormModeStackTest, TransitionsReachDoorAndSamplers) {
   // deliberately signal-agnostic): two ticks arm, the third escalates again.
   resilience::HealthSignals storm;
   storm.queue_fill = 1.0;
-  d->evaluate(core::kMinute, storm);
-  d->evaluate(2 * core::kMinute, storm);
+  d->evaluate(storm);
+  d->evaluate(storm);
   EXPECT_EQ(d->mode(), core::DegradationMode::kShedBulk);
   EXPECT_EQ(stack.ingest_pipeline()->mode(), core::DegradationMode::kShedBulk);
 
-  d->evaluate(3 * core::kMinute, storm);
-  d->evaluate(4 * core::kMinute, storm);
+  d->evaluate(storm);
+  d->evaluate(storm);
   EXPECT_EQ(d->mode(), core::DegradationMode::kSummarize);
   EXPECT_EQ(stack.ingest_pipeline()->mode(), core::DegradationMode::kSummarize);
   // SUMMARIZE widens sampler cadence — except critical samplers (the health
@@ -112,7 +116,7 @@ TEST(StormModeStackTest, TransitionsReachDoorAndSamplers) {
 
   // Recovery unwinds the strides too.
   resilience::HealthSignals calm;
-  for (int i = 0; i < 12; ++i) d->evaluate((5 + i) * core::kMinute, calm);
+  for (int i = 0; i < 12; ++i) d->evaluate(calm);
   EXPECT_EQ(d->mode(), core::DegradationMode::kNormal);
   EXPECT_EQ(stack.ingest_pipeline()->mode(), core::DegradationMode::kNormal);
   for (const auto* s : stack.supervised_samplers()) EXPECT_EQ(s->stride(), 1u);

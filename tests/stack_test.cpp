@@ -42,7 +42,7 @@ TEST(StackTest, DefaultConfigCollectsEverything) {
   EXPECT_GT(st.points, 1000u);
   EXPECT_GT(stack.logs().size(), 5u);
   EXPECT_GT(stack.jobs().size(), 3u);
-  EXPECT_GT(stack.router().stats().frames, 30u);
+  EXPECT_GT(stack.obs_snapshot().counter("transport.frames"), 30u);
   // Probe + health samplers installed by default.
   EXPECT_TRUE(cluster.registry().find_metric("probe.dgemm_seconds"));
   EXPECT_TRUE(cluster.registry().find_metric("health.ok"));
@@ -50,11 +50,11 @@ TEST(StackTest, DefaultConfigCollectsEverything) {
   // Read-path self-metrics surface as store.* counters, and querying moves
   // them (rules/detectors already query during collection, so just verify
   // the counter is live and reported).
-  const auto qs0 = stack.store_query_stats();
+  const auto queries0 = stack.obs_snapshot().counter("store.queries");
   (void)stack.sharded_store()->query_range(
       cluster.registry().series("node.cpu_load", cluster.topology().node(0)),
       {0, core::kDay});
-  EXPECT_GT(stack.store_query_stats().queries, qs0.queries);
+  EXPECT_GT(stack.obs_snapshot().counter("store.queries"), queries0);
   EXPECT_NE(stack.status().find("store.queries="), std::string::npos);
   EXPECT_NE(stack.status().find("store.cache_hits="), std::string::npos);
 }

@@ -33,10 +33,10 @@ TEST(ChunkCacheTest, HitsAndMisses) {
   const auto hit = cache.get(1);
   ASSERT_NE(hit, nullptr);
   EXPECT_DOUBLE_EQ(hit->front().value, 1.0);
-  const auto st = cache.stats();
-  EXPECT_EQ(st.hits, 1u);
-  EXPECT_EQ(st.misses, 1u);
-  EXPECT_EQ(st.entries, 1u);
+  const auto st = obs::snapshot_of(cache);
+  EXPECT_EQ(st.counter("store.cache_hits"), 1u);
+  EXPECT_EQ(st.counter("store.cache_misses"), 1u);
+  EXPECT_EQ(st.gauge("store.cache_entries"), 1.0);
 }
 
 TEST(ChunkCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
@@ -50,9 +50,9 @@ TEST(ChunkCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
   EXPECT_NE(cache.get(1), nullptr);
   EXPECT_NE(cache.get(3), nullptr);
   EXPECT_NE(cache.get(4), nullptr);
-  const auto st = cache.stats();
-  EXPECT_EQ(st.evictions, 1u);
-  EXPECT_EQ(st.entries, 3u);
+  const auto st = obs::snapshot_of(cache);
+  EXPECT_EQ(st.counter("store.cache_evictions"), 1u);
+  EXPECT_EQ(st.gauge("store.cache_entries"), 3.0);
 }
 
 TEST(ChunkCacheTest, EraseInvalidates) {
@@ -60,18 +60,18 @@ TEST(ChunkCacheTest, EraseInvalidates) {
   cache.put(7, decoded_of({7.0}));
   cache.erase(7);
   EXPECT_EQ(cache.get(7), nullptr);
-  const auto st = cache.stats();
-  EXPECT_EQ(st.invalidations, 1u);
-  EXPECT_EQ(st.entries, 0u);
+  const auto st = obs::snapshot_of(cache);
+  EXPECT_EQ(st.counter("store.cache_invalidations"), 1u);
+  EXPECT_EQ(st.gauge("store.cache_entries"), 0.0);
   cache.erase(7);  // erasing an absent id is a no-op
-  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(obs::snapshot_of(cache).counter("store.cache_invalidations"), 1u);
 }
 
 TEST(ChunkCacheTest, CapacityZeroDisablesCaching) {
   ChunkCache cache(0);
   cache.put(1, decoded_of({1.0}));
   EXPECT_EQ(cache.get(1), nullptr);
-  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(obs::snapshot_of(cache).gauge("store.cache_entries"), 0.0);
 }
 
 TEST(ChunkCacheTest, DuplicatePutKeepsFirstEntry) {
@@ -79,7 +79,7 @@ TEST(ChunkCacheTest, DuplicatePutKeepsFirstEntry) {
   cache.put(1, decoded_of({1.0}));
   cache.put(1, decoded_of({99.0}));  // racing decoders: first one wins
   EXPECT_DOUBLE_EQ(cache.get(1)->front().value, 1.0);
-  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(obs::snapshot_of(cache).gauge("store.cache_entries"), 1.0);
 }
 
 // -- Through the store --------------------------------------------------------
@@ -90,14 +90,15 @@ TEST(ChunkCacheTest, RepeatedQueryHitsCache) {
   for (int i = 1; i <= 40; ++i) store.append(s, i * core::kSecond, 0.5 * i);
   const TimeRange range{0, 41 * core::kSecond};
   const auto first = store.query_range(s, range);
-  const auto cold = store.query_stats();
-  EXPECT_EQ(cold.cache_hits, 0u);
-  EXPECT_EQ(cold.cache_misses, 5u);  // 40 points / 8 per chunk = 5 sealed
+  const auto cold = obs::snapshot_of(store);
+  EXPECT_EQ(cold.counter("store.cache_hits"), 0u);
+  // 40 points / 8 per chunk = 5 sealed.
+  EXPECT_EQ(cold.counter("store.cache_misses"), 5u);
   const auto second = store.query_range(s, range);
   EXPECT_EQ(second, first);
-  const auto warm = store.query_stats();
-  EXPECT_EQ(warm.cache_hits, 5u);
-  EXPECT_EQ(warm.cache_misses, 5u);
+  const auto warm = obs::snapshot_of(store);
+  EXPECT_EQ(warm.counter("store.cache_hits"), 5u);
+  EXPECT_EQ(warm.counter("store.cache_misses"), 5u);
 }
 
 TEST(ChunkCacheTest, CacheDisabledStoreStillAnswersCorrectly) {
@@ -111,8 +112,8 @@ TEST(ChunkCacheTest, CacheDisabledStoreStillAnswersCorrectly) {
   const TimeRange range{0, 41 * core::kSecond};
   (void)uncached.query_range(s, range);
   EXPECT_EQ(uncached.query_range(s, range), cached.query_range(s, range));
-  EXPECT_EQ(uncached.query_stats().cache_hits, 0u);
-  EXPECT_EQ(uncached.query_stats().cache_entries, 0u);
+  EXPECT_EQ(obs::snapshot_of(uncached).counter("store.cache_hits"), 0u);
+  EXPECT_EQ(obs::snapshot_of(uncached).gauge("store.cache_entries"), 0.0);
 }
 
 // -- Eviction contract (satellite) --------------------------------------------
@@ -123,14 +124,14 @@ TEST(ChunkCacheTest, EvictBeforeDropsCachedEntries) {
   for (int i = 1; i <= 20; ++i) store.append(s, i * core::kSecond, 1.0 * i);
   // Warm the cache over all 5 sealed chunks.
   (void)store.query_range(s, {0, 21 * core::kSecond});
-  EXPECT_EQ(store.query_stats().cache_entries, 5u);
+  EXPECT_EQ(obs::snapshot_of(store).gauge("store.cache_entries"), 5.0);
   // Evict the first three chunks (max times 4s, 8s, 12s).
   const auto evicted = store.evict_before(
       13 * core::kSecond, [](SeriesId, Chunk&&) {});
   EXPECT_EQ(evicted, 3u);
-  const auto st = store.query_stats();
-  EXPECT_EQ(st.cache_entries, 2u);
-  EXPECT_EQ(st.cache_invalidations, 3u);
+  const auto st = obs::snapshot_of(store);
+  EXPECT_EQ(st.gauge("store.cache_entries"), 2.0);
+  EXPECT_EQ(st.counter("store.cache_invalidations"), 3u);
   // Re-querying what's left hits the surviving entries, no stale data.
   const auto rest = store.query_range(s, {0, 21 * core::kSecond});
   ASSERT_EQ(rest.size(), 8u);  // chunks at 13..16s, 17..20s

@@ -184,8 +184,7 @@ TYPED_TEST(StoreConcurrencyTest, QueryEngineReadersRaceWriterAndEvictor) {
       store.query_range(series, TimeRange{0, core::kDay}).size();
   EXPECT_EQ(hot + archived.load(), static_cast<std::uint64_t>(kPoints));
   // The read-path self-metrics saw real traffic.
-  const auto qs = store.query_stats();
-  EXPECT_GT(qs.queries, 0u);
+  EXPECT_GT(obs::snapshot_of(store).counter("store.queries"), 0u);
 }
 
 }  // namespace

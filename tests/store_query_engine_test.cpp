@@ -141,7 +141,7 @@ TEST(QueryEngineTest, AggregateMatchesFullDecodeAcrossRangeShapes) {
     }
   }
   // Covered chunks really were answered from summaries, not decoded.
-  EXPECT_GT(store.query_stats().summary_chunks, 0u);
+  EXPECT_GT(obs::snapshot_of(store).counter("store.summary_chunks"), 0u);
 }
 
 TEST(QueryEngineTest, DownsampleMatchesFullDecode) {
@@ -187,13 +187,14 @@ TEST(QueryEngineTest, LatestAnsweredFromSummaryWithoutDecode) {
   for (int i = 1; i <= 8; ++i) {
     store.append(kS0, i * core::kSecond, i * 1.5);  // two sealed chunks
   }
-  const auto qs_before = store.query_stats();
+  const auto qs_before = obs::snapshot_of(store);
   const auto l = store.latest(kS0);
   ASSERT_TRUE(l.has_value());
   EXPECT_EQ(l->time, 8 * core::kSecond);
   EXPECT_DOUBLE_EQ(l->value, 12.0);
-  const auto qs_after = store.query_stats();
-  EXPECT_EQ(qs_after.cache_misses, qs_before.cache_misses);  // no decode
+  const auto qs_after = obs::snapshot_of(store);
+  EXPECT_EQ(qs_after.counter("store.cache_misses"),
+            qs_before.counter("store.cache_misses"));  // no decode
 }
 
 // -- Empty-range and boundary edges (satellite) -------------------------------
@@ -229,9 +230,10 @@ TEST(QueryEngineTest, ExactMinMaxBoundaries) {
   // [max, max+1): exactly the chunk's last point.
   EXPECT_DOUBLE_EQ(*store.aggregate(kS0, {max, max + 1}, Agg::kSum), 4.0);
   // [min, max+1): the whole chunk, summary-covered.
-  const auto before = store.query_stats().summary_chunks;
+  const auto before = obs::snapshot_of(store).counter("store.summary_chunks");
   EXPECT_DOUBLE_EQ(*store.aggregate(kS0, {min, max + 1}, Agg::kSum), 10.0);
-  EXPECT_EQ(store.query_stats().summary_chunks, before + 1);
+  EXPECT_EQ(obs::snapshot_of(store).counter("store.summary_chunks"),
+            before + 1);
 }
 
 // -- scan() -------------------------------------------------------------------
@@ -291,24 +293,25 @@ TEST(QueryEngineTest, ShardedAggregateManyMatchesPerSeriesCalls) {
               store.downsample(ids[i], range, core::kMinute, Agg::kMean));
   }
   // Merged self-metrics see the fan-out.
-  EXPECT_GE(store.query_stats().queries, 2 * ids.size());
+  EXPECT_GE(obs::snapshot_of(store).counter("store.queries"), 2 * ids.size());
 }
 
-TEST(QueryEngineTest, QueryStatsCountersMove) {
+TEST(QueryEngineTest, ReadPathCountersMove) {
   const auto pts = random_series(31, 1000);
   TimeSeriesStore store(100);
   fill(store, pts);
   const TimeRange range{0, pts.back().time + 1};
   (void)store.query_range(kS0, range);
-  const auto cold = store.query_stats();
-  EXPECT_GT(cold.queries, 0u);
-  EXPECT_GT(cold.cache_misses, 0u);
-  EXPECT_EQ(cold.cache_hits, 0u);
+  const auto cold = obs::snapshot_of(store);
+  EXPECT_GT(cold.counter("store.queries"), 0u);
+  EXPECT_GT(cold.counter("store.cache_misses"), 0u);
+  EXPECT_EQ(cold.counter("store.cache_hits"), 0u);
   (void)store.query_range(kS0, range);  // dashboard refresh
-  const auto warm = store.query_stats();
-  EXPECT_EQ(warm.cache_misses, cold.cache_misses);
-  EXPECT_GT(warm.cache_hits, 0u);
-  EXPECT_GT(warm.cache_entries, 0u);
+  const auto warm = obs::snapshot_of(store);
+  EXPECT_EQ(warm.counter("store.cache_misses"),
+            cold.counter("store.cache_misses"));
+  EXPECT_GT(warm.counter("store.cache_hits"), 0u);
+  EXPECT_GT(warm.gauge("store.cache_entries"), 0.0);
 }
 
 }  // namespace

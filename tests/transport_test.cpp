@@ -116,9 +116,10 @@ TEST(RouterTest, TypeDispatchAndRawTap) {
   EXPECT_EQ(samples, 1);
   EXPECT_EQ(logs, 1);
   EXPECT_EQ(raw, 2);
-  EXPECT_EQ(router.stats().frames, 2u);
-  EXPECT_GT(router.stats().bytes, 0u);
-  EXPECT_EQ(router.stats().dropped, 0u);
+  const auto snap = obs::snapshot_of(router);
+  EXPECT_EQ(snap.counter("transport.frames"), 2u);
+  EXPECT_GT(snap.counter("transport.bytes"), 0u);
+  EXPECT_EQ(snap.counter("transport.unrouted_frames"), 0u);
 }
 
 TEST(RouterTest, ForwardingTree) {
@@ -131,13 +132,13 @@ TEST(RouterTest, ForwardingTree) {
   root.subscribe(FrameType::kSamples, [&](const Frame&) { ++received; });
   leaf.publish(encode_samples(make_batch()));
   EXPECT_EQ(received, 1);
-  EXPECT_EQ(root.stats().frames, 1u);
+  EXPECT_EQ(obs::snapshot_of(root).counter("transport.frames"), 1u);
 }
 
 TEST(RouterTest, DroppedCountsUndeliveredFrames) {
   EventRouter router;
   router.publish(encode_samples(make_batch()));
-  EXPECT_EQ(router.stats().dropped, 1u);
+  EXPECT_EQ(obs::snapshot_of(router).counter("transport.unrouted_frames"), 1u);
 }
 
 TEST(RouterTest, ThrowingSubscriberDoesNotHaltFanOut) {
@@ -157,8 +158,9 @@ TEST(RouterTest, ThrowingSubscriberDoesNotHaltFanOut) {
   EXPECT_EQ(before, 2);
   EXPECT_EQ(after, 2);
   EXPECT_EQ(raw, 2);
-  EXPECT_EQ(router.stats().subscriber_failures, 2u);
-  EXPECT_EQ(router.stats().dropped, 0u);
+  const auto snap = obs::snapshot_of(router);
+  EXPECT_EQ(snap.counter("transport.subscriber_failures"), 2u);
+  EXPECT_EQ(snap.counter("transport.unrouted_frames"), 0u);
 }
 
 TEST(RouterTest, ThrowingRawTapIsContained) {
@@ -169,7 +171,8 @@ TEST(RouterTest, ThrowingRawTapIsContained) {
   router.subscribe(FrameType::kSamples, [&](const Frame&) { ++delivered; });
   router.publish(encode_samples(make_batch()));
   EXPECT_EQ(delivered, 1);
-  EXPECT_EQ(router.stats().subscriber_failures, 1u);
+  const auto snap = obs::snapshot_of(router);
+  EXPECT_EQ(snap.counter("transport.subscriber_failures"), 1u);
 }
 
 TEST(BusTest, TopicGlobRouting) {
