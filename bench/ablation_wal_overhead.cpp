@@ -8,12 +8,17 @@
 // segments so rotation churns. The claim to check is not "the WAL is free"
 // but "durability costs a bounded constant factor on the append path, and
 // replay restores every record" — the trade a site accepts knowingly.
+// A last section times the record CRC itself: the slicing-by-8 core::crc32
+// against the byte-at-a-time oracle (tests/reference_crc32.hpp) over the
+// same 1000 payloads, gated as wal.crc_speedup_x.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <vector>
 
+#include "../tests/reference_crc32.hpp"  // original byte-at-a-time CRC
 #include "bench_common.hpp"
+#include "core/crc32.hpp"
 #include "core/rng.hpp"
 #include "resilience/wal.hpp"
 #include "store/tsdb.hpp"
@@ -67,12 +72,24 @@ double run_with_wal(const std::vector<SampleBatch>& sweeps,
   resilience::WriteAheadLog wal({.dir = dir, .segment_bytes = segment_bytes});
   const auto t0 = steady_clock::now();
   for (const auto& b : sweeps) {
-    wal.append(b);
+    wal.append(transport::encode_samples(b));
     store.append_batch(b.samples);
   }
   const double secs = seconds_since(t0);
   if (stats_out != nullptr) *stats_out = obs::snapshot_of(wal);
   return secs;
+}
+
+/// Seconds for `reps` passes of `crc` over every payload; `sum` folds the
+/// checksums so the loop cannot be elided and the two CRCs can be compared.
+template <typename Crc>
+double time_crc(const std::vector<transport::Frame>& frames, int reps,
+                Crc crc, std::uint64_t& sum) {
+  const auto t0 = steady_clock::now();
+  for (int r = 0; r < reps; ++r) {
+    for (const auto& f : frames) sum += crc(f.payload.data(), f.payload.size());
+  }
+  return seconds_since(t0);
 }
 
 }  // namespace
@@ -136,5 +153,45 @@ int main(int argc, char** argv) {
   shape_check(churned < walled * 8.0,
               "aggressive 16KiB segment rotation does not blow up the cost");
   std::filesystem::remove_all("/tmp/hpcmon_bench_wal");
+
+  // The record CRC on its own, over the payloads the WAL just logged.
+  std::vector<hpcmon::transport::Frame> frames;
+  frames.reserve(sweeps.size());
+  bool crc_equal = true;
+  for (const auto& b : sweeps) {
+    frames.push_back(hpcmon::transport::encode_samples(b));
+    const auto& p = frames.back().payload;
+    crc_equal = crc_equal && hpcmon::core::crc32(p.data(), p.size()) ==
+                                 hpcmon::refcrc::crc32(p.data(), p.size());
+  }
+  constexpr int kCrcReps = 5;
+  std::uint64_t ref_sum = 0;
+  std::uint64_t new_sum = 0;
+  const auto ref_crc = [](const void* p, std::size_t n) {
+    return hpcmon::refcrc::crc32(p, n);
+  };
+  const auto new_crc = [](const void* p, std::size_t n) {
+    return hpcmon::core::crc32(p, n);
+  };
+  std::uint64_t warm_sum = 0;
+  time_crc(frames, 1, new_crc, warm_sum);  // warm-up
+  const double t_ref = time_crc(frames, kCrcReps, ref_crc, ref_sum);
+  const double t_new = time_crc(frames, kCrcReps, new_crc, new_sum);
+  const double crc_x = t_ref / t_new;
+  const double mib = kCrcReps * static_cast<double>(frames.size()) *
+                     frames.front().payload.size() / (1 << 20);
+  std::printf("record CRC, %zu payloads x %d reps (%.1f MiB):\n",
+              frames.size(), kCrcReps, mib);
+  std::printf("  byte-at-a-time %7.2f ms, slicing-by-8 %7.2f ms (%.1fx, "
+              "%.0f MiB/s)\n\n",
+              t_ref * 1e3, t_new * 1e3, crc_x, mib / t_new);
+  json_metric("wal.crc_speedup_x", crc_x);
+  shape_check(crc_equal && ref_sum == new_sum,
+              "slicing-by-8 CRC equals the byte-at-a-time oracle on every "
+              "WAL payload");
+  shape_check(crc_x >= 2.0,
+              hpcmon::core::strformat("slicing-by-8 CRC is >= 2x the "
+                                      "byte-at-a-time loop (%.1fx)",
+                                      crc_x));
   return finish();
 }

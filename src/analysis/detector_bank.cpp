@@ -52,6 +52,11 @@ void DetectorBank::watch(std::string watch_name, std::string_view metric_name,
   w.metric = std::string(metric_name);
   w.metric_index = registry_.register_metric({w.metric, "", "", false});
   w.factory = std::move(factory);
+  if (w.metric_index >= watches_by_metric_.size()) {
+    watches_by_metric_.resize(w.metric_index + 1);
+  }
+  watches_by_metric_[w.metric_index].push_back(
+      static_cast<std::uint32_t>(watches_.size()));
   watches_.push_back(std::move(w));
 }
 
@@ -60,22 +65,31 @@ std::vector<NumericAnomaly> DetectorBank::process(
   std::vector<NumericAnomaly> out;
   for (const auto& s : batch.samples) {
     const auto metric_index = registry_.series_metric(s.series);
-    for (std::size_t wi = 0; wi < watches_.size(); ++wi) {
-      auto& w = watches_[wi];
-      if (w.metric_index != metric_index) continue;
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(wi) << 32) | core::raw(s.series);
-      auto it = detectors_.find(key);
-      if (it == detectors_.end()) {
-        it = detectors_.emplace(key, w.factory()).first;
-      }
-      if (auto ev = it->second(s.time, s.value)) {
-        out.push_back({s.series, registry_.series_component(s.series),
-                       w.metric, w.name, *ev});
-      }
+    if (metric_index < watches_by_metric_.size() &&
+        !watches_by_metric_[metric_index].empty()) {
+      feed(s, watches_by_metric_[metric_index], out);
     }
   }
   return out;
+}
+
+void DetectorBank::feed(const core::Sample& s,
+                        const std::vector<std::uint32_t>& watch_indices,
+                        std::vector<NumericAnomaly>& out) {
+  // Ascending watch index, as registered: anomalies keep their order.
+  for (const auto wi : watch_indices) {
+    const auto& w = watches_[wi];
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(wi) << 32) | core::raw(s.series);
+    auto it = detectors_.find(key);
+    if (it == detectors_.end()) {
+      it = detectors_.emplace(key, w.factory()).first;
+    }
+    if (auto ev = it->second(s.time, s.value)) {
+      out.push_back({s.series, registry_.series_component(s.series), w.metric,
+                     w.name, *ev});
+    }
+  }
 }
 
 }  // namespace hpcmon::analysis

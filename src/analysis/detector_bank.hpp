@@ -65,8 +65,16 @@ class DetectorBank {
     std::uint32_t metric_index;
     DetectorFactory factory;
   };
+  /// Run one sample through the watches of its metric.
+  void feed(const core::Sample& s,
+            const std::vector<std::uint32_t>& watch_indices,
+            std::vector<NumericAnomaly>& out);
+
   core::MetricRegistry& registry_;
   std::vector<Watch> watches_;
+  // Watch indices per metric index, so process() visits only the watches
+  // of each sample's metric.
+  std::vector<std::vector<std::uint32_t>> watches_by_metric_;
   // Keyed by (watch index, series).
   std::unordered_map<std::uint64_t, DetectorFn> detectors_;
 };

@@ -17,8 +17,7 @@ std::uint32_t MetricRegistry::register_metric(const MetricInfo& info) {
   if (auto it = metric_by_name_.find(info.name); it != metric_by_name_.end()) {
     return it->second;
   }
-  const auto index = static_cast<std::uint32_t>(metrics_.size());
-  metrics_.push_back(info);
+  const auto index = metrics_.push_back(info);
   metric_by_name_.emplace(info.name, index);
   return index;
 }
@@ -29,8 +28,7 @@ ComponentId MetricRegistry::register_component(const ComponentInfo& info) {
       it != component_by_name_.end()) {
     return it->second;
   }
-  const auto id = ComponentId{static_cast<std::uint32_t>(components_.size())};
-  components_.push_back(info);
+  const auto id = ComponentId{components_.push_back(info)};
   component_by_name_.emplace(info.name, id);
   return id;
 }
@@ -43,8 +41,8 @@ SeriesId MetricRegistry::series(std::uint32_t metric_index,
   if (auto it = series_by_key_.find(key); it != series_by_key_.end()) {
     return it->second;
   }
-  const auto id = SeriesId{static_cast<std::uint32_t>(series_.size())};
-  series_.push_back({metric_index, component});
+  const auto id = SeriesId{series_.push_back(
+      {metric_index, component, metrics_.at(metric_index).priority})};
   series_by_key_.emplace(key, id);
   return id;
 }
@@ -75,33 +73,7 @@ std::optional<ComponentId> MetricRegistry::find_component(
   return std::nullopt;
 }
 
-const MetricInfo& MetricRegistry::metric(std::uint32_t index) const {
-  std::scoped_lock lock(mu_);
-  return metrics_.at(index);
-}
-
-const ComponentInfo& MetricRegistry::component(ComponentId id) const {
-  std::scoped_lock lock(mu_);
-  return components_.at(raw(id));
-}
-
-Priority MetricRegistry::series_priority(SeriesId id) const {
-  std::scoped_lock lock(mu_);
-  return metrics_.at(series_.at(raw(id)).metric).priority;
-}
-
-std::uint32_t MetricRegistry::series_metric(SeriesId id) const {
-  std::scoped_lock lock(mu_);
-  return series_.at(raw(id)).metric;
-}
-
-ComponentId MetricRegistry::series_component(SeriesId id) const {
-  std::scoped_lock lock(mu_);
-  return series_.at(raw(id)).component;
-}
-
 std::string MetricRegistry::series_name(SeriesId id) const {
-  std::scoped_lock lock(mu_);
   const auto& rec = series_.at(raw(id));
   std::string out = metrics_.at(rec.metric).name;
   out += '@';
@@ -113,48 +85,34 @@ std::string MetricRegistry::series_name(SeriesId id) const {
   return out;
 }
 
-std::size_t MetricRegistry::metric_count() const {
-  std::scoped_lock lock(mu_);
-  return metrics_.size();
-}
-
-std::size_t MetricRegistry::component_count() const {
-  std::scoped_lock lock(mu_);
-  return components_.size();
-}
-
-std::size_t MetricRegistry::series_count() const {
-  std::scoped_lock lock(mu_);
-  return series_.size();
-}
-
 std::vector<ComponentId> MetricRegistry::components_of_kind(
     ComponentKind kind) const {
-  std::scoped_lock lock(mu_);
   std::vector<ComponentId> out;
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (components_[i].kind == kind) {
-      out.push_back(ComponentId{static_cast<std::uint32_t>(i)});
+  const auto n = components_.size();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (components_.at(i).kind == kind) {
+      out.push_back(ComponentId{i});
     }
   }
   return out;
 }
 
 std::vector<ComponentId> MetricRegistry::children_of(ComponentId parent) const {
-  std::scoped_lock lock(mu_);
   std::vector<ComponentId> out;
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (components_[i].parent == parent) {
-      out.push_back(ComponentId{static_cast<std::uint32_t>(i)});
+  const auto n = components_.size();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (components_.at(i).parent == parent) {
+      out.push_back(ComponentId{i});
     }
   }
   return out;
 }
 
 std::string MetricRegistry::describe_all() const {
-  std::scoped_lock lock(mu_);
   std::ostringstream os;
-  for (const auto& m : metrics_) {
+  const auto n = metrics_.size();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto& m = metrics_.at(i);
     os << m.name << " [" << (m.units.empty() ? "-" : m.units) << "]"
        << (m.is_counter ? " (counter)" : "");
     if (m.priority != Priority::kStandard) {

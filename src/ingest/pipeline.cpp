@@ -46,22 +46,6 @@ IngestPipeline::IngestPipeline(ShardedTimeSeriesStore& store,
   }
 }
 
-core::Priority IngestPipeline::priority_of(core::SeriesId series) {
-  if (!config_.priority_of) return core::Priority::kStandard;
-  const auto idx = static_cast<std::size_t>(core::raw(series));
-  {
-    std::shared_lock lock(pri_mu_);
-    if (idx < pri_cache_.size() && pri_cache_[idx] != 255) {
-      return static_cast<core::Priority>(pri_cache_[idx]);
-    }
-  }
-  const auto pri = config_.priority_of(series);
-  std::unique_lock lock(pri_mu_);
-  if (idx >= pri_cache_.size()) pri_cache_.resize(idx + 1, 255);
-  pri_cache_[idx] = static_cast<std::uint8_t>(pri);
-  return pri;
-}
-
 bool IngestPipeline::admit_standard(core::SeriesId series) {
   const auto idx = static_cast<std::size_t>(core::raw(series));
   std::scoped_lock lock(stride_mu_);
@@ -86,13 +70,18 @@ std::size_t IngestPipeline::submit(const core::SampleBatch& batch) {
   // Partition by owning shard AND priority class, applying the degradation
   // mode's door policy per sample; each queued item then has one uniform
   // class, which keeps per-series ordering (a series has exactly one class)
-  // and lets eviction treat items wholesale.
+  // and lets eviction treat items wholesale. The first pass routes and
+  // counts; the second scatters into parts sized exactly, in batch order.
   constexpr std::size_t kClasses = core::kPriorityClasses;
-  std::vector<std::array<core::SampleBatch, kClasses>> parts(channels_.size());
+  constexpr std::uint32_t kShed = UINT32_MAX;
+  std::vector<std::uint32_t> part_of(batch.samples.size(), kShed);
+  std::vector<std::size_t> part_size(channels_.size() * kClasses, 0);
   std::array<std::size_t, kClasses> offered{};
   std::array<std::size_t, kClasses> shed{};
-  for (const auto& s : batch.samples) {
-    const auto pri = priority_of(s.series);
+  for (std::size_t i = 0; i < batch.samples.size(); ++i) {
+    const auto series = batch.samples[i].series;
+    const auto pri = config_.priority_of ? config_.priority_of(series)
+                                         : core::Priority::kStandard;
     const auto cls = static_cast<std::size_t>(pri);
     ++offered[cls];
     if (pri == core::Priority::kBulk &&
@@ -103,23 +92,30 @@ std::size_t IngestPipeline::submit(const core::SampleBatch& batch) {
     if (pri == core::Priority::kStandard) {
       if (mode == core::DegradationMode::kQuarantine ||
           (mode == core::DegradationMode::kSummarize &&
-           !admit_standard(s.series))) {
+           !admit_standard(series))) {
         ++shed[cls];
         continue;
       }
     }
-    parts[store_.shard_of(s.series)][cls].samples.push_back(s);
+    const auto part = store_.shard_of(series) * kClasses + cls;
+    part_of[i] = static_cast<std::uint32_t>(part);
+    ++part_size[part];
   }
   for (std::size_t c = 0; c < kClasses; ++c) {
     const auto pri = static_cast<core::Priority>(c);
     if (offered[c] > 0) metrics_.record_submit_class(pri, offered[c]);
     if (shed[c] > 0) metrics_.record_shed(pri, shed[c]);
   }
+  std::vector<std::vector<core::Sample>> parts(part_size.size());
+  for (std::size_t p = 0; p < parts.size(); ++p) parts[p].reserve(part_size[p]);
+  for (std::size_t i = 0; i < batch.samples.size(); ++i) {
+    if (part_of[i] != kShed) parts[part_of[i]].push_back(batch.samples[i]);
+  }
 
   std::size_t enqueued = 0;
-  for (std::size_t shard = 0; shard < parts.size(); ++shard) {
+  for (std::size_t shard = 0; shard < channels_.size(); ++shard) {
     for (std::size_t c = 0; c < kClasses; ++c) {
-      auto& samples = parts[shard][c].samples;
+      auto& samples = parts[shard * kClasses + c];
       if (samples.empty()) continue;
       const auto pri = static_cast<core::Priority>(c);
       PrioritizedBatch part;

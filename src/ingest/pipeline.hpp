@@ -41,7 +41,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -81,8 +80,9 @@ struct IngestConfig {
   /// Worker wake period while idle (bounds shutdown latency).
   int idle_poll_ms = 20;
   /// Priority lookup for a series (typically MetricRegistry::series_priority
-  /// via the owning stack). Unset => every sample is kStandard and the
-  /// priority machinery is inert (seed behavior).
+  /// via the owning stack, a lock-free read), called once per submitted
+  /// sample. Unset => every sample is kStandard and the priority machinery
+  /// is inert (seed behavior).
   std::function<core::Priority(core::SeriesId)> priority_of;
   /// In SUMMARIZE mode, admit every Nth standard-class sample per series
   /// (downsample-on-ingest); the rest are counted as voluntarily shed.
@@ -159,7 +159,6 @@ class IngestPipeline {
 
  private:
   void worker(std::size_t shard);
-  core::Priority priority_of(core::SeriesId series);
   bool admit_standard(core::SeriesId series);
 
   ShardedTimeSeriesStore& store_;
@@ -169,10 +168,6 @@ class IngestPipeline {
   std::vector<std::thread> workers_;
   std::atomic<std::int64_t> in_flight_{0};  // enqueued, not yet appended
   std::atomic<std::uint8_t> mode_{0};       // core::DegradationMode
-  // Priority lookups cache config_.priority_of results per series id so the
-  // hot path avoids the registry mutex: 255 = not yet cached.
-  mutable std::shared_mutex pri_mu_;
-  std::vector<std::uint8_t> pri_cache_;
   // SUMMARIZE-mode per-series admission counters (only touched in that mode,
   // so a plain mutex is fine).
   std::mutex stride_mu_;

@@ -30,12 +30,6 @@ bool read_u32(std::FILE* f, std::uint32_t& v) {
   return std::fread(&v, 4, 1, f) == 1;
 }
 
-TimePoint batch_max_time(const SampleBatch& batch) {
-  TimePoint t = batch.sweep_time;
-  for (const auto& s : batch.samples) t = std::max(t, s.time);
-  return t;
-}
-
 /// Scan one segment; `apply` may be empty (header-validation / max-time
 /// scans). Returns the newest sample time seen (INT64_MIN when none).
 TimePoint scan_segment(const std::string& path,
@@ -86,7 +80,7 @@ TimePoint scan_segment(const std::string& path,
     }
     ++stats.records;
     stats.samples += batch.value().size();
-    max_time = std::max(max_time, batch_max_time(batch.value()));
+    max_time = std::max(max_time, transport::sample_frame_max_time(frame));
     if (apply) apply(std::move(batch).take());
   }
   std::fclose(f);
@@ -179,8 +173,15 @@ void WriteAheadLog::seal_active() {
   sealed_.push_back(std::move(s));
 }
 
-core::Status WriteAheadLog::append(const SampleBatch& batch) {
-  if (batch.empty()) return Status::ok();
+core::Status WriteAheadLog::append(const transport::Frame& frame) {
+  // Validate in place; the record is the exact byte range decode_samples
+  // reads, so nothing is decoded or re-encoded on the publish path.
+  const auto extent = transport::sample_frame_bytes(frame);
+  if (!extent.is_ok()) return extent.status();
+  const std::size_t bytes = extent.value();
+  const std::size_t samples =
+      (bytes - transport::kSampleHeaderBytes) / transport::kSampleRecordBytes;
+  if (samples == 0) return Status::ok();
   if (dead_ || file_ == nullptr) {
     append_failures_.add();
     return Status::error("wal: log is poisoned");
@@ -205,12 +206,11 @@ core::Status WriteAheadLog::append(const SampleBatch& batch) {
         return Status::error("wal: injected short write (torn tail)");
     }
   }
-  const auto payload = transport::encode_samples(batch).payload;
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = core::crc32(payload.data(), payload.size());
+  const auto* payload = frame.payload.data();
+  const auto len = static_cast<std::uint32_t>(bytes);
+  const std::uint32_t crc = core::crc32(payload, bytes);
   const bool ok = write_u32(file_, len) && write_u32(file_, crc) &&
-                  std::fwrite(payload.data(), 1, payload.size(), file_) ==
-                      payload.size() &&
+                  std::fwrite(payload, 1, bytes, file_) == bytes &&
                   std::fflush(file_) == 0;
   if (!ok) {
     // A real short write leaves an undefined tail; poison the log so the
@@ -219,11 +219,12 @@ core::Status WriteAheadLog::append(const SampleBatch& batch) {
     append_failures_.add();
     return Status::error("wal: short write");
   }
-  file_bytes_ += 8 + payload.size();
-  active_max_time_ = std::max(active_max_time_, batch_max_time(batch));
+  file_bytes_ += 8 + bytes;
+  active_max_time_ =
+      std::max(active_max_time_, transport::sample_frame_max_time(frame));
   appended_records_.add();
-  appended_samples_.add(batch.size());
-  appended_bytes_.add(8 + payload.size());
+  appended_samples_.add(samples);
+  appended_bytes_.add(8 + bytes);
   if (file_bytes_ >= opts_.segment_bytes) {
     seal_active();
     if (!open_segment(active_index_ + 1).is_ok()) dead_ = true;

@@ -16,7 +16,9 @@
 //     record*: [u32 payload_len][u32 crc32(payload)][payload]
 //   payload = the binary transport codec's SampleBatch encoding
 //             (transport::encode_samples), so the WAL reuses the documented
-//             wire format instead of inventing a second one.
+//             wire format instead of inventing a second one. append() logs
+//             the bytes of the frame it is handed as they are; it never
+//             decodes or re-encodes them.
 //
 // Failure semantics on replay:
 //   * torn tail (partial trailing record, e.g. crash mid-write): tolerated —
@@ -44,6 +46,7 @@
 #include "core/sample.hpp"
 #include "obs/registry.hpp"
 #include "resilience/fault.hpp"
+#include "transport/codec.hpp"
 
 namespace hpcmon::resilience {
 
@@ -74,11 +77,16 @@ class WriteAheadLog {
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Append one batch as a CRC-framed record (empty batches are a no-op).
-  /// The record is flushed before returning. Errors (real or injected) are
-  /// counted; an injected short write leaves a torn tail and poisons the
-  /// log (subsequent appends fail), simulating a crash mid-record.
-  core::Status append(const core::SampleBatch& batch);
+  /// Append one sample frame as a CRC-framed record. The record's payload
+  /// is the frame's own bytes, not a re-encoding: the 16 + 20·count bytes
+  /// transport::decode_samples reads (trailing bytes are not logged). A
+  /// frame that is not kSamples, lacks its 16-byte header, or holds fewer
+  /// records than its count returns an error and writes nothing; a
+  /// zero-sample frame is a no-op. The record is flushed before returning.
+  /// Errors (real or injected) are counted; an injected short write leaves
+  /// a torn tail and poisons the log (subsequent appends fail), simulating
+  /// a crash mid-record.
+  core::Status append(const transport::Frame& frame);
 
   /// Flush the active segment's stdio buffer.
   core::Status sync();

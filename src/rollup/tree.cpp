@@ -64,16 +64,32 @@ void RollupTree::observe(std::size_t shard,
   std::scoped_lock lock(sh.mu);
   auto& pending = sh.pending[sh.epoch];
   auto& dirty = sh.dirty[sh.epoch];
+  // The fold reads local views of the route and cell tables, refreshed only
+  // on the rare paths that grow them (a series' first sample in this shard,
+  // a cell past the buffer's end), so the per-sample loop never reloads
+  // either table's bounds.
+  const std::uint32_t* route = sh.route.data();
+  std::size_t route_size = sh.route.size();
+  Pending* cells = pending.data();
+  std::size_t cell_count = pending.size();
   for (const auto& s : samples) {
     if (s.time == kNoTime) continue;  // the sentinel can't be represented
     const auto raw = core::raw(s.series);
-    if (raw >= sh.route.size()) sh.route.resize(raw + 1, kUnresolved);
-    std::uint32_t r = sh.route[raw];
-    if (r == kUnresolved) r = sh.route[raw] = resolve_route(s.series);
+    std::uint32_t r = raw < route_size ? route[raw] : kUnresolved;
+    if (r == kUnresolved) {
+      if (raw >= sh.route.size()) sh.route.resize(raw + 1, kUnresolved);
+      r = sh.route[raw] = resolve_route(s.series);
+      route = sh.route.data();
+      route_size = sh.route.size();
+    }
     if (r == kIgnored) continue;
     const std::uint32_t cell = r - 2;
-    if (cell >= pending.size()) pending.resize(cell + 1);
-    Pending& p = pending[cell];
+    if (cell >= cell_count) {
+      pending.resize(cell + 1);
+      cells = pending.data();
+      cell_count = pending.size();
+    }
+    Pending& p = cells[cell];
     if (p.t == kNoTime) {
       p.t = s.time;
       p.v = s.value;

@@ -22,21 +22,28 @@ namespace hpcmon::serve {
 
 namespace {
 
-/// StageTimer-style RAII span into a serve histogram (the serve tier has
-/// its own request/fanout stages rather than widening the pipeline enum).
 std::int64_t steady_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-class Span {
+}  // namespace
+
+/// StageTimer-style span into a serve histogram (the serve tier has its own
+/// request/fanout stages rather than widening the pipeline enum). Records
+/// once: at finish(), or at destruction if never finished.
+class ServeServer::Span {
  public:
   explicit Span(obs::Histogram& hist)
       : hist_(hist), t0_(std::chrono::steady_clock::now()) {}
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
-  ~Span() {
+  ~Span() { finish(); }
+
+  void finish() {
+    if (done_) return;
+    done_ = true;
     hist_.record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - t0_)
@@ -46,9 +53,8 @@ class Span {
  private:
   obs::Histogram& hist_;
   std::chrono::steady_clock::time_point t0_;
+  bool done_ = false;
 };
-
-}  // namespace
 
 ServeServer::Connection::~Connection() {
   if (fd >= 0) ::close(fd);
@@ -417,6 +423,9 @@ void ServeServer::sweep_closed() {
 void ServeServer::reply(const std::shared_ptr<Connection>& conn, MsgType type,
                         std::uint32_t request_id,
                         const std::vector<std::uint8_t>& body) {
+  // The request's latency is recorded before its reply is queued, so a
+  // client holding the reply also sees the request in serve.request_us.
+  if (request_span_ != nullptr) request_span_->finish();
   std::vector<std::uint8_t> bytes;
   append_wire_frame(bytes, type, request_id, body);
   conn->egress.push_response(std::move(bytes));
@@ -433,6 +442,13 @@ void ServeServer::reply_error(const std::shared_ptr<Connection>& conn,
 void ServeServer::handle_frame(const std::shared_ptr<Connection>& conn,
                                const WireFrame& frame) {
   Span span(request_us_);
+  request_span_ = &span;
+  dispatch_frame(conn, frame);
+  request_span_ = nullptr;
+}
+
+void ServeServer::dispatch_frame(const std::shared_ptr<Connection>& conn,
+                                 const WireFrame& frame) {
   requests_.add();
   conn->requests.fetch_add(1, std::memory_order_relaxed);
   const auto id = frame.request_id;
@@ -737,8 +753,7 @@ void ServeServer::handle_relay_append(const std::shared_ptr<Connection>& conn,
       reply_error(conn, frame.request_id, "bad relay payload");
       return;
     }
-    const std::size_t applied =
-        hooks_.relay_apply(decoded.value(), req.priority);
+    const std::size_t applied = hooks_.relay_apply(f, decoded.value());
     src.applied_above.insert(req.seq);
     while (src.applied_above.erase(src.watermark + 1) != 0) ++src.watermark;
     ack.applied = true;
@@ -809,16 +824,6 @@ std::size_t ServeServer::publish_batch(const core::SampleBatch& batch) {
   std::lock_guard<std::mutex> lock(subs_mu_);
   if (subs_.empty()) return 0;
   Span span(delta_fanout_us_);
-  // Resolve (and memoize) each sample's priority class once per batch.
-  const auto priority_of = [this](core::SeriesId id) {
-    const auto idx = static_cast<std::size_t>(core::raw(id));
-    if (idx >= pri_cache_.size()) pri_cache_.resize(idx + 1, 255);
-    if (pri_cache_[idx] == 255) {
-      pri_cache_[idx] =
-          static_cast<std::uint8_t>(hooks_.registry->series_priority(id));
-    }
-    return static_cast<core::Priority>(pri_cache_[idx]);
-  };
   std::size_t enqueued = 0;
   for (auto& sub : subs_) {
     if (sub.conn->closed) continue;
@@ -828,7 +833,8 @@ std::size_t ServeServer::publish_batch(const core::SampleBatch& batch) {
     bool any = false;
     for (const auto& s : batch.samples) {
       if (!sub_matches(sub, s.series)) continue;
-      auto& cls = by_class[static_cast<std::size_t>(priority_of(s.series))];
+      auto& cls = by_class[static_cast<std::size_t>(
+          hooks_.registry->series_priority(s.series))];
       cls.samples.push_back(s);
       cls.sweep_time = batch.sweep_time;
       any = true;

@@ -57,6 +57,7 @@
 #include "serve/protocol.hpp"
 #include "serve/wire.hpp"
 #include "store/summary.hpp"
+#include "transport/codec.hpp"
 
 namespace hpcmon::serve {
 
@@ -116,10 +117,11 @@ struct ServeHooks {
   std::function<bool()> wal_rotate;
   /// Relay ingest apply (required for kRelayAppend; without it relay
   /// requests answer kError). Called exactly once per novel (source_id,
-  /// seq) with the decoded batch and its priority class; must be durable
-  /// by the time it returns (the ack promises the client it may forget).
+  /// seq) with the wire payload as a kSamples frame (its priority class in
+  /// `frame.priority`) and the batch decoded from it; must be durable by
+  /// the time it returns (the ack promises the client it may forget).
   /// Returns the number of samples applied.
-  std::function<std::size_t(const core::SampleBatch&, core::Priority)>
+  std::function<std::size_t(const transport::Frame&, const core::SampleBatch&)>
       relay_apply;
   /// Rollup level read by NAME (required for kRollupQuery / kRollupSub;
   /// absent => kError). The host answers from its RollupTree's current
@@ -270,6 +272,8 @@ class ServeServer {
     rollup::RollupStat last;
   };
 
+  class Span;
+
   void reactor_loop();
   void writer_loop(std::size_t writer_index);
   void accept_ready();
@@ -281,8 +285,11 @@ class ServeServer {
   void wake_reactor();
 
   void reap_idle();
+  /// Times one request into serve.request_us around dispatch_frame().
   void handle_frame(const std::shared_ptr<Connection>& conn,
                     const WireFrame& frame);
+  void dispatch_frame(const std::shared_ptr<Connection>& conn,
+                      const WireFrame& frame);
   void handle_relay_append(const std::shared_ptr<Connection>& conn,
                            const WireFrame& frame);
   void reply(const std::shared_ptr<Connection>& conn, MsgType type,
@@ -333,9 +340,9 @@ class ServeServer {
   std::vector<RollupSub> rollup_subs_;  // guarded by subs_mu_
   std::atomic<std::size_t> rollup_sub_count_{0};
   std::uint32_t next_sub_id_ = 1;
-  /// Memoized priority class per raw SeriesId (255 unknown); guarded by
-  /// subs_mu_ (publish_batch holds it while fanning out).
-  std::vector<std::uint8_t> pri_cache_;
+  /// The request handle_frame() is timing (reactor thread only); reply()
+  /// finishes it before queuing the response.
+  Span* request_span_ = nullptr;
 
   // serve.* instruments (server-owned; see attach_to).
   obs::Counter connections_total_;

@@ -221,8 +221,8 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   if (opts.ingest_shards > 0) {
     ingest::IngestConfig ic = opts.ingest;
     ic.stages = &stages_;
-    // Priority-aware shedding: the pipeline resolves (and caches) each
-    // series' class from the registry, so bulk drops first and critical is
+    // Priority-aware shedding: the pipeline reads each series' class from
+    // the registry (a lock-free read), so bulk drops first and critical is
     // never dropped.
     ic.priority_of = [this](core::SeriesId id) {
       return cluster_.registry().series_priority(id);
@@ -344,11 +344,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     wal_ = std::make_unique<resilience::WriteAheadLog>(wo);
     wal_->attach_to(obs_);
     resilience::ReliableDelivery::DeliverFn append_fn =
-        [this](const transport::Frame& f) {
-          auto batch = transport::decode_samples(f);
-          if (!batch.is_ok()) return batch.status();
-          return wal_->append(batch.value());
-        };
+        [this](const transport::Frame& f) { return wal_->append(f); };
     if (chaos_ != nullptr) {
       append_fn = resilience::faulty_deliver(std::move(append_fn), *chaos_);
     }
@@ -508,16 +504,13 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     }
     // Aggregator ingest for relayed batches: the server dedupes by
     // (source, seq) before calling this, so the hook applies each novel
-    // batch through the SAME pathway local samples take — WAL first, then
-    // the numeric store, then the live-subscription fan-out.
+    // batch through the SAME pathway local samples take — WAL first (the
+    // wire payload as received, never re-encoded), then the numeric store,
+    // then the live-subscription fan-out.
     // Detector/rule analysis stays node-side (it already ran there).
-    hooks.relay_apply = [this](const core::SampleBatch& batch,
-                               core::Priority priority) -> std::size_t {
-      if (wal_delivery_) {
-        auto frame = transport::encode_samples(batch);
-        frame.priority = priority;
-        wal_delivery_->deliver(frame);
-      }
+    hooks.relay_apply = [this](const transport::Frame& frame,
+                               const core::SampleBatch& batch) -> std::size_t {
+      if (wal_delivery_) wal_delivery_->deliver(frame);
       const std::size_t applied = store_batch(batch);
       if (serve_) serve_->publish_batch(batch);
       return applied;

@@ -15,37 +15,82 @@ using core::SampleBatch;
 Frame encode_samples(const SampleBatch& batch) {
   Frame f;
   f.type = FrameType::kSamples;
-  ByteWriter w(f.payload);
-  w.i64(batch.sweep_time);
-  w.u32(core::raw(batch.origin));
-  w.u32(static_cast<std::uint32_t>(batch.samples.size()));
+  const auto count = static_cast<std::uint32_t>(batch.samples.size());
+  // Fixed-width layout: size the payload once and fill it in place.
+  f.payload.resize(kSampleHeaderBytes + kSampleRecordBytes * count);
+  auto* p = f.payload.data();
+  const auto put = [&p](const auto& v) {
+    std::memcpy(p, &v, sizeof(v));
+    p += sizeof(v);
+  };
+  put(batch.sweep_time);
+  put(core::raw(batch.origin));
+  put(count);
   for (const auto& s : batch.samples) {
-    w.u32(core::raw(s.series));
-    w.i64(s.time);
-    w.f64(s.value);
+    put(core::raw(s.series));
+    put(s.time);
+    put(s.value);
   }
   return f;
 }
 
-Result<SampleBatch> decode_samples(const Frame& frame) {
+Result<std::size_t> sample_frame_bytes(const Frame& frame) {
   if (frame.type != FrameType::kSamples) {
-    return Result<SampleBatch>::error("frame is not a sample batch");
+    return Result<std::size_t>::error("frame is not a sample batch");
   }
-  ByteReader r(frame.payload);
+  if (frame.payload.size() < kSampleHeaderBytes) {
+    return Result<std::size_t>::error("truncated sample frame header");
+  }
+  std::uint32_t count = 0;
+  std::memcpy(&count, frame.payload.data() + kSampleCountOffset, 4);
+  const std::size_t bytes =
+      kSampleHeaderBytes + kSampleRecordBytes * static_cast<std::size_t>(count);
+  if (frame.payload.size() < bytes) {
+    return Result<std::size_t>::error("truncated sample frame body");
+  }
+  return bytes;
+}
+
+core::TimePoint sample_frame_max_time(const Frame& frame) {
+  const auto* p = frame.payload.data();
+  core::TimePoint newest = 0;
+  std::uint32_t count = 0;
+  std::memcpy(&newest, p, 8);
+  std::memcpy(&count, p + kSampleCountOffset, 4);
+  // Strided read of each record's time field (series u32, then time i64).
+  for (const auto* t = p + kSampleHeaderBytes + 4;
+       count > 0; --count, t += kSampleRecordBytes) {
+    core::TimePoint time = 0;
+    std::memcpy(&time, t, 8);
+    newest = std::max(newest, time);
+  }
+  return newest;
+}
+
+Result<SampleBatch> decode_samples(const Frame& frame) {
+  // Validate first: a header's count sizes the batch only once the body is
+  // known to hold every record it counts (the payload may come off a socket).
+  const auto bytes = sample_frame_bytes(frame);
+  if (!bytes.is_ok()) return bytes.status();
+  const auto* p = frame.payload.data();
+  const auto get = [&p](auto& v) {
+    std::memcpy(&v, p, sizeof(v));
+    p += sizeof(v);
+  };
   SampleBatch batch;
   std::uint32_t origin = 0;
   std::uint32_t count = 0;
-  if (!r.i64(batch.sweep_time) || !r.u32(origin) || !r.u32(count)) {
-    return Result<SampleBatch>::error("truncated sample frame header");
-  }
+  get(batch.sweep_time);
+  get(origin);
+  get(count);
   batch.origin = core::ComponentId{origin};
   batch.samples.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     Sample s;
     std::uint32_t series = 0;
-    if (!r.u32(series) || !r.i64(s.time) || !r.f64(s.value)) {
-      return Result<SampleBatch>::error("truncated sample frame body");
-    }
+    get(series);
+    get(s.time);
+    get(s.value);
     s.series = core::SeriesId{series};
     batch.samples.push_back(s);
   }

@@ -107,8 +107,24 @@ class ByteReader {
 
 // -- Binary codec (lossless, documented) -------------------------------------
 
+// Sample frame layout: a 16-byte header [i64 sweep_time][u32 origin]
+// [u32 count], then `count` 20-byte records [u32 series][i64 time][f64 value].
+inline constexpr std::size_t kSampleHeaderBytes = 16;
+inline constexpr std::size_t kSampleCountOffset = 12;
+inline constexpr std::size_t kSampleRecordBytes = 20;
+
 Frame encode_samples(const core::SampleBatch& batch);
 core::Result<core::SampleBatch> decode_samples(const Frame& frame);
+
+/// Validate a sample frame without decoding it: the type is kSamples, the
+/// header is present, and the payload holds every record the header counts.
+/// Returns the number of payload bytes decode_samples reads (16 + 20·count);
+/// trailing bytes past them are not part of the batch.
+core::Result<std::size_t> sample_frame_bytes(const Frame& frame);
+
+/// Newest time in a frame sample_frame_bytes accepted: the max of the sweep
+/// time and every sample time, read in place.
+core::TimePoint sample_frame_max_time(const Frame& frame);
 
 Frame encode_logs(const std::vector<core::LogEvent>& events);
 core::Result<std::vector<core::LogEvent>> decode_logs(const Frame& frame);

@@ -87,6 +87,27 @@ TEST(DetectorBankTest, MultipleWatchesOnOneMetric) {
   EXPECT_EQ(hot[0].watch_name, "crit");
 }
 
+TEST(DetectorBankTest, AnomaliesFollowSampleThenWatchOrder) {
+  // Watches on two metrics, registered interleaved: each sample's anomalies
+  // come in registration order, and samples in batch order.
+  BankFixture f;
+  f.bank.watch("a1", "a", above_factory(1.0));
+  f.bank.watch("b1", "b", above_factory(1.0));
+  f.bank.watch("a2", "a", above_factory(2.0));
+  SampleBatch b;
+  b.samples.push_back({f.reg.series("b", f.c0), 1, 5.0});
+  b.samples.push_back({f.reg.series("a", f.c0), 1, 5.0});
+  b.samples.push_back({f.reg.series("a", f.c1), 1, 5.0});
+  const auto out = f.bank.process(b);
+  ASSERT_EQ(out.size(), 5u);
+  const std::vector<std::pair<std::string, ComponentId>> want = {
+      {"b1", f.c0}, {"a1", f.c0}, {"a2", f.c0}, {"a1", f.c1}, {"a2", f.c1}};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(out[i].watch_name, want[i].first) << i;
+    EXPECT_EQ(out[i].component, want[i].second) << i;
+  }
+}
+
 TEST(DetectorBankTest, UnwatchedMetricsIgnoredCheaply) {
   BankFixture f;
   f.bank.watch("w", "watched", above_factory(1.0));

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace hpcmon::core {
 namespace {
@@ -90,6 +93,82 @@ TEST(RegistryTest, ConcurrentInterningIsSafe) {
   for (auto& t : threads) t.join();
   for (int i = 1; i < 8; ++i) EXPECT_EQ(results[i], results[0]);
   EXPECT_EQ(reg.series_count(), 1u);
+}
+
+TEST(RegistryTest, SeriesRecordsCarryPriorityAndRejectUnknownIds) {
+  MetricRegistry reg;
+  const auto hot = reg.register_metric(
+      {"node.up", "", "", false, Priority::kCritical});
+  const auto bulk = reg.register_metric(
+      {"hsn.link.bytes", "", "", true, Priority::kBulk});
+  // 300 series cross the first two chunk boundaries (64 and 192 entries).
+  std::vector<SeriesId> ids;
+  for (int i = 0; i < 300; ++i) {
+    const auto c = reg.register_component(
+        {"n" + std::to_string(i), ComponentKind::kNode, kNoComponent});
+    ids.push_back(reg.series(i % 2 == 0 ? hot : bulk, c));
+  }
+  for (int i = 0; i < 300; ++i) {
+    const auto id = ids[static_cast<std::size_t>(i)];
+    EXPECT_EQ(raw(id), static_cast<std::uint32_t>(i));
+    EXPECT_EQ(reg.series_metric(id), i % 2 == 0 ? hot : bulk);
+    EXPECT_EQ(reg.series_component(id),
+              ComponentId{static_cast<std::uint32_t>(i)});
+    EXPECT_EQ(reg.series_priority(id),
+              i % 2 == 0 ? Priority::kCritical : Priority::kBulk);
+  }
+  EXPECT_EQ(reg.series_name(ids[299]), "hsn.link.bytes@n299");
+  const SeriesId unknown{300};
+  EXPECT_THROW(reg.series_metric(unknown), std::out_of_range);
+  EXPECT_THROW(reg.series_component(unknown), std::out_of_range);
+  EXPECT_THROW(reg.series_priority(unknown), std::out_of_range);
+  EXPECT_THROW(reg.series_name(unknown), std::out_of_range);
+  EXPECT_THROW(reg.metric(2), std::out_of_range);
+  EXPECT_THROW(reg.component(ComponentId{300}), std::out_of_range);
+}
+
+TEST(RegistryTest, LockFreeReadsRaceInterning) {
+  // The obs exporter interns hpcmon.self.* series while shard workers,
+  // serve and relay read series records without the lock: every id below
+  // series_count() must read back complete, whatever the writer is doing.
+  MetricRegistry reg;
+  constexpr std::uint32_t kMetrics = 7;
+  constexpr std::uint32_t kSeries = 5000;
+  for (std::uint32_t m = 0; m < kMetrics; ++m) {
+    reg.register_metric({"m" + std::to_string(m), "", "", false,
+                         static_cast<Priority>(m % kPriorityClasses)});
+  }
+  std::atomic<std::uint64_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      std::size_t checked = 0;
+      while (checked < kSeries) {
+        const auto n = reg.series_count();
+        for (; checked < n; ++checked) {
+          const SeriesId id{static_cast<std::uint32_t>(checked)};
+          const auto m = static_cast<std::uint32_t>(checked % kMetrics);
+          const bool ok =
+              reg.series_metric(id) == m &&
+              reg.series_component(id) == ComponentId{raw(id)} &&
+              reg.series_priority(id) ==
+                  static_cast<Priority>(m % kPriorityClasses) &&
+              reg.series_name(id) == "m" + std::to_string(m) + "@c" +
+                                         std::to_string(checked) &&
+              reg.metric(m).name == "m" + std::to_string(m);
+          if (!ok) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::uint32_t i = 0; i < kSeries; ++i) {
+    const auto c = reg.register_component(
+        {"c" + std::to_string(i), ComponentKind::kNode, kNoComponent});
+    reg.series(i % kMetrics, c);
+  }
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(reg.series_count(), kSeries);
 }
 
 }  // namespace

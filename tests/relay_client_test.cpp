@@ -34,7 +34,8 @@ struct Upstream {
 
   explicit Upstream(serve::ServeConfig config = {}) {
     serve::ServeHooks hooks;
-    hooks.relay_apply = [this](const core::SampleBatch& b, core::Priority) {
+    hooks.relay_apply = [this](const transport::Frame&,
+                               const core::SampleBatch& b) {
       ++applies;
       const auto n = store.append_batch(b.samples);
       applied_samples += n;

@@ -28,7 +28,8 @@ struct Upstream {
     serve::ServeConfig sc;
     sc.socket_faults = faults;
     serve::ServeHooks hooks;
-    hooks.relay_apply = [this](const core::SampleBatch& b, core::Priority) {
+    hooks.relay_apply = [this](const transport::Frame&,
+                               const core::SampleBatch& b) {
       ++applies;
       return store.append_batch(b.samples);
     };

@@ -1,6 +1,7 @@
 // Codec (binary round-trip, lossy text path), EventRouter, Bus, Channel.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 
 #include "core/registry.hpp"
@@ -73,6 +74,19 @@ TEST(CodecTest, DecodeRejectsWrongTypeAndTruncation) {
   Frame empty;
   empty.type = FrameType::kSamples;
   EXPECT_FALSE(decode_samples(empty).is_ok());
+}
+
+TEST(CodecTest, DecodeRejectsHugeCountBeforeSizingTheBatch) {
+  // A header claiming 2^32-1 records over a three-record body: decoding must
+  // fail on the body length, not try to reserve ~100 GB for the samples.
+  Frame frame = encode_samples(SampleBatch{});
+  ASSERT_EQ(frame.payload.size(), kSampleHeaderBytes);
+  const std::uint32_t huge = 0xFFFFFFFFu;
+  std::memcpy(frame.payload.data() + kSampleCountOffset, &huge, sizeof(huge));
+  frame.payload.resize(kSampleHeaderBytes + 3 * kSampleRecordBytes);
+  const auto decoded = decode_samples(frame);
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.message(), "truncated sample frame body");
 }
 
 TEST(CodecTest, TextPathIsLossyExactlyAsThePaperWarns) {
