@@ -185,7 +185,9 @@ int main() {
     // aged history from the tier files alone.
     store::TierStore reopened(opts);
     const bool reopened_ok = reopened.open().is_ok();
-    const auto cold = reopened.query_range(sid, {0, now});
+    const auto cold =
+        store::TierSpanView<store::TimeSeriesStore>(&reopened, nullptr)
+            .query_range(sid, {0, now});
     row("Storage", "hierarchical tiers with locate-and-reload",
         reopened_ok && !cold.empty() && cold.size() <= raw.size() &&
             std::equal(cold.begin(), cold.end(), raw.begin()),

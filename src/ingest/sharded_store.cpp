@@ -129,14 +129,6 @@ ShardedTimeSeriesStore::downsample_many(const std::vector<core::SeriesId>& ids,
   return out;
 }
 
-std::size_t ShardedTimeSeriesStore::evict_before(
-    core::TimePoint cutoff,
-    const std::function<void(core::SeriesId, store::Chunk&&)>& sink) {
-  std::size_t evicted = 0;
-  for (auto& shard : shards_) evicted += shard->evict_before(cutoff, sink);
-  return evicted;
-}
-
 store::StoreStats ShardedTimeSeriesStore::stats() const {
   store::StoreStats merged;
   for (const auto& shard : shards_) {

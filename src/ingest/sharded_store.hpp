@@ -6,7 +6,7 @@
 // TimeSeriesStore serializes every append behind one global mutex. Sharding
 // partitions both the data and the lock: a series lives in exactly one
 // shard, so per-series operations route to that shard's store (and its
-// mutex), while whole-store operations (stats, eviction) scatter-gather
+// mutex), while whole-store operations (stats, fan-out reads) scatter-gather
 // across shards. The result is a drop-in superset of TimeSeriesStore: same
 // API, identical per-series query results, plus shard-level concurrency for
 // the ingest tier (pipeline.hpp) to exploit.
@@ -23,7 +23,8 @@
 
 namespace hpcmon::ingest {
 
-class ShardedTimeSeriesStore {
+class ShardedTimeSeriesStore
+    : public store::SliceReads<ShardedTimeSeriesStore> {
  public:
   /// `shards` must be >= 1; `chunk_points` is forwarded to every shard.
   explicit ShardedTimeSeriesStore(std::size_t shards = 4,
@@ -69,28 +70,13 @@ class ShardedTimeSeriesStore {
     return accepted;
   }
 
-  std::vector<core::TimedValue> query_range(core::SeriesId series,
-                                            const core::TimeRange& range) const {
-    return shards_[shard_of(series)]->query_range(series, range);
+  // query_range / aggregate / downsample / scan: store::SliceReads over the
+  // owning shard's snapshot.
+  void snapshot(core::SeriesId series, store::SliceFold& fold) const {
+    shards_[shard_of(series)]->snapshot(series, fold);
   }
   std::optional<core::TimedValue> latest(core::SeriesId series) const {
     return shards_[shard_of(series)]->latest(series);
-  }
-  std::optional<double> aggregate(core::SeriesId series,
-                                  const core::TimeRange& range,
-                                  store::Agg agg) const {
-    return shards_[shard_of(series)]->aggregate(series, range, agg);
-  }
-  std::vector<core::TimedValue> downsample(core::SeriesId series,
-                                           const core::TimeRange& range,
-                                           core::Duration bucket,
-                                           store::Agg agg) const {
-    return shards_[shard_of(series)]->downsample(series, range, bucket, agg);
-  }
-  std::size_t scan(core::SeriesId series, const core::TimeRange& range,
-                   const std::function<bool(const core::TimedValue&)>& visit)
-      const {
-    return shards_[shard_of(series)]->scan(series, range, visit);
   }
   bool has_series(core::SeriesId series) const {
     return shards_[shard_of(series)]->has_series(series);
@@ -108,10 +94,6 @@ class ShardedTimeSeriesStore {
       const std::vector<core::SeriesId>& ids, const core::TimeRange& range,
       core::Duration bucket, store::Agg agg) const;
 
-  /// Evict sealed chunks older than `cutoff` from every shard; total count.
-  std::size_t evict_before(core::TimePoint cutoff,
-                           const std::function<void(core::SeriesId,
-                                                    store::Chunk&&)>& sink);
   /// Merged stats across shards (series are disjoint, so sums are exact).
   store::StoreStats stats() const;
 

@@ -133,7 +133,9 @@ struct ServeHooks {
 };
 
 /// Bind the five query hooks to any store exposing the common read API
-/// (TimeSeriesStore, ShardedTimeSeriesStore, TierSpanView...).
+/// (TimeSeriesStore, ShardedTimeSeriesStore, TierSpanView...). The stack
+/// binds a TierSpanView, which reads the hot store alone without a tier
+/// ladder; every one of them answers through the same fold.
 template <typename Store>
 void bind_query_hooks(ServeHooks& hooks, Store& store) {
   hooks.query_range = [&store](core::SeriesId id, const core::TimeRange& r) {

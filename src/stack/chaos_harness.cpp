@@ -214,18 +214,13 @@ ChaosReport run_chaos(
     report.returned_to_normal = d->mode() == core::DegradationMode::kNormal;
   }
   // Byte-completeness spans the tier ladder: heartbeats compacted out of the
-  // hot store before a crash live in tier files, and the span view merges
-  // both sides (hot wins exact-timestamp duplicates).
+  // hot store before a crash live in tier files, and the span view reads
+  // both sides (the hot store alone when the stack has no ladder).
   const core::TimeRange hb_window{0, cluster.now() + core::kHour};
-  if (stack->tiers() != nullptr) {
-    const store::TierSpanView<ingest::ShardedTimeSeriesStore> span(
-        stack->tiers(), stack->sharded_store());
-    report.heartbeats_stored =
-        static_cast<std::uint64_t>(span.query_range(hb_series, hb_window).size());
-  } else {
-    report.heartbeats_stored = static_cast<std::uint64_t>(
-        stack->sharded_store()->query_range(hb_series, hb_window).size());
-  }
+  const store::TierSpanView<ingest::ShardedTimeSeriesStore> span(
+      stack->tiers(), stack->sharded_store());
+  report.heartbeats_stored =
+      static_cast<std::uint64_t>(span.query_range(hb_series, hb_window).size());
 
   // Invariants, in the order an operator would triage them.
   if (!report.shutdown_clean) {

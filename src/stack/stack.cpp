@@ -277,9 +277,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     for (std::size_t i = 0; i < sharded_.shard_count(); ++i) {
       shards.push_back(&sharded_.shard(i));
     }
-    span_ = std::make_unique<
-        store::TierSpanView<ingest::ShardedTimeSeriesStore>>(tiers_.get(),
-                                                             &sharded_);
+    span_ = {tiers_.get(), &sharded_};
     store::CompactorOptions co = opts.compactor;
     co.priority_of = [this](core::SeriesId id) {
       return cluster_.registry().series_priority(id);
@@ -457,15 +455,10 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     serve::ServeConfig sc = opts.serve;
     sc.socket_faults = chaos_;
     serve::ServeHooks hooks;
-    // Queries answer from the numeric store — the exact object in-process
-    // callers read, so results are byte-identical. With a tier ladder
-    // configured, the span view answers instead: dashboards reach back
-    // through every resolution tier without knowing tiers exist.
-    if (span_) {
-      serve::bind_query_hooks(hooks, *span_);
-    } else {
-      serve::bind_query_hooks(hooks, sharded_);
-    }
+    // Queries answer through the span view: the hot store alone without a
+    // tier ladder, byte-identical to what in-process callers read, and
+    // with one, back through every resolution tier.
+    serve::bind_query_hooks(hooks, span_);
     hooks.registry = &cluster_.registry();
     hooks.status = [this] { return status(); };
     hooks.set_mode = [this](std::optional<core::DegradationMode> mode) {

@@ -321,12 +321,13 @@ class MonitoringStack {
                                                             // collection_
   std::unique_ptr<resilience::DegradationController> degradation_;
   // Tiered retention: the durable tier ladder, the compactor that drives
-  // it, the breaker that guards its I/O, and the merged read view the
-  // serving tier binds. Declared after the store they reference.
+  // it, the breaker that guards its I/O, and the read view the serving tier
+  // binds (the hot store alone until a ladder opens). Declared after the
+  // store they reference.
   std::unique_ptr<store::TierStore> tiers_;
   std::unique_ptr<store::Compactor> compactor_;
   std::unique_ptr<resilience::CircuitBreaker> compact_breaker_;
-  std::unique_ptr<store::TierSpanView<ingest::ShardedTimeSeriesStore>> span_;
+  store::TierSpanView<ingest::ShardedTimeSeriesStore> span_{nullptr, &sharded_};
   // Declared after the stores/ingest tier: destroyed first, so the serve
   // threads stop answering before the data they serve is torn down.
   std::unique_ptr<serve::ServeServer> serve_;

@@ -57,11 +57,6 @@ class Chunk {
   bool overlaps(const core::TimeRange& range) const {
     return !range.empty() && min_time_ < range.end && range.begin <= max_time_;
   }
-  /// True when every point of this chunk lies inside [range.begin, range.end)
-  /// — the summary alone can then answer aggregates over it.
-  bool covered_by(const core::TimeRange& range) const {
-    return count_ > 0 && range.begin <= min_time_ && max_time_ < range.end;
-  }
 
  private:
   std::vector<std::uint8_t> bytes_;

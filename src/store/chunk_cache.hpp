@@ -4,7 +4,7 @@
 // lists dashboards, detectors, and response hooks all reading concurrently),
 // so the same sealed chunks get decoded over and over. Entries are keyed by
 // the chunk's generation id — unique per compressed chunk for the process
-// lifetime — so eviction (evict_before) invalidates precisely and a recycled
+// lifetime — so eviction (evict_chunks) invalidates precisely and a recycled
 // slot can never serve stale points. Decoded vectors are handed out as
 // shared_ptr: a hit is a refcount bump, and readers keep their snapshot even
 // if the entry is evicted mid-query.

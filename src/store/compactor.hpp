@@ -7,8 +7,9 @@
 //      one raw tier-0 file per priority class; ONE commit record covers all
 //      of them plus the new eviction watermark, and only after that commit
 //      are the exact snapshot chunks evicted from the hot shards (publish
-//      before evict: a transient duplicate beats a transient gap, and the
-//      span view dedups exact-timestamp collisions in favor of hot).
+//      before evict: a transient duplicate beats a transient gap). A reader
+//      snapshots hot before cold, so it sees an in-flight chunk once or
+//      twice, never zero times; the fold (fold.hpp) collapses the twice.
 //   B. Aging — tier-k files past their class's retention are decoded,
 //      re-bucketed at tier k+1's resolution, and replaced by one file per
 //      (tier, class) in a single intent/commit transaction; the index

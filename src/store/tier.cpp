@@ -11,7 +11,6 @@
 #include <map>
 
 #include "core/crc32.hpp"
-#include "store/cursor.hpp"
 
 namespace hpcmon::store {
 namespace fs = std::filesystem;
@@ -79,12 +78,6 @@ struct Reader {
   std::int64_t i64() { std::int64_t v = 0; get(&v, 8); return v; }
   double f64() { double v = 0; get(&v, 8); return v; }
 };
-
-core::TimePoint bucket_start(core::TimePoint t, core::Duration b) {
-  auto q = t / b;
-  if (t % b < 0) --q;
-  return q * b;
-}
 
 }  // namespace
 
@@ -160,25 +153,6 @@ Result<std::shared_ptr<const TierFile>> TierFile::load(std::string path) {
   file->path_ = std::move(path);
   file->bytes_ = buf.size();
   return R(std::shared_ptr<const TierFile>(std::move(file)));
-}
-
-std::vector<const TierEntry*> TierFile::find(core::SeriesId series,
-                                             const core::TimeRange& range)
-    const {
-  std::vector<const TierEntry*> out;
-  if (range.begin >= range.end) return out;
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), series,
-      [](const TierEntry& e, core::SeriesId s) {
-        return core::raw(e.series) < core::raw(s);
-      });
-  for (; it != entries_.end() && core::raw(it->series) == core::raw(series);
-       ++it) {
-    if (it->min_time < range.end && range.begin <= it->max_time) {
-      out.push_back(&*it);
-    }
-  }
-  return out;
 }
 
 Result<Chunk> TierFile::load_chunk(const TierEntry& e) const {
@@ -897,166 +871,26 @@ Status TierStore::maintain() {
 
 // ------------------------------------------------------------- read path
 
-std::vector<std::pair<std::shared_ptr<const TierFile>, const TierEntry*>>
-TierStore::entries_for(core::SeriesId series,
-                       const core::TimeRange& range) const {
-  std::vector<std::pair<std::shared_ptr<const TierFile>, const TierEntry*>>
-      out;
-  {
-    std::scoped_lock lock(mu_);
-    for (const auto& tier : files_) {
-      for (const auto& f : tier) {
-        for (const auto* e : f->find(series, range)) {
-          out.emplace_back(f, e);
+void TierStore::snapshot(core::SeriesId series, SliceFold& fold) const {
+  fold.set_cold(this);
+  const auto& range = fold.range();
+  if (range.empty()) return;
+  std::scoped_lock lock(mu_);
+  for (const auto& tier : files_) {
+    for (const auto& f : tier) {
+      // The index is sorted by (series, min_time).
+      const auto& idx = f->entries();
+      auto e = std::lower_bound(idx.begin(), idx.end(), core::raw(series),
+                                [](const TierEntry& x, std::uint32_t s) {
+                                  return core::raw(x.series) < s;
+                                });
+      for (; e != idx.end() && e->series == series; ++e) {
+        if (e->min_time < range.end && range.begin <= e->max_time) {
+          fold.add_entry(f, *e);
         }
       }
     }
   }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.second->min_time != b.second->min_time) {
-      return a.second->min_time < b.second->min_time;
-    }
-    return a.second->payload_crc < b.second->payload_crc;
-  });
-  // A crash between a commit and the hot-store eviction legitimately tiers
-  // the same chunk twice (WAL replay re-feeds it, a later pass re-tiers it
-  // into a second file). Identical entries — same span, same count, same
-  // payload bytes — are collapsed here so every read path (query,
-  // aggregate, downsample, scan) sees each sample's custody exactly once.
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const auto& a, const auto& b) {
-                          return a.second->min_time == b.second->min_time &&
-                                 a.second->max_time == b.second->max_time &&
-                                 a.second->summary.count ==
-                                     b.second->summary.count &&
-                                 a.second->payload_crc == b.second->payload_crc;
-                        }),
-            out.end());
-  return out;
-}
-
-std::vector<core::TimedValue> TierStore::query_range(
-    core::SeriesId series, const core::TimeRange& range) const {
-  std::vector<core::TimedValue> out;
-  std::vector<core::TimedValue> scratch;  // reused batch-decode buffer
-  for (const auto& [file, e] : entries_for(series, range)) {
-    entry_loads_.add();
-    auto chunk = file->load_chunk(*e);
-    if (!chunk.is_ok()) {
-      load_failures_.add();
-      continue;
-    }
-    scratch.clear();
-    decode_all(chunk.value(), scratch);
-    for (const auto& p : scratch) {
-      if (p.time >= range.begin && p.time < range.end) out.push_back(p);
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.time < b.time; });
-  // A crash between a commit and the hot-store eviction legitimately tiers
-  // the same chunk twice (WAL replay re-feeds it and a later pass re-tiers
-  // it). Exact-timestamp duplicates are therefore collapsed on read.
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const auto& a, const auto& b) {
-                          return a.time == b.time;
-                        }),
-            out.end());
-  return out;
-}
-
-std::optional<core::TimedValue> TierStore::latest(
-    core::SeriesId series) const {
-  const core::TimeRange all{INT64_MIN + 1, INT64_MAX};
-  const TierEntry* best = nullptr;
-  std::shared_ptr<const TierFile> keep;
-  for (const auto& [file, e] : entries_for(series, all)) {
-    if (best == nullptr || e->max_time > best->max_time) {
-      best = e;
-      keep = file;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  // The index summary tracks the temporally last raw value — no decode.
-  return core::TimedValue{best->max_time, best->summary.last};
-}
-
-std::optional<double> TierStore::aggregate(core::SeriesId series,
-                                           const core::TimeRange& range,
-                                           Agg agg) const {
-  ChunkSummary acc;
-  std::vector<core::TimedValue> scratch;  // reused batch-decode buffer
-  for (const auto& [file, e] : entries_for(series, range)) {
-    if (range.begin <= e->min_time && e->max_time < range.end) {
-      // Fully covered: the raw-sample summary is EXACT regardless of tier.
-      acc.merge(e->summary);
-      continue;
-    }
-    entry_loads_.add();
-    auto chunk = file->load_chunk(*e);
-    if (!chunk.is_ok()) {
-      load_failures_.add();
-      continue;
-    }
-    ChunkSummary part;
-    scratch.clear();
-    decode_all(chunk.value(), scratch);
-    for (const auto& p : scratch) {
-      if (p.time >= range.begin && p.time < range.end) part.add(p);
-    }
-    acc.merge(part);
-  }
-  return summary_aggregate(acc, agg);
-}
-
-std::vector<core::TimedValue> TierStore::downsample(
-    core::SeriesId series, const core::TimeRange& range, core::Duration bucket,
-    Agg agg) const {
-  std::vector<core::TimedValue> out;
-  if (bucket <= 0) return out;
-  std::map<core::TimePoint, ChunkSummary> buckets;
-  std::vector<core::TimedValue> scratch;  // reused batch-decode buffer
-  for (const auto& [file, e] : entries_for(series, range)) {
-    const auto b0 = bucket_start(e->min_time, bucket);
-    if (range.begin <= e->min_time && e->max_time < range.end &&
-        e->max_time < b0 + bucket) {
-      // Whole entry inside one bucket: its raw summary is the exact
-      // contribution — the "coarsest tier that satisfies the resolution"
-      // answer, no decode.
-      buckets[b0].merge(e->summary);
-      continue;
-    }
-    entry_loads_.add();
-    auto chunk = file->load_chunk(*e);
-    if (!chunk.is_ok()) {
-      load_failures_.add();
-      continue;
-    }
-    scratch.clear();
-    decode_all(chunk.value(), scratch);
-    for (const auto& p : scratch) {
-      if (p.time >= range.begin && p.time < range.end) {
-        buckets[bucket_start(p.time, bucket)].add(p);
-      }
-    }
-  }
-  out.reserve(buckets.size());
-  for (const auto& [t, s] : buckets) {
-    if (const auto v = summary_aggregate(s, agg)) out.push_back({t, *v});
-  }
-  return out;
-}
-
-std::size_t TierStore::scan(
-    core::SeriesId series, const core::TimeRange& range,
-    const std::function<bool(const core::TimedValue&)>& visit) const {
-  const auto pts = query_range(series, range);
-  std::size_t n = 0;
-  for (const auto& p : pts) {
-    ++n;
-    if (!visit(p)) break;
-  }
-  return n;
 }
 
 // ---------------------------------------------------------- introspection

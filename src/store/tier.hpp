@@ -62,6 +62,7 @@
 #include "core/time.hpp"
 #include "obs/registry.hpp"
 #include "store/chunk.hpp"
+#include "store/fold.hpp"
 #include "store/summary.hpp"
 
 namespace hpcmon::store {
@@ -116,11 +117,6 @@ class TierFile {
   const std::vector<TierEntry>& entries() const { return entries_; }
   const std::string& path() const { return path_; }
   std::uint64_t bytes() const { return bytes_; }
-
-  /// Entries of `series` overlapping [range.begin, range.end), in time
-  /// order (the index is sorted by (series, min_time)).
-  std::vector<const TierEntry*> find(core::SeriesId series,
-                                     const core::TimeRange& range) const;
 
   /// Read + CRC-verify + decode-validate one entry's chunk. kCorruption on
   /// any mismatch; a bit flip anywhere in the payload is detected here.
@@ -201,20 +197,12 @@ class TierStore {
   /// rewrite). Called at the top of every compactor pass; fault-injected.
   core::Status maintain();
 
-  // ---- read path (mirrors TimeSeriesStore; see header for semantics) ----
+  // ---- read path ----
 
-  std::vector<core::TimedValue> query_range(core::SeriesId series,
-                                            const core::TimeRange& range) const;
-  std::optional<core::TimedValue> latest(core::SeriesId series) const;
-  std::optional<double> aggregate(core::SeriesId series,
-                                  const core::TimeRange& range, Agg agg) const;
-  std::vector<core::TimedValue> downsample(core::SeriesId series,
-                                           const core::TimeRange& range,
-                                           core::Duration bucket,
-                                           Agg agg) const;
-  std::size_t scan(core::SeriesId series, const core::TimeRange& range,
-                   const std::function<bool(const core::TimedValue&)>& visit)
-      const;
+  /// Add every published entry of `series` overlapping `fold.range()`, from
+  /// every tier, to `fold`: one consistent view of the ladder, taken under
+  /// the store lock. Payloads are read and decoded outside it, by the fold.
+  void snapshot(core::SeriesId series, SliceFold& fold) const;
 
   // ---- introspection ----
 
@@ -236,6 +224,8 @@ class TierStore {
   TierStore& operator=(const TierStore&) = delete;
 
  private:
+  friend class SliceFold;  // counts tier.entry_loads / tier.load_failures
+
   struct SrcId {
     std::uint32_t tier = 0;
     std::uint32_t cls = 0;
@@ -270,11 +260,6 @@ class TierStore {
   core::Status cleanup_srcs_locked(std::uint64_t op_id,
                                    std::vector<SrcId> srcs);
 
-  /// All published files overlapping `series`'s entries, every tier, sorted
-  /// per-series by entry min_time. Snapshot under mu_, decode outside.
-  std::vector<std::pair<std::shared_ptr<const TierFile>, const TierEntry*>>
-  entries_for(core::SeriesId series, const core::TimeRange& range) const;
-
   void refresh_gauges_locked();
 
   Options opts_;
@@ -298,138 +283,38 @@ class TierStore {
   mutable obs::Gauge bytes_gauge_;
 };
 
-/// Merged read view over the tier ladder plus a hot store (TimeSeriesStore
-/// or ingest::ShardedTimeSeriesStore — anything with the store query
-/// surface). Satisfies the same surface itself, so serve's
-/// bind_query_hooks() binds it directly and dashboards span "now" back
-/// through every tier without knowing tiers exist. Tier data is strictly
-/// older than the hot store (eviction happens behind the durable watermark)
-/// except for a transient window right after a commit, where a point can
-/// briefly exist on both sides: exact-timestamp duplicates resolve in favor
-/// of the hot store.
+/// Read view over the tier ladder plus a hot store (TimeSeriesStore or
+/// ingest::ShardedTimeSeriesStore: anything with snapshot() and latest()).
+/// It answers through the one fold, so serve's bind_query_hooks() binds it
+/// and dashboards span "now" back through every tier without knowing tiers
+/// exist. A null tier store reads the hot store alone; a null hot store,
+/// the ladder alone.
 template <typename Hot>
-class TierSpanView {
+class TierSpanView : public SliceReads<TierSpanView<Hot>> {
  public:
   TierSpanView(const TierStore* tiers, const Hot* hot)
       : tiers_(tiers), hot_(hot) {}
 
-  std::vector<core::TimedValue> query_range(core::SeriesId series,
-                                            const core::TimeRange& range) const {
-    auto cold = tiers_->query_range(series, range);
-    auto hot = hot_->query_range(series, range);
-    if (cold.empty()) return hot;
-    std::vector<core::TimedValue> out;
-    out.reserve(cold.size() + hot.size());
-    std::size_t i = 0, j = 0;
-    while (i < cold.size() && j < hot.size()) {
-      if (cold[i].time < hot[j].time) {
-        out.push_back(cold[i++]);
-      } else if (hot[j].time < cold[i].time) {
-        out.push_back(hot[j++]);
-      } else {
-        out.push_back(hot[j++]);  // hot wins the duplicate
-        ++i;
-      }
-    }
-    for (; i < cold.size(); ++i) out.push_back(cold[i]);
-    for (; j < hot.size(); ++j) out.push_back(hot[j]);
-    return out;
+  /// Hot before cold: a compaction pass publishes before it evicts, so a
+  /// chunk in flight is in at least one of the two snapshots.
+  void snapshot(core::SeriesId series, SliceFold& fold) const {
+    if (hot_ != nullptr) hot_->snapshot(series, fold);
+    if (tiers_ != nullptr) tiers_->snapshot(series, fold);
   }
 
+  /// A series' newest data is hot (the compactor moves only a series'
+  /// oldest chunks), so the ladder answers only when the hot store is empty.
   std::optional<core::TimedValue> latest(core::SeriesId series) const {
-    if (auto h = hot_->latest(series)) return h;
-    return tiers_->latest(series);
-  }
-
-  std::optional<double> aggregate(core::SeriesId series,
-                                  const core::TimeRange& range,
-                                  Agg agg) const {
-    if (agg == Agg::kMean) {
-      const auto sum = aggregate(series, range, Agg::kSum);
-      const auto cnt = aggregate(series, range, Agg::kCount);
-      if (!sum || !cnt || *cnt == 0.0) return std::nullopt;
-      return *sum / *cnt;
+    if (hot_ != nullptr) {
+      if (auto hot = hot_->latest(series)) return hot;
     }
-    const auto cold = tiers_->aggregate(series, range, agg);
-    const auto hot = hot_->aggregate(series, range, agg);
-    if (!cold) return hot;
-    if (!hot) return cold;
-    switch (agg) {
-      case Agg::kSum:
-      case Agg::kCount: return *cold + *hot;
-      case Agg::kMin: return std::min(*cold, *hot);
-      case Agg::kMax: return std::max(*cold, *hot);
-      case Agg::kLast: return *hot;  // hot data is newer
-      case Agg::kMean: break;        // handled above
-    }
-    return std::nullopt;
-  }
-
-  std::vector<core::TimedValue> downsample(core::SeriesId series,
-                                           const core::TimeRange& range,
-                                           core::Duration bucket,
-                                           Agg agg) const {
-    auto cold = tiers_->downsample(series, range, bucket, agg);
-    auto hot = hot_->downsample(series, range, bucket, agg);
-    if (cold.empty()) return hot;
-    if (hot.empty()) return cold;
-    // Tier data precedes hot data; at most the boundary bucket collides.
-    std::vector<core::TimedValue> out;
-    out.reserve(cold.size() + hot.size());
-    std::size_t i = 0, j = 0;
-    while (i < cold.size() && j < hot.size()) {
-      if (cold[i].time < hot[j].time) {
-        out.push_back(cold[i++]);
-      } else if (hot[j].time < cold[i].time) {
-        out.push_back(hot[j++]);
-      } else {
-        out.push_back(merge_bucket(series, cold[i], hot[j], bucket, agg));
-        ++i;
-        ++j;
-      }
-    }
-    for (; i < cold.size(); ++i) out.push_back(cold[i]);
-    for (; j < hot.size(); ++j) out.push_back(hot[j]);
-    return out;
-  }
-
-  std::size_t scan(core::SeriesId series, const core::TimeRange& range,
-                   const std::function<bool(const core::TimedValue&)>& visit)
-      const {
-    // Tiers first (older), then hot; duplicates at the seam are suppressed
-    // the same way query_range resolves them.
-    const auto pts = query_range(series, range);
-    std::size_t n = 0;
-    for (const auto& p : pts) {
-      ++n;
-      if (!visit(p)) break;
-    }
-    return n;
+    if (tiers_ == nullptr) return std::nullopt;
+    SliceFold fold({INT64_MIN, INT64_MAX});
+    tiers_->snapshot(series, fold);
+    return fold.latest();
   }
 
  private:
-  core::TimedValue merge_bucket(core::SeriesId series,
-                                const core::TimedValue& cold,
-                                const core::TimedValue& hot,
-                                core::Duration bucket, Agg agg) const {
-    switch (agg) {
-      case Agg::kSum:
-      case Agg::kCount: return {cold.time, cold.value + hot.value};
-      case Agg::kMin: return {cold.time, std::min(cold.value, hot.value)};
-      case Agg::kMax: return {cold.time, std::max(cold.value, hot.value)};
-      case Agg::kLast: return hot;
-      case Agg::kMean: {
-        // Recompute the one collided bucket from both sides' sums/counts.
-        const core::TimeRange r{cold.time, cold.time + bucket};
-        const auto sum = aggregate(series, r, Agg::kSum);
-        const auto cnt = aggregate(series, r, Agg::kCount);
-        if (sum && cnt && *cnt > 0.0) return {cold.time, *sum / *cnt};
-        return hot;
-      }
-    }
-    return hot;
-  }
-
   const TierStore* tiers_;
   const Hot* hot_;
 };

@@ -1,9 +1,6 @@
 #include "store/tsdb.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "store/cursor.hpp"
 
 namespace hpcmon::store {
 
@@ -26,30 +23,9 @@ std::string_view to_string(Agg agg) {
 
 std::optional<double> aggregate_points(const std::vector<TimedValue>& pts,
                                        Agg agg) {
-  if (pts.empty()) return std::nullopt;
-  switch (agg) {
-    case Agg::kCount:
-      return static_cast<double>(pts.size());
-    case Agg::kLast:
-      return pts.back().value;
-    case Agg::kSum:
-    case Agg::kMean: {
-      double sum = 0.0;
-      for (const auto& p : pts) sum += p.value;
-      return agg == Agg::kSum ? sum : sum / static_cast<double>(pts.size());
-    }
-    case Agg::kMin: {
-      double m = pts[0].value;
-      for (const auto& p : pts) m = std::min(m, p.value);
-      return m;
-    }
-    case Agg::kMax: {
-      double m = pts[0].value;
-      for (const auto& p : pts) m = std::max(m, p.value);
-      return m;
-    }
-  }
-  return std::nullopt;
+  ChunkSummary acc;
+  for (const auto& p : pts) acc.add(p);
+  return summary_aggregate(acc, agg);
 }
 
 bool TimeSeriesStore::append(SeriesId id, TimePoint t, double value) {
@@ -157,23 +133,32 @@ void TimeSeriesStore::seal_locked(Series& s) {
   s.head.clear();
 }
 
-TimeSeriesStore::ReadView TimeSeriesStore::read_view(
-    SeriesId id, const TimeRange& range) const {
-  ReadView view;
+void TimeSeriesStore::snapshot(SeriesId id, SliceFold& fold) const {
+  queries_.add();
+  fold.set_hot(this, stages_);
+  const auto& range = fold.range();
+  if (range.empty()) return;
   const auto i = core::raw(id);
   std::shared_lock map_lock(map_mu_);
-  if (i >= series_.size()) return view;
+  if (i >= series_.size()) return;
   std::scoped_lock lock(stripe(i));
   const auto& s = series_[i];
-  for (const auto& c : s.sealed) {
-    if (!c->overlaps(range)) continue;
-    view.chunk_points += c->count();
-    view.chunks.push_back(c);
-  }
-  for (const auto& p : s.head) {
-    if (range.contains(p.time)) view.head.push_back(p);
-  }
-  return view;
+  // Sealed chunks are time-ordered and disjoint, so the ones overlapping the
+  // range are one run: from the first that reaches range.begin to the first
+  // that starts at range.end.
+  const auto first = std::partition_point(
+      s.sealed.begin(), s.sealed.end(),
+      [&](const auto& c) { return c->max_time() < range.begin; });
+  const auto last = std::partition_point(
+      first, s.sealed.end(),
+      [&](const auto& c) { return c->min_time() < range.end; });
+  fold.add_chunks({first, last});
+  const auto before = [](const TimedValue& p, TimePoint t) {
+    return p.time < t;
+  };
+  const auto lo =
+      std::lower_bound(s.head.begin(), s.head.end(), range.begin, before);
+  fold.add_head({lo, std::lower_bound(lo, s.head.end(), range.end, before)});
 }
 
 DecodedChunk TimeSeriesStore::decoded(const Chunk& chunk, bool& hit) const {
@@ -186,29 +171,6 @@ DecodedChunk TimeSeriesStore::decoded(const Chunk& chunk, bool& hit) const {
       std::make_shared<const std::vector<TimedValue>>(chunk.decompress());
   cache_.put(chunk.id(), pts);
   return pts;
-}
-
-std::vector<TimedValue> TimeSeriesStore::query_range(
-    SeriesId id, const TimeRange& range) const {
-  queries_.add();
-  obs::StageTimer::Scoped span(stages_, obs::Stage::kQueryCache);
-  std::vector<TimedValue> out;
-  if (range.empty()) return out;
-  const auto view = read_view(id, range);
-  out.reserve(view.chunk_points + view.head.size());
-  for (const auto& c : view.chunks) {
-    // Keep the decoded vector alive for the loop: when the cache is disabled
-    // the returned shared_ptr is the only owner.
-    bool hit = false;
-    const auto pts = decoded(*c, hit);
-    // A single decompress reclassifies the whole read: it dominates latency.
-    if (!hit) span.set_stage(obs::Stage::kQueryCursor);
-    for (const auto& p : *pts) {
-      if (range.contains(p.time)) out.push_back(p);
-    }
-  }
-  out.insert(out.end(), view.head.begin(), view.head.end());
-  return out;  // chunks are time-ordered, head follows sealed
 }
 
 std::optional<TimedValue> TimeSeriesStore::latest(SeriesId id) const {
@@ -224,162 +186,6 @@ std::optional<TimedValue> TimeSeriesStore::latest(SeriesId id) const {
     if (c.count() > 0) return TimedValue{c.max_time(), c.summary().last};
   }
   return std::nullopt;
-}
-
-std::optional<double> TimeSeriesStore::aggregate(SeriesId id,
-                                                 const TimeRange& range,
-                                                 Agg agg) const {
-  queries_.add();
-  obs::StageTimer::Scoped span(stages_, obs::Stage::kQuerySummary);
-  if (range.empty()) return std::nullopt;
-  const auto view = read_view(id, range);
-  ChunkSummary acc;
-  for (const auto& c : view.chunks) {
-    if (c->covered_by(range)) {
-      acc.merge(c->summary());
-      summary_chunks_.add();
-      continue;
-    }
-    // Boundary chunk: batch-decode through a stack block instead of
-    // materializing the chunk; early exit between blocks keeps the old
-    // stop-past-range.end behavior at block granularity.
-    cursor_chunks_.add();
-    span.set_stage(obs::Stage::kQueryCursor);
-    ChunkCursor cursor(*c);
-    TimedValue block[256];
-    bool past_end = false;
-    while (!past_end) {
-      const std::size_t n = cursor.scan_batch(block);
-      if (n == 0) break;
-      for (std::size_t k = 0; k < n; ++k) {
-        if (block[k].time >= range.end) {
-          past_end = true;
-          break;
-        }
-        if (block[k].time >= range.begin) acc.add(block[k]);
-      }
-    }
-  }
-  for (const auto& p : view.head) acc.add(p);
-  return summary_aggregate(acc, agg);
-}
-
-std::vector<TimedValue> TimeSeriesStore::downsample(SeriesId id,
-                                                    const TimeRange& range,
-                                                    core::Duration bucket,
-                                                    Agg agg) const {
-  queries_.add();
-  obs::StageTimer::Scoped span(stages_, obs::Stage::kQuerySummary);
-  std::vector<TimedValue> out;
-  if (bucket <= 0 || range.empty()) return out;
-  const auto view = read_view(id, range);
-
-  // Data arrives in time order, so bucket starts are non-decreasing and the
-  // open bucket is always the back of the list.
-  std::vector<std::pair<TimePoint, ChunkSummary>> buckets;
-  const auto bucket_start = [&](TimePoint t) {
-    return range.begin + (t - range.begin) / bucket * bucket;
-  };
-  const auto acc_for = [&](TimePoint bs) -> ChunkSummary& {
-    if (buckets.empty() || buckets.back().first != bs) {
-      buckets.emplace_back(bs, ChunkSummary{});
-    }
-    return buckets.back().second;
-  };
-
-  for (const auto& c : view.chunks) {
-    // A chunk entirely inside the range AND inside one bucket contributes
-    // its summary without decoding — stepped aggregation per bucket.
-    if (c->covered_by(range) &&
-        bucket_start(c->min_time()) == bucket_start(c->max_time())) {
-      acc_for(bucket_start(c->min_time())).merge(c->summary());
-      summary_chunks_.add();
-      continue;
-    }
-    cursor_chunks_.add();
-    span.set_stage(obs::Stage::kQueryCursor);
-    ChunkCursor cursor(*c);
-    TimedValue block[256];
-    bool past_end = false;
-    while (!past_end) {
-      const std::size_t n = cursor.scan_batch(block);
-      if (n == 0) break;
-      for (std::size_t k = 0; k < n; ++k) {
-        if (block[k].time >= range.end) {
-          past_end = true;
-          break;
-        }
-        if (block[k].time >= range.begin) {
-          acc_for(bucket_start(block[k].time)).add(block[k]);
-        }
-      }
-    }
-  }
-  for (const auto& p : view.head) acc_for(bucket_start(p.time)).add(p);
-
-  out.reserve(buckets.size());
-  for (const auto& [bs, acc] : buckets) {
-    if (auto v = summary_aggregate(acc, agg)) out.push_back({bs, *v});
-  }
-  return out;
-}
-
-std::size_t TimeSeriesStore::scan(
-    SeriesId id, const TimeRange& range,
-    const std::function<bool(const TimedValue&)>& visit) const {
-  queries_.add();
-  obs::StageTimer::Scoped span(stages_, obs::Stage::kQueryCursor);
-  if (range.empty()) return 0;
-  const auto view = read_view(id, range);
-  std::size_t visited = 0;
-  for (const auto& c : view.chunks) {
-    cursor_chunks_.add();
-    ChunkCursor cursor(*c);
-    TimedValue p;
-    while (cursor.next(p)) {
-      if (p.time >= range.end) return visited;
-      if (p.time < range.begin) continue;
-      ++visited;
-      if (!visit(p)) return visited;
-    }
-  }
-  for (const auto& p : view.head) {
-    ++visited;
-    if (!visit(p)) return visited;
-  }
-  return visited;
-}
-
-std::size_t TimeSeriesStore::evict_before(
-    TimePoint cutoff,
-    const std::function<void(SeriesId, Chunk&&)>& sink) {
-  std::size_t evicted = 0;
-  std::vector<std::uint64_t> dropped;  // cache invalidations, outside stripes
-  std::vector<SeriesId> gone;          // series left fully empty
-  {
-    std::shared_lock map_lock(map_mu_);
-    for (std::size_t i = 0; i < series_.size(); ++i) {
-      std::scoped_lock lock(stripe(i));
-      auto& s = series_[i];
-      const bool had_data = !s.sealed.empty() || !s.head.empty();
-      auto it = s.sealed.begin();
-      while (it != s.sealed.end() && (*it)->max_time() < cutoff) {
-        dropped.push_back((*it)->id());
-        if (sink) {
-          Chunk copy(**it);  // queries may still hold the shared ref
-          sink(SeriesId{static_cast<std::uint32_t>(i)}, std::move(copy));
-        }
-        it = s.sealed.erase(it);
-        ++evicted;
-      }
-      if (had_data && gone_ && s.sealed.empty() && s.head.empty()) {
-        gone.push_back(SeriesId{static_cast<std::uint32_t>(i)});
-      }
-    }
-  }
-  for (const auto id : dropped) cache_.erase(id);
-  for (const auto id : gone) gone_(id);
-  return evicted;
 }
 
 TimeSeriesStore::SealedChunkSet TimeSeriesStore::sealed_chunks_before(

@@ -5,7 +5,9 @@
 // collectors append from transport threads while dashboards query
 // (Table I: "multiple consumers ... at variety of locations").
 //
-// Query engine (see DESIGN.md "Query engine"):
+// Query engine (see DESIGN.md "Query engine"): every read snapshots the
+// series' slices (sealed chunks + in-range head) and answers through the one
+// fold in fold.hpp, the same one TierSpanView runs over hot + tiers.
 //   * aggregate()/downsample() answer chunks fully covered by the range from
 //     seal-time summaries (summary.hpp) and only stream-decode boundary
 //     chunks (cursor.hpp) — stepped aggregation.
@@ -38,6 +40,7 @@
 #include "obs/stage.hpp"
 #include "store/chunk.hpp"
 #include "store/chunk_cache.hpp"
+#include "store/fold.hpp"
 
 namespace hpcmon::store {
 
@@ -49,7 +52,7 @@ struct StoreStats {
   std::size_t head_points = 0;       // not yet sealed
 };
 
-class TimeSeriesStore {
+class TimeSeriesStore : public SliceReads<TimeSeriesStore> {
  public:
   /// `chunk_points`: head size at which a chunk is sealed and compressed.
   /// `cache_chunks`: decode-cache capacity in chunks (0 disables caching).
@@ -78,42 +81,17 @@ class TimeSeriesStore {
   std::size_t append_run(core::SeriesId series,
                          std::span<const core::Sample> run);
 
-  /// All points of a series within [range.begin, range.end), time-ordered.
-  /// The output is pre-reserved from chunk counts + head size.
-  std::vector<core::TimedValue> query_range(core::SeriesId series,
-                                            const core::TimeRange& range) const;
+  // query_range / aggregate / downsample / scan: SliceReads (fold.hpp).
 
+  /// Newest point: the head's last, else the last chunk's summary. No
+  /// decode and no allocation.
   std::optional<core::TimedValue> latest(core::SeriesId series) const;
 
-  /// Scalar aggregate over a time range; nullopt when no points in range.
-  /// Chunks fully covered by the range are answered from their seal-time
-  /// summaries; only boundary chunks are decoded (and those are streamed
-  /// with early exit, never materialized).
-  std::optional<double> aggregate(core::SeriesId series,
-                                  const core::TimeRange& range, Agg agg) const;
-
-  /// Fixed-interval downsampling: one aggregated point per bucket (bucket
-  /// timestamp = bucket start). Buckets without data are omitted. A chunk
-  /// falling entirely inside one bucket contributes its summary unscanned.
-  std::vector<core::TimedValue> downsample(core::SeriesId series,
-                                           const core::TimeRange& range,
-                                           core::Duration bucket,
-                                           Agg agg) const;
-
-  /// Stream every point of `series` in `range` through `visit`, oldest
-  /// first, without materializing a vector; `visit` returns false to stop.
-  /// Returns the number of points visited. Sealed chunks are decoded
-  /// point-by-point with early exit past range.end.
-  std::size_t scan(core::SeriesId series, const core::TimeRange& range,
-                   const std::function<bool(const core::TimedValue&)>& visit)
-      const;
-
-  /// Remove sealed chunks entirely older than `cutoff`, handing each to
-  /// `sink` (archive hook) before deletion. Head data is never evicted.
-  /// Evicted chunks are also dropped from the decode cache.
-  std::size_t evict_before(core::TimePoint cutoff,
-                           const std::function<void(core::SeriesId,
-                                                    Chunk&&)>& sink);
+  /// Add the slices of `series` overlapping `fold.range()` to `fold`:
+  /// refs to the sealed chunks plus a copy of the in-range head, taken under
+  /// the shared map lock and the series' stripe. Counts one store.queries
+  /// and starts the read's stage span.
+  void snapshot(core::SeriesId series, SliceFold& fold) const;
 
   /// Snapshot of the sealed chunks entirely older than `cutoff`, taken for
   /// the tiered-retention compactor. `chunks` are shared refs (immutable;
@@ -151,8 +129,8 @@ class TimeSeriesStore {
   void set_stage_timer(obs::StageTimer* timer) { stages_ = timer; }
 
   /// Called (outside all store locks) for every series whose LAST data just
-  /// left the store — evict_before / evict_chunks removed its final sealed
-  /// chunk while the head was empty. Downstream membership (the rollup tree)
+  /// left the store — evict_chunks removed its final sealed chunk while the
+  /// head was empty. Downstream membership (the rollup tree)
   /// keys off this so retention and node churn retract stale aggregates.
   /// Not synchronized with eviction callers: set before concurrent use.
   void set_series_gone_listener(std::function<void(core::SeriesId)> fn) {
@@ -160,18 +138,12 @@ class TimeSeriesStore {
   }
 
  private:
+  friend class SliceFold;  // decodes through cache_, counts store.* reads
+
   struct Series {
     std::vector<std::shared_ptr<const Chunk>> sealed;
     std::vector<core::TimedValue> head;
     core::TimePoint last_time = INT64_MIN;
-  };
-  /// What a query needs from a series, snapshotted under the stripe lock:
-  /// refs to the overlapping immutable chunks plus a copy of the in-range
-  /// head tail. All decoding happens after the locks are released.
-  struct ReadView {
-    std::vector<std::shared_ptr<const Chunk>> chunks;
-    std::vector<core::TimedValue> head;
-    std::size_t chunk_points = 0;  // sum of chunk counts (for reserve)
   };
 
   static constexpr std::size_t kLockStripes = 16;
@@ -182,9 +154,6 @@ class TimeSeriesStore {
   bool append_at(std::size_t index, core::TimePoint t, double value);
   bool append_locked(Series& s, core::TimePoint t, double value);
   void seal_locked(Series& s);
-  /// Snapshot the chunks/head of `series` overlapping `range` (shared map
-  /// lock + stripe lock, both released on return).
-  ReadView read_view(core::SeriesId series, const core::TimeRange& range) const;
   /// Decode a sealed chunk through the LRU cache; `hit` reports whether the
   /// cache served it (feeds the query_cache stage classification).
   DecodedChunk decoded(const Chunk& chunk, bool& hit) const;

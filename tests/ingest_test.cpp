@@ -16,6 +16,7 @@
 #include "obs/exporter.hpp"
 #include "sim/cluster.hpp"
 #include "stack/stack.hpp"
+#include "store_evict.hpp"
 
 namespace hpcmon::ingest {
 namespace {
@@ -113,16 +114,17 @@ TEST(ShardedStoreTest, EvictScatterGathers) {
     single.append_batch(b.samples);
     sharded.append_batch(b.samples);
   }
-  std::size_t single_pts = 0;
-  std::size_t sharded_pts = 0;
+  const auto points = [](const evict::Evicted& chunks) {
+    std::size_t n = 0;
+    for (const auto& [sid, c] : chunks) n += c->count();
+    return n;
+  };
   const auto cutoff = 80 * core::kMinute;
-  const auto a = single.evict_before(
-      cutoff, [&](SeriesId, store::Chunk&& c) { single_pts += c.count(); });
-  const auto b = sharded.evict_before(
-      cutoff, [&](SeriesId, store::Chunk&& c) { sharded_pts += c.count(); });
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(single_pts, sharded_pts);
-  EXPECT_GT(a, 0u);
+  const auto a = evict::sealed_before(single, cutoff);
+  const auto b = evict::sealed_before(sharded, cutoff);
+  EXPECT_EQ(a.size(), b.size());
+  EXPECT_EQ(points(a), points(b));
+  EXPECT_GT(a.size(), 0u);
 }
 
 // -- Overload policies: deterministic, exact counters -------------------------

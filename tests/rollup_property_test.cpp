@@ -16,6 +16,7 @@
 #include "ingest/sharded_store.hpp"
 #include "rollup/tree.hpp"
 #include "sim/topology.hpp"
+#include "store_evict.hpp"
 
 namespace hpcmon::rollup {
 namespace {
@@ -109,8 +110,8 @@ TEST(RollupProperty, RandomWorkloadsMatchScatterGatherAtEveryLevel) {
       // tree, and everything appended below is newer than its old history,
       // so a retracted series only ever resurrects with store-accepted data.
       if (round % 7 == 6) {
-        store.evict_before(clock - static_cast<core::TimePoint>(rng() % 20),
-                           {});
+        evict::sealed_before(
+            store, clock - static_cast<core::TimePoint>(rng() % 20));
       }
       // A shuffled multi-series batch: per-series times stay strictly
       // increasing (the store's append contract) but arrival order across
@@ -168,8 +169,8 @@ TEST(RollupProperty, RandomWorkloadsMatchScatterGatherAtEveryLevel) {
       // listener must retract it from the tree. Future appends are always
       // newer than the cutoff (per-series clocks only move forward).
       if (round % 7 == 6) {
-        store.evict_before(clock - static_cast<core::TimePoint>(rng() % 20),
-                           {});
+        evict::sealed_before(
+            store, clock - static_cast<core::TimePoint>(rng() % 20));
       }
       tree.tick();
       const auto snap = tree.snapshot();
@@ -177,7 +178,7 @@ TEST(RollupProperty, RandomWorkloadsMatchScatterGatherAtEveryLevel) {
       expect_tree_equals_scatter_gather(w, store, *snap);
     }
     // Final full drain: evict everything, every level must empty out.
-    store.evict_before(clock + 1000, {});
+    evict::sealed_before(store, clock + 1000);
     tree.tick();
     const auto snap = tree.snapshot();
     expect_tree_equals_scatter_gather(w, store, *snap);

@@ -13,6 +13,7 @@
 #include "ingest/sharded_store.hpp"
 #include "obs/registry.hpp"
 #include "rollup/reducer.hpp"
+#include "store_evict.hpp"
 
 namespace hpcmon::rollup {
 namespace {
@@ -228,7 +229,7 @@ TEST(RollupTreeTest, ForgetBeatsPendingObservedBeforeIt) {
 TEST(RollupTreeTest, EvictionMidRunKeepsTreeEqualToScatterGather) {
   SmallFleet f;
   // chunk_points = 4: eight appends seal two chunks and leave the head
-  // empty, so evict_before() can fully empty a series (heads never evict).
+  // empty, so eviction can fully empty a series (heads never evict).
   ingest::ShardedTimeSeriesStore store(/*shards=*/2, /*chunk_points=*/4);
   RollupTree tree(f.reg, {.shards = store.shard_count()});
   store.attach_rollup(&tree);
@@ -260,7 +261,7 @@ TEST(RollupTreeTest, EvictionMidRunKeepsTreeEqualToScatterGather) {
 
   // Retention pass: everything older than t=500 goes. Node 0's series is
   // now empty, fires the gone listener, and must leave the rollup.
-  store.evict_before(500, {});
+  evict::sealed_before(store, 500);
   // Mid-run churn: node 1 reports again between the eviction and the tick.
   ASSERT_TRUE(store.append(f.temp[1], 2000, 55.0));
   tree.tick();

@@ -166,7 +166,9 @@ TEST(StackTest, TierDirSpillsToFilesAndReloads) {
   opts.dir = dir;
   store::TierStore reopened(opts);
   ASSERT_TRUE(reopened.open().is_ok());
-  const auto cold = reopened.query_range(sid, all);
+  const auto cold = store::TierSpanView<ingest::ShardedTimeSeriesStore>(
+                        &reopened, nullptr)
+                        .query_range(sid, all);
   ASSERT_FALSE(cold.empty());
   ASSERT_LT(cold.size(), live.size());
   EXPECT_TRUE(std::equal(cold.begin(), cold.end(), live.begin()));

@@ -1,13 +1,15 @@
 // Decode-cache tests: LRU mechanics of ChunkCache itself, cache behavior
-// observed through TimeSeriesStore, and the eviction contract — evict_before
-// must hand every sealed chunk to the archive sink exactly once AND drop any
-// cached decode of it (a generation id that will never be queried again).
+// observed through TimeSeriesStore, and the eviction contract — the
+// compactor's pair (sealed_chunks_before, then evict_chunks) must hand every
+// sealed chunk over exactly once AND drop any cached decode of it (a
+// generation id that will never be queried again).
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "store/chunk_cache.hpp"
 #include "store/tsdb.hpp"
+#include "store_evict.hpp"
 
 namespace hpcmon::store {
 namespace {
@@ -126,8 +128,7 @@ TEST(ChunkCacheTest, EvictBeforeDropsCachedEntries) {
   (void)store.query_range(s, {0, 21 * core::kSecond});
   EXPECT_EQ(obs::snapshot_of(store).gauge("store.cache_entries"), 5.0);
   // Evict the first three chunks (max times 4s, 8s, 12s).
-  const auto evicted = store.evict_before(
-      13 * core::kSecond, [](SeriesId, Chunk&&) {});
+  const auto evicted = evict::sealed_before(store, 13 * core::kSecond).size();
   EXPECT_EQ(evicted, 3u);
   const auto st = obs::snapshot_of(store);
   EXPECT_EQ(st.gauge("store.cache_entries"), 2.0);
@@ -148,13 +149,14 @@ TEST(ChunkCacheTest, ArchiveSinkReceivesEverySealedChunkExactlyOnce) {
   std::map<std::uint32_t, std::vector<TimedValue>> archived;
   std::size_t calls = 0;
   const auto run = [&] {
-    return store.evict_before(100 * core::kSecond,
-                              [&](SeriesId sid, Chunk&& chunk) {
-                                ++calls;
-                                auto pts = chunk.decompress();
-                                auto& dst = archived[core::raw(sid)];
-                                dst.insert(dst.end(), pts.begin(), pts.end());
-                              });
+    const auto evicted = evict::sealed_before(store, 100 * core::kSecond);
+    for (const auto& [sid, chunk] : evicted) {
+      ++calls;
+      auto pts = chunk->decompress();
+      auto& dst = archived[core::raw(sid)];
+      dst.insert(dst.end(), pts.begin(), pts.end());
+    }
+    return evicted.size();
   };
   EXPECT_EQ(run(), 8u);
   EXPECT_EQ(calls, 8u);

@@ -19,6 +19,8 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "resilience/fault.hpp"
@@ -72,14 +74,18 @@ const std::vector<TimePoint> kPassTimes = {
 constexpr TimeRange kEverything{-core::kHour, 1000 * kMinute};
 
 /// Everything observable about the store after the workload: the durable
-/// watermark, quarantine count, and the full merged view per series.
+/// watermark, quarantine count, and per series the full merged view and its
+/// whole-range aggregate count and sum.
 struct FinalState {
   TimePoint watermark = 0;
   std::size_t quarantined = 0;
   std::map<std::uint32_t, std::vector<core::TimedValue>> points;
+  std::map<std::uint32_t, std::pair<std::optional<double>,
+                                    std::optional<double>>> totals;
 
   bool operator==(const FinalState& o) const {
     if (watermark != o.watermark || quarantined != o.quarantined) return false;
+    if (totals != o.totals) return false;
     if (points.size() != o.points.size()) return false;
     for (const auto& [sid, pts] : points) {
       const auto it = o.points.find(sid);
@@ -150,6 +156,8 @@ FinalState run_workload(const std::string& dir, resilience::FaultPlan* plan,
   const TierSpanView<TimeSeriesStore> span(tiers.get(), &hot);
   for (const auto sid : kSeries) {
     out.points[sid] = span.query_range(SeriesId{sid}, kEverything);
+    out.totals[sid] = {span.aggregate(SeriesId{sid}, kEverything, Agg::kCount),
+                       span.aggregate(SeriesId{sid}, kEverything, Agg::kSum)};
   }
   return out;
 }
@@ -158,6 +166,7 @@ TEST(CompactorCrashMatrixTest, ByteExactRecoveryAtEveryFsOp) {
   // Reference state, and the fs-op count of the fault-free workload.
   const auto reference = run_workload("/tmp/hpcmon_matrix_ref", nullptr);
   ASSERT_GT(reference.points.at(1).size(), 0u);
+  ASSERT_GT(reference.totals.at(1).first.value_or(0.0), 0.0);
   ASSERT_EQ(reference.quarantined, 0u);
 
   resilience::FaultPlan probe(1);

@@ -12,6 +12,7 @@
 
 #include "ingest/sharded_store.hpp"
 #include "store/tsdb.hpp"
+#include "store_evict.hpp"
 
 namespace hpcmon {
 namespace {
@@ -166,9 +167,9 @@ TYPED_TEST(StoreConcurrencyTest, QueryEngineReadersRaceWriterAndEvictor) {
       // Trail the writer: keep roughly the last 500s hot.
       const auto latest = store.latest(SeriesId{7});
       const TimePoint cutoff = latest ? latest->time - 500 * core::kSecond : 0;
-      store.evict_before(cutoff, [&](SeriesId, store::Chunk&& chunk) {
-        archived.fetch_add(chunk.count(), std::memory_order_relaxed);
-      });
+      for (const auto& [sid, chunk] : evict::sealed_before(store, cutoff)) {
+        archived.fetch_add(chunk->count(), std::memory_order_relaxed);
+      }
     }
   });
 

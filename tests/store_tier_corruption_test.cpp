@@ -15,6 +15,7 @@
 
 #include "store/chunk.hpp"
 #include "store/tier.hpp"
+#include "store/tsdb.hpp"
 
 namespace hpcmon::store {
 namespace {
@@ -172,7 +173,8 @@ TEST(TierCorruptionTest, OpenQuarantinesDamagedFilesAndServesTheRest) {
   EXPECT_TRUE(std::filesystem::exists(built.path + ".corrupt"))
       << "damaged file was deleted instead of preserved for forensics";
   // The store still serves (nothing left here, but the read path works).
-  EXPECT_TRUE(reopened.query_range(SeriesId{1}, {0, 1000 * kSecond}).empty());
+  const TierSpanView<TimeSeriesStore> ladder(&reopened, nullptr);
+  EXPECT_TRUE(ladder.query_range(SeriesId{1}, {0, 1000 * kSecond}).empty());
 }
 
 }  // namespace

@@ -204,7 +204,8 @@ TEST(TierPropertyTest, AgedPointsAreFloorAlignedBucketReductions) {
     for (const auto& p : raw) {
       if (p.time < aged_before) buckets[(p.time / kRes) * kRes].add(p);
     }
-    const auto got = tiers.query_range(s, kEverything);
+    const TierSpanView<TimeSeriesStore> ladder(&tiers, nullptr);
+    const auto got = ladder.query_range(s, kEverything);
     ASSERT_EQ(got.size(), buckets.size()) << "seed " << seed;
     auto it = buckets.begin();
     for (std::size_t i = 0; i < got.size(); ++i, ++it) {
@@ -214,7 +215,7 @@ TEST(TierPropertyTest, AgedPointsAreFloorAlignedBucketReductions) {
           << "seed " << seed << " bucket " << it->first;
     }
     // The downsample read path agrees with itself at the native resolution.
-    const auto ds = tiers.downsample(s, kEverything, kRes, Agg::kMean);
+    const auto ds = ladder.downsample(s, kEverything, kRes, Agg::kMean);
     ASSERT_EQ(ds.size(), got.size());
     for (std::size_t i = 0; i < ds.size(); ++i) {
       EXPECT_EQ(ds[i].time, got[i].time);

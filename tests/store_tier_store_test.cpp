@@ -46,6 +46,11 @@ TierPolicy short_policy() {
   return p;
 }
 
+/// The tier ladder alone: the span view with no hot store.
+TierSpanView<TimeSeriesStore> ladder(const TierStore& tiers) {
+  return {&tiers, nullptr};
+}
+
 struct Rig {
   TimeSeriesStore hot{4};  // tiny chunks: sealing happens fast
   std::unique_ptr<TierStore> tiers;
@@ -95,7 +100,7 @@ TEST(TierStoreTest, HotIngestMovesSealedChunksBehindTheWatermark) {
   }
   // Nothing below the watermark is only in the hot store.
   const auto wm = rig.tiers->watermark();
-  const auto cold = rig.tiers->query_range(s, {0, wm});
+  const auto cold = ladder(*rig.tiers).query_range(s, {0, wm});
   const auto pre_wm = span.query_range(s, {0, wm});
   EXPECT_EQ(cold.size(), pre_wm.size());
 }
@@ -129,7 +134,7 @@ TEST(TierStoreTest, AggregatesStayExactAcrossAging) {
   EXPECT_DOUBLE_EQ(span.aggregate(s, all, Agg::kMean).value_or(-1),
                    sum / 40.0);
   // The aged points themselves are 30s-bucketed (coarser, not raw).
-  const auto aged = rig.tiers->query_range(s, all);
+  const auto aged = ladder(*rig.tiers).query_range(s, all);
   for (const auto& p : aged) {
     if (!rig.tiers->files(1).empty() && p.time < 2 * kMinute) {
       EXPECT_EQ(p.time % (30 * kSecond), 0) << "aged point not bucket-aligned";
@@ -158,13 +163,13 @@ TEST(TierStoreTest, PerClassRetentionExpiresBulkFirst) {
   // Both classes landed in the ladder (bulk's short raw retention may age
   // it straight into tier 1 within the same pass).
   EXPECT_FALSE(rig.tiers->files(0, 0).empty());
-  EXPECT_FALSE(rig.tiers->query_range(bulk, all).empty());
+  EXPECT_FALSE(ladder(*rig.tiers).query_range(bulk, all).empty());
   // At t=7min: bulk (keep 1min raw, 5min in tier 1) has fully expired;
   // critical (keep 10min in tier 1) is still queryable.
   ASSERT_TRUE(compactor.run_pass(7 * kMinute).is_ok());
   ASSERT_TRUE(compactor.run_pass(8 * kMinute).is_ok());
-  EXPECT_FALSE(rig.tiers->query_range(crit, all).empty());
-  EXPECT_TRUE(rig.tiers->query_range(bulk, all).empty())
+  EXPECT_FALSE(ladder(*rig.tiers).query_range(crit, all).empty());
+  EXPECT_TRUE(ladder(*rig.tiers).query_range(bulk, all).empty())
       << "bulk outlived its retention";
 }
 
@@ -182,7 +187,7 @@ TEST(TierStoreTest, CleanRestartRecoversFilesAndWatermark) {
     ASSERT_TRUE(rig.compactor->run_pass(250 * kSecond).is_ok());
     wm = rig.tiers->watermark();
     files = rig.tiers->file_count();
-    before = rig.tiers->query_range(s, {0, 1000 * kSecond});
+    before = ladder(*rig.tiers).query_range(s, {0, 1000 * kSecond});
     ASSERT_GT(files, 0u);
   }
   // Fresh instance on the same directory: identical durable state.
@@ -194,7 +199,7 @@ TEST(TierStoreTest, CleanRestartRecoversFilesAndWatermark) {
   EXPECT_EQ(reopened.watermark(), wm);
   EXPECT_EQ(reopened.file_count(), files);
   EXPECT_EQ(reopened.quarantined_count(), 0u);
-  const auto after = reopened.query_range(s, {0, 1000 * kSecond});
+  const auto after = ladder(reopened).query_range(s, {0, 1000 * kSecond});
   ASSERT_EQ(after.size(), before.size());
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(after[i].time, before[i].time);
@@ -362,7 +367,7 @@ TEST(TierStoreTest, HostileTierPolicyIsRejected) {
   // The raw tier keeps critical data for two days, so the pass must have
   // produced a file and the samples must still answer.
   EXPECT_GT(stack.tiers()->file_count(), 0u);
-  const auto pts = stack.tiers()->query_range(
+  const auto pts = ladder(*stack.tiers()).query_range(
       s, {core::TimePoint{0}, 30 * core::kMinute});
   EXPECT_FALSE(pts.empty());
 }

@@ -4,6 +4,8 @@
 
 #include <thread>
 
+#include "store_evict.hpp"
+
 namespace hpcmon::store {
 namespace {
 
@@ -62,9 +64,7 @@ TEST(TsdbTest, DuplicateTimestampRejectedAfterEviction) {
   // silently reorder the series.
   TimeSeriesStore store(4);
   for (int i = 1; i <= 9; ++i) store.append(kS0, i * core::kSecond, i * 1.0);
-  std::size_t moved = 0;
-  store.evict_before(5 * core::kSecond,
-                     [&](SeriesId, Chunk&&) { ++moved; });
+  const auto moved = evict::sealed_before(store, 5 * core::kSecond).size();
   ASSERT_GT(moved, 0u);
   EXPECT_FALSE(store.append(kS0, 2 * core::kSecond, 99.0));  // evicted region
   EXPECT_FALSE(store.append(kS0, 9 * core::kSecond, 99.0));  // dup of live tail
@@ -128,11 +128,10 @@ TEST(TsdbTest, EvictBeforeMovesSealedChunksOnly) {
     store.append(kS0, i * core::kMinute, static_cast<double>(i));
   }
   // 3 sealed chunks (0-9, 10-19, 20-29) + 5 head points.
+  const auto evicted = evict::sealed_before(store, 25 * core::kMinute);
+  EXPECT_EQ(evicted.size(), 2u);  // chunk 20-29 still overlaps the cutoff
   std::size_t archived_points = 0;
-  const auto evicted = store.evict_before(
-      25 * core::kMinute,
-      [&](SeriesId, Chunk&& c) { archived_points += c.count(); });
-  EXPECT_EQ(evicted, 2u);  // chunk 20-29 still overlaps the cutoff
+  for (const auto& [sid, c] : evicted) archived_points += c->count();
   EXPECT_EQ(archived_points, 20u);
   // Remaining data still queryable.
   EXPECT_EQ(store.query_range(kS0, {0, core::kDay}).size(), 15u);
