@@ -9,6 +9,9 @@
 //   1. stepped aggregation: summary-covered chunks answered O(1);
 //   2. the decode cache: repeated dashboard windows skip Gorilla decode;
 //   3. shared/striped locking: readers overlap instead of serializing.
+// It also reports what the open heads hold: each point is encoded into its
+// series' Gorilla stream on arrival, so a head costs what a sealed chunk
+// does instead of 16 B per point.
 //
 // Method. Container CI for this repo commonly pins the process to one
 // hardware thread, so (consistent with ablation_ingest_scaling) reader
@@ -51,12 +54,12 @@ double seconds_since(steady_clock::time_point t0) {
   return std::chrono::duration<double>(steady_clock::now() - t0).count();
 }
 
-void fill(store::TimeSeriesStore& s) {
+void fill(store::TimeSeriesStore& s, int points = kPointsPerSeries) {
   core::Rng rng(4242);
   for (std::uint32_t id = 0; id < kSeries; ++id) {
     TimePoint t = 0;
     double level = rng.uniform(100.0, 300.0);
-    for (int i = 0; i < kPointsPerSeries; ++i) {
+    for (int i = 0; i < points; ++i) {
       t += core::kSecond;
       level += rng.normal(0.0, 1.0);
       s.append(SeriesId{id}, t, level);
@@ -396,6 +399,41 @@ int main(int argc, char** argv) {
                 core::strformat("word-at-a-time encode is >= 1.5x the "
                                 "bit-at-a-time encoder (%.1fx)",
                                 enc_x));
+  }
+
+  // -- 7. Open head: encoded on arrival -------------------------------------
+  {
+    // The same telemetry at 480 points per series: below chunk_points, so
+    // every point is still in an open head. The twin store seals exactly
+    // those points, one chunk per series.
+    constexpr int kOpenPoints = 480;
+    store::TimeSeriesStore open(512, 0);
+    store::TimeSeriesStore sealed(kOpenPoints, 0);
+    fill(open, kOpenPoints);
+    fill(sealed, kOpenPoints);
+    const auto os = open.stats();
+    const auto ss = sealed.stats();
+    const double head_x = 16.0 * static_cast<double>(os.head_points) /
+                          static_cast<double>(os.head_bytes);
+    std::printf("\nOpen heads, %u series x %d points: %zu points in %zu B "
+                "(%.2f B/point, %.1fx under 16 B/point); the same points "
+                "sealed: %zu B\n",
+                kSeries, kOpenPoints, os.head_points, os.head_bytes,
+                static_cast<double>(os.head_bytes) /
+                    static_cast<double>(os.head_points),
+                head_x, ss.compressed_bytes);
+    json_metric("query.head_compression_x", head_x);
+    shape_check(os.head_points == std::size_t{kSeries} * kOpenPoints &&
+                    ss.head_points == 0 && ss.sealed_chunks == kSeries,
+                "below chunk_points every point stays in the open head");
+    const auto gap = os.head_bytes > ss.compressed_bytes
+                         ? os.head_bytes - ss.compressed_bytes
+                         : ss.compressed_bytes - os.head_bytes;
+    shape_check(gap <= 8 * std::size_t{kSeries},
+                core::strformat("open heads hold their points within one "
+                                "8-byte word per series of the sealed "
+                                "payloads (%zu vs %zu B)",
+                                os.head_bytes, ss.compressed_bytes));
   }
 
   return finish();

@@ -138,6 +138,7 @@ store::StoreStats ShardedTimeSeriesStore::stats() const {
     merged.sealed_chunks += st.sealed_chunks;
     merged.compressed_bytes += st.compressed_bytes;
     merged.head_points += st.head_points;
+    merged.head_bytes += st.head_bytes;
   }
   return merged;
 }

@@ -2,30 +2,22 @@
 
 namespace hpcmon::store {
 
-void BitWriter::finish() {
-  if (finished_) return;
-  int pending = filled_;
-  std::uint64_t acc = acc_;
-  while (pending > 0) {
-    bytes_.push_back(static_cast<std::uint8_t>(acc >> 56));
-    acc <<= 8;
-    pending -= 8;
-  }
-  acc_ = 0;
-  filled_ = 0;
-  finished_ = true;
+void BitWriter::spill_word(std::uint64_t word) {
+  const std::size_t n = bytes_.size();
+  bytes_.resize(n + 8);
+  detail::store_be64(bytes_.data() + n, word);
 }
 
-void BitWriter::unfinish() {
-  finished_ = false;
-  const int tail = static_cast<int>(bit_count_ % 8);
-  if (tail != 0) {
-    // The last byte holds `tail` real bits at its top plus zero padding;
-    // pull it back into the accumulator so new bits pack right behind them.
-    acc_ = static_cast<std::uint64_t>(bytes_.back()) << 56;
-    bytes_.pop_back();
-    filled_ = tail;
+std::vector<std::uint8_t> BitWriter::bytes() const {
+  std::vector<std::uint8_t> out;
+  out.reserve(byte_size());
+  out.assign(bytes_.begin(), bytes_.end());
+  std::uint64_t acc = acc_;
+  for (int pending = filled_; pending > 0; pending -= 8) {
+    out.push_back(static_cast<std::uint8_t>(acc >> 56));
+    acc <<= 8;
   }
+  return out;
 }
 
 std::uint64_t BitReader::read_split(int bits) {

@@ -57,56 +57,48 @@ class BitWriter {
   /// Append the low `bits` bits of `value`, most-significant first.
   void write(std::uint64_t value, int bits) {
     if (bits <= 0) return;
-    if (finished_) unfinish();
     if (bits < 64) value &= (~std::uint64_t{0}) >> (64 - bits);
-    bit_count_ += static_cast<std::size_t>(bits);
     const int space = 64 - filled_;
-    if (bits <= space) {
+    if (bits < space) {
       acc_ |= value << (space - bits);
       filled_ += bits;
-      if (filled_ == 64) flush_word();
       return;
     }
-    // Split across the word boundary: top `space` bits now, rest after the
-    // spill. `space` >= 1 here (a full accumulator is flushed eagerly), so
-    // both shift amounts stay in [1, 63].
-    acc_ |= value >> (bits - space);
-    flush_word();
+    // The field completes the word: spill it and keep the rest (possibly
+    // none). `space` >= 1 (a full word is spilled at once), so `rest` is in
+    // [0, 63] and every shift stays in range. The new state is set after
+    // the spill, so callers keep it in registers across writes.
     const int rest = bits - space;
-    acc_ = (value & ((~std::uint64_t{0}) >> (64 - rest))) << (64 - rest);
+    spill_word(acc_ | (value >> rest));
+    acc_ = rest == 0 ? 0 : value << (64 - rest);
     filled_ = rest;
   }
   void write_bit(bool bit) { write(bit ? 1 : 0, 1); }
 
   /// Number of bits written so far.
-  std::size_t bit_count() const { return bit_count_; }
-  /// Finished byte buffer (padded with zero bits). Writing may continue
-  /// afterwards; the partial tail byte is re-opened transparently.
-  const std::vector<std::uint8_t>& bytes() {
-    finish();
-    return bytes_;
+  std::size_t bit_count() const {
+    return bytes_.size() * 8 + static_cast<std::size_t>(filled_);
   }
-  std::vector<std::uint8_t> take() && {
-    finish();
-    return std::move(bytes_);
+  /// Size of the finished byte buffer: bit_count() rounded up to a byte.
+  std::size_t byte_size() const {
+    return bytes_.size() + static_cast<std::size_t>(filled_ + 7) / 8;
   }
-
- private:
-  void flush_word() {
-    const std::size_t n = bytes_.size();
-    bytes_.resize(n + 8);
-    detail::store_be64(bytes_.data() + n, acc_);
+  /// The finished byte buffer (padded with zero bits), as an exact-size
+  /// copy: the stream stays open for more writes.
+  std::vector<std::uint8_t> bytes() const;
+  /// Empty the stream, keeping the buffer's capacity.
+  void clear() {
+    bytes_.clear();
     acc_ = 0;
     filled_ = 0;
   }
-  void finish();    // spill pending accumulator bits (zero-padded) to bytes_
-  void unfinish();  // re-open a partial tail byte for continued writes
 
-  std::vector<std::uint8_t> bytes_;
+ private:
+  void spill_word(std::uint64_t word);  // append 8 big-endian bytes
+
+  std::vector<std::uint8_t> bytes_;  // whole words spilled so far
   std::uint64_t acc_ = 0;  // pending bits at the top; low bits are zero
-  int filled_ = 0;         // valid bits in acc_
-  std::size_t bit_count_ = 0;
-  bool finished_ = false;
+  int filled_ = 0;         // valid bits in acc_, 0..63
 };
 
 class BitReader {

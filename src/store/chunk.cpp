@@ -23,68 +23,84 @@ std::uint64_t next_chunk_id() {
 }  // namespace
 
 Chunk Chunk::compress(const std::vector<TimedValue>& points) {
-  Chunk c;
-  if (points.empty()) return c;
-  c.count_ = static_cast<std::uint32_t>(points.size());
-  c.min_time_ = points.front().time;
-  c.max_time_ = points.back().time;
-  c.id_ = next_chunk_id();
-
-  BitWriter w;
+  ChunkWriter w;
   // Worst case per point: 68-bit delta-of-delta + 77-bit value = 19 bytes;
   // header point is 16. Reserving up front (plus word-granular spill slack)
-  // means the encode loop never reallocates — one growth-free allocation,
-  // then one right-sizing copy at take().
+  // means the encode loop never reallocates; seal() then copies out the
+  // exact size.
   w.reserve(24 + 19 * points.size());
-  // Header point: full timestamp + full value bits.
-  w.write(detail::zigzag(points[0].time), 64);
-  w.write(detail::double_bits(points[0].value), 64);
-  c.summary_.add(points[0].value);
+  for (const auto& p : points) w.append(p.time, p.value);
+  return w.seal();
+}
 
-  std::int64_t prev_time = points[0].time;
-  std::int64_t prev_delta = 0;
-  std::uint64_t prev_value = detail::double_bits(points[0].value);
-  int prev_leading = -1;  // -1 = no reusable window yet
-  int prev_trailing = 0;
-
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    const std::int64_t delta = points[i].time - prev_time;
-    detail::write_dod(w, delta - prev_delta);
-    prev_delta = delta;
-    prev_time = points[i].time;
-    c.summary_.add(points[i].value);
-
-    const std::uint64_t bits = detail::double_bits(points[i].value);
-    const std::uint64_t x = bits ^ prev_value;
-    prev_value = bits;
+void ChunkWriter::append(TimePoint t, double value) {
+  const std::uint64_t bits = detail::double_bits(value);
+  if (summary_.count == 0) {
+    // Header point: full timestamp + full value bits.
+    bits_.write(detail::zigzag(t), 64);
+    bits_.write(bits, 64);
+    first_time_ = t;
+    prev_delta_ = 0;
+    prev_leading_ = -1;
+    prev_trailing_ = 0;
+  } else {
+    // Modular arithmetic, like the cursor's decode: times any distance
+    // apart wrap and round-trip instead of overflowing.
+    const auto delta = static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(t) - static_cast<std::uint64_t>(last_time_));
+    detail::write_dod(bits_, static_cast<std::int64_t>(
+                                 static_cast<std::uint64_t>(delta) -
+                                 static_cast<std::uint64_t>(prev_delta_)));
+    prev_delta_ = delta;
+    const std::uint64_t x = bits ^ detail::double_bits(summary_.last);
     if (x == 0) {
-      w.write(0, 1);  // '0': same value
-      continue;
-    }
-    int leading = std::countl_zero(x);
-    int trailing = std::countr_zero(x);
-    if (leading > 31) leading = 31;  // 5-bit leading field
-    if (prev_leading >= 0 && leading >= prev_leading &&
-        trailing >= prev_trailing) {
-      // '10': reuse previous window.
-      w.write(0b10, 2);
-      const int meaningful = 64 - prev_leading - prev_trailing;
-      w.write(x >> prev_trailing, meaningful);
+      bits_.write(0, 1);  // '0': same value
     } else {
-      // '11': new window — control, 5-bit leading, and 6-bit meaningful-1
-      // fused into one 13-bit write (bit-identical to the separate writes).
-      const int meaningful = 64 - leading - trailing;
-      w.write((std::uint64_t{0b11} << 11) |
-                  (static_cast<std::uint64_t>(leading) << 6) |
-                  static_cast<std::uint64_t>(meaningful - 1),
-              13);
-      w.write(x >> trailing, meaningful);
-      prev_leading = leading;
-      prev_trailing = trailing;
+      int leading = std::countl_zero(x);
+      const int trailing = std::countr_zero(x);
+      if (leading > 31) leading = 31;  // 5-bit leading field
+      if (prev_leading_ >= 0 && leading >= prev_leading_ &&
+          trailing >= prev_trailing_) {
+        // '10': reuse previous window.
+        bits_.write(0b10, 2);
+        const int meaningful = 64 - prev_leading_ - prev_trailing_;
+        bits_.write(x >> prev_trailing_, meaningful);
+      } else {
+        // '11': new window — control, 5-bit leading, and 6-bit
+        // meaningful-1 fused into one 13-bit write (bit-identical to the
+        // separate writes).
+        const int meaningful = 64 - leading - trailing;
+        bits_.write((std::uint64_t{0b11} << 11) |
+                        (static_cast<std::uint64_t>(leading) << 6) |
+                        static_cast<std::uint64_t>(meaningful - 1),
+                    13);
+        bits_.write(x >> trailing, meaningful);
+        prev_leading_ = static_cast<std::int8_t>(leading);
+        prev_trailing_ = static_cast<std::int8_t>(trailing);
+      }
     }
   }
-  c.bytes_ = std::move(w).take();
-  c.bytes_.shrink_to_fit();  // drop the worst-case reserve slack at seal
+  last_time_ = t;
+  summary_.add(value);
+}
+
+Chunk ChunkWriter::copy() const {
+  Chunk c;
+  if (empty()) return c;
+  c.bytes_ = bits_.bytes();
+  c.min_time_ = first_time_;
+  c.max_time_ = last_time_;
+  c.count_ = count();
+  c.summary_ = summary_;
+  return c;
+}
+
+Chunk ChunkWriter::seal() {
+  Chunk c = copy();
+  if (c.empty()) return c;
+  c.id_ = next_chunk_id();
+  bits_.clear();
+  summary_ = {};
   return c;
 }
 

@@ -21,8 +21,7 @@ bool by_time(const TimedValue& a, const TimedValue& b) {
 }
 
 bool identical(const Slice& a, const Slice& b) {
-  return a.summary != nullptr && b.summary != nullptr &&
-         a.min_time == b.min_time && a.max_time == b.max_time &&
+  return a.min_time == b.min_time && a.max_time == b.max_time &&
          *a.summary == *b.summary;
 }
 
@@ -53,10 +52,6 @@ void SliceFold::add_chunks(
   chunks_.assign(chunks.begin(), chunks.end());
 }
 
-void SliceFold::add_head(std::span<const TimedValue> points) {
-  head_.assign(points.begin(), points.end());
-}
-
 void SliceFold::add_entry(std::shared_ptr<const TierFile> file,
                           const TierEntry& entry) {
   entries_.push_back({std::move(file), &entry});
@@ -70,8 +65,8 @@ Slice SliceFold::added(std::size_t i) const {
   i -= chunks_.size();
   if (!head_.empty()) {
     if (i == 0) {
-      return {head_.front().time, head_.back().time, nullptr,
-              nullptr,            nullptr,           nullptr};
+      return {head_.min_time(), head_.max_time(), &head_.summary(),
+              &head_,           nullptr,          nullptr};
     }
     --i;
   }
@@ -80,13 +75,13 @@ Slice SliceFold::added(std::size_t i) const {
 }
 
 bool SliceFold::covered(const Slice& s) const {
-  return s.summary != nullptr && s.summary->count > 0 &&
+  return s.summary->count > 0 &&
          range_.begin <= s.min_time && s.max_time < range_.end;
 }
 
 void SliceFold::decode(const Slice& s, std::vector<TimedValue>& out) {
-  if (s.chunk == nullptr && s.entry == nullptr) {
-    out.insert(out.end(), head_.begin(), head_.end());
+  if (s.chunk == &head_) {
+    decode_all(head_, out);
     return;
   }
   stage(obs::Stage::kQueryCursor);
@@ -106,16 +101,18 @@ void SliceFold::decode(const Slice& s, std::vector<TimedValue>& out) {
 
 template <std::size_t Block, typename Visit>
 bool SliceFold::walk(const Slice& s, Visit&& visit) {
-  if (s.chunk == nullptr) {  // the head (already clipped) or a tier entry
+  if (s.chunk == nullptr) {  // a tier entry
     std::vector<TimedValue> entry;
-    if (s.entry != nullptr) decode(s, entry);
-    for (const auto& p : s.entry != nullptr ? entry : head_) {
+    decode(s, entry);
+    for (const auto& p : entry) {
       if (range_.contains(p.time) && !visit(p)) return false;
     }
     return true;
   }
-  hot_->cursor_chunks_.add();
-  stage(obs::Stage::kQueryCursor);
+  if (sealed(s)) {
+    hot_->cursor_chunks_.add();
+    stage(obs::Stage::kQueryCursor);
+  }
   ChunkCursor cursor(*s.chunk);
   TimedValue block[Block];
   while (const std::size_t n = cursor.scan_batch(block)) {
@@ -187,7 +184,7 @@ void SliceFold::fold(One&& one, Visit&& visit) {
 
 std::vector<TimedValue> SliceFold::query_range() {
   stage(obs::Stage::kQueryCache);
-  std::size_t n = head_.size();
+  std::size_t n = head_.count();
   for (const auto& c : chunks_) n += c->count();
   for (const auto& e : entries_) n += e.entry->summary.count;
   std::vector<TimedValue> out;
@@ -198,7 +195,7 @@ std::vector<TimedValue> SliceFold::query_range() {
   };
   fold(
       [&](const Slice& s) {
-        if (s.chunk == nullptr) return walk<kBlock>(s, keep);
+        if (!sealed(s)) return walk<kBlock>(s, keep);
         bool hit = false;  // `pts` owns the points when the cache is off
         const auto pts = hot_->decoded(*s.chunk, hit);
         if (!hit) stage(obs::Stage::kQueryCursor);  // a decode dominates
@@ -225,7 +222,6 @@ std::optional<TimedValue> SliceFold::latest() const {
     if (!newest || s.max_time > newest->max_time) newest = s;
   }
   if (!newest) return std::nullopt;
-  if (newest->summary == nullptr) return head_.back();
   return TimedValue{newest->max_time, newest->summary->last};
 }
 
@@ -240,7 +236,7 @@ std::optional<double> SliceFold::aggregate(Agg agg) {
       [&](const Slice& s) {
         if (!covered(s)) return walk<kBlock>(s, add);
         acc.merge(*s.summary);
-        if (s.chunk != nullptr) hot_->summary_chunks_.add();
+        if (sealed(s)) hot_->summary_chunks_.add();
         return true;
       },
       add);
@@ -276,7 +272,7 @@ std::vector<TimedValue> SliceFold::downsample(core::Duration bucket, Agg agg) {
           return walk<kBlock>(s, add);
         }
         acc_for(s.min_time).merge(*s.summary);
-        if (s.chunk != nullptr) hot_->summary_chunks_.add();
+        if (sealed(s)) hot_->summary_chunks_.add();
         return true;
       },
       add);

@@ -3,8 +3,10 @@
 // Table I asks for hierarchical retention that operators can still query
 // across. A read of one series is one fold over its time-ordered slices. A
 // slice is a sealed hot chunk, the hot head or a tier entry: a time span,
-// the ChunkSummary of the raw samples it holds (the head has none) and a way
-// to decode it. TimeSeriesStore::snapshot and TierStore::snapshot add the
+// the ChunkSummary of the raw samples it holds and a way to decode it. The
+// head is a copy of the open Gorilla stream with its running summary, so it
+// answers like a chunk, except that no decode cache or store.* chunk counter
+// ever sees it. TimeSeriesStore::snapshot and TierStore::snapshot add the
 // slices, and SliceReads defines the read surface once for TimeSeriesStore,
 // ShardedTimeSeriesStore and TierSpanView.
 //
@@ -47,8 +49,8 @@ struct TierEntry;
 struct Slice {
   core::TimePoint min_time = 0;
   core::TimePoint max_time = 0;
-  const ChunkSummary* summary = nullptr;  // raw-sample stats; null: the head
-  const Chunk* chunk = nullptr;           // a sealed hot chunk, or
+  const ChunkSummary* summary = nullptr;  // raw-sample stats
+  const Chunk* chunk = nullptr;           // a hot chunk or the head, or
   const TierFile* file = nullptr;         // a tier entry's file
   const TierEntry* entry = nullptr;       // and the entry in it
 };
@@ -66,8 +68,8 @@ class SliceFold {
   void set_hot(const TimeSeriesStore* store, obs::StageTimer* stages);
   /// The sealed chunks overlapping the range, time-ordered.
   void add_chunks(std::span<const std::shared_ptr<const Chunk>> chunks);
-  /// The head's in-range points, time-ordered, after the sealed chunks.
-  void add_head(std::span<const core::TimedValue> points);
+  /// A copy of the head's open stream (it follows the sealed chunks).
+  void add_head(Chunk head) { head_ = std::move(head); }
   /// `tiers` owns the entries added next (its tier.* counters).
   void set_cold(const TierStore* tiers) { tiers_ = tiers; }
   void add_entry(std::shared_ptr<const TierFile> file, const TierEntry& entry);
@@ -95,6 +97,10 @@ class SliceFold {
   /// merged into `visit`; either returns false to stop the read.
   template <typename One, typename Visit>
   void fold(One&& one, Visit&& visit);
+  /// A sealed hot chunk, as opposed to the head or a tier entry.
+  bool sealed(const Slice& s) const {
+    return s.chunk != nullptr && s.chunk != &head_;
+  }
   /// Stream a slice's in-range points, `Block` cursor points at a time.
   template <std::size_t Block, typename Visit>
   bool walk(const Slice& s, Visit&& visit);
@@ -109,7 +115,7 @@ class SliceFold {
 
   core::TimeRange range_;
   std::vector<std::shared_ptr<const Chunk>> chunks_;  // hot, time-ordered
-  std::vector<core::TimedValue> head_;
+  Chunk head_;  // unsealed: generation id 0, never cached
   std::vector<Entry> entries_;  // cold, in tier order
   /// Time order over every slice, built only once tier entries are added:
   /// the hot side adds its slices in order.
@@ -120,11 +126,12 @@ class SliceFold {
 };
 
 /// The read surface, defined once for every store: `Store` supplies
-/// snapshot(series, fold) (and its own latest()). query_range decodes hot
-/// chunks through the owning store's cache; aggregate and downsample answer
-/// slices covered by the range (and, for downsample, by one bucket) from
-/// their summaries; scan streams oldest first until `visit` returns false
-/// and returns the number of points visited.
+/// snapshot(series, fold) (and its own latest()). query_range decodes
+/// sealed hot chunks through the owning store's cache and streams the head;
+/// aggregate and downsample answer slices covered by the range (and, for
+/// downsample, by one bucket) from their summaries, the head's included;
+/// scan streams oldest first until `visit` returns false and returns the
+/// number of points visited.
 template <typename Store>
 class SliceReads {
  public:

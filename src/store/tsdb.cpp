@@ -45,10 +45,9 @@ bool TimeSeriesStore::append_at(std::size_t i, TimePoint t, double value) {
 }
 
 bool TimeSeriesStore::append_locked(Series& s, TimePoint t, double value) {
-  if (t <= s.last_time) return false;  // strict ordering per series
-  s.head.push_back({t, value});
-  s.last_time = t;
-  if (s.head.size() >= chunk_points_) seal_locked(s);
+  if (t <= s.head.last_time()) return false;  // strict ordering per series
+  s.head.append(t, value);
+  if (s.head.count() >= chunk_points_) seal_locked(s);
   return true;
 }
 
@@ -88,11 +87,22 @@ std::size_t TimeSeriesStore::append_batch(
         static_cast<std::uint32_t>(i);
   }
 
+  // Each append reads and writes most of its series' slot (the head's
+  // encoder state), and a stripe's series sit kLockStripes slots apart, so
+  // fetch the slot kPrefetch samples ahead while this one encodes.
+  constexpr std::size_t kPrefetch = 8;
   std::size_t accepted = 0;
   for (std::size_t k = 0; k < kLockStripes; ++k) {
     if (offsets[k] == offsets[k + 1]) continue;
     std::scoped_lock lock(stripe_mu_[k]);
     for (std::size_t j = offsets[k]; j < offsets[k + 1]; ++j) {
+      if (j + kPrefetch < offsets[k + 1]) {
+        const auto* ahead = reinterpret_cast<const char*>(
+            &series_[core::raw(samples[order[j + kPrefetch]].series)]);
+        __builtin_prefetch(ahead, 1);
+        __builtin_prefetch(ahead + 64, 1);
+        __builtin_prefetch(ahead + sizeof(Series) - 1, 1);
+      }
       const auto& s = samples[order[j]];
       if (append_locked(series_[core::raw(s.series)], s.time, s.value)) {
         ++accepted;
@@ -117,9 +127,6 @@ std::size_t TimeSeriesStore::append_run(SeriesId id,
   }
   std::scoped_lock lock(stripe(i));
   auto& s = series_[i];
-  // One head-extend for the whole run (head capacity survives sealing, so
-  // steady-state appends never allocate).
-  s.head.reserve(std::min(chunk_points_, s.head.size() + run.size()));
   std::size_t accepted = 0;
   for (const auto& smp : run) {
     if (append_locked(s, smp.time, smp.value)) ++accepted;
@@ -129,8 +136,7 @@ std::size_t TimeSeriesStore::append_run(SeriesId id,
 
 void TimeSeriesStore::seal_locked(Series& s) {
   if (s.head.empty()) return;
-  s.sealed.push_back(std::make_shared<const Chunk>(Chunk::compress(s.head)));
-  s.head.clear();
+  s.sealed.push_back(std::make_shared<const Chunk>(s.head.seal()));
 }
 
 void TimeSeriesStore::snapshot(SeriesId id, SliceFold& fold) const {
@@ -153,12 +159,12 @@ void TimeSeriesStore::snapshot(SeriesId id, SliceFold& fold) const {
       first, s.sealed.end(),
       [&](const auto& c) { return c->min_time() < range.end; });
   fold.add_chunks({first, last});
-  const auto before = [](const TimedValue& p, TimePoint t) {
-    return p.time < t;
-  };
-  const auto lo =
-      std::lower_bound(s.head.begin(), s.head.end(), range.begin, before);
-  fold.add_head({lo, std::lower_bound(lo, s.head.end(), range.end, before)});
+  // The stream cannot be clipped without decoding: copy all of it (a few
+  // hundred bytes) and let the fold decode it outside the lock.
+  if (!s.head.empty() && s.head.min_time() < range.end &&
+      range.begin <= s.head.last_time()) {
+    fold.add_head(s.head.copy());
+  }
 }
 
 DecodedChunk TimeSeriesStore::decoded(const Chunk& chunk, bool& hit) const {
@@ -179,7 +185,7 @@ std::optional<TimedValue> TimeSeriesStore::latest(SeriesId id) const {
   if (i >= series_.size()) return std::nullopt;
   std::scoped_lock lock(stripe(i));
   const auto& s = series_[i];
-  if (!s.head.empty()) return s.head.back();
+  if (!s.head.empty()) return s.head.last();
   if (!s.sealed.empty()) {
     // The seal-time summary already knows the newest sealed point: no decode.
     const auto& c = *s.sealed.back();
@@ -205,7 +211,7 @@ TimeSeriesStore::SealedChunkSet TimeSeriesStore::sealed_chunks_before(
       }
     }
     if (!s.head.empty()) {
-      oldest_remaining = std::min(oldest_remaining, s.head.front().time);
+      oldest_remaining = std::min(oldest_remaining, s.head.min_time());
     }
     out.safe_watermark = std::min(out.safe_watermark, oldest_remaining);
   }
@@ -259,8 +265,9 @@ StoreStats TimeSeriesStore::stats() const {
     const auto& s = series_[i];
     if (s.head.empty() && s.sealed.empty()) continue;
     ++st.series;
-    st.head_points += s.head.size();
-    st.points += s.head.size();
+    st.head_points += s.head.count();
+    st.head_bytes += s.head.byte_size();
+    st.points += s.head.count();
     for (const auto& c : s.sealed) {
       st.points += c->count();
       st.compressed_bytes += c->byte_size();

@@ -1,13 +1,16 @@
 // TimeSeriesStore: the "hot" in-memory store for numeric telemetry.
 //
-// Per-series layout: an uncompressed append head plus sealed compressed
-// chunks (chunk.hpp). Queries merge sealed and head data. Thread-safe:
+// Per-series layout: sealed compressed chunks plus an open head that is
+// compressed too — a ChunkWriter (chunk.hpp) encodes each accepted point into
+// the series' Gorilla stream on arrival, and a seal freezes that stream into
+// the next chunk. Queries merge sealed and head data. Thread-safe:
 // collectors append from transport threads while dashboards query
 // (Table I: "multiple consumers ... at variety of locations").
 //
 // Query engine (see DESIGN.md "Query engine"): every read snapshots the
-// series' slices (sealed chunks + in-range head) and answers through the one
-// fold in fold.hpp, the same one TierSpanView runs over hot + tiers.
+// series' slices (sealed chunks + a copy of the head's stream when it
+// overlaps the range) and answers through the one fold in fold.hpp, the same
+// one TierSpanView runs over hot + tiers.
 //   * aggregate()/downsample() answer chunks fully covered by the range from
 //     seal-time summaries (summary.hpp) and only stream-decode boundary
 //     chunks (cursor.hpp) — stepped aggregation.
@@ -15,9 +18,9 @@
 //     (chunk_cache.hpp) keyed by chunk generation, so dashboard refreshes
 //     stop paying decode cost; scan() streams without materializing.
 //   * Locking is a reader-writer map lock plus striped per-series mutexes:
-//     readers snapshot chunk refs under the stripe and decode OUTSIDE any
-//     lock, so queries neither block collector appends to other series nor
-//     each other.
+//     readers snapshot chunk refs (and copy the head's few hundred bytes)
+//     under the stripe and decode OUTSIDE any lock, so queries neither block
+//     collector appends to other series nor each other.
 #pragma once
 
 #include <array>
@@ -50,6 +53,7 @@ struct StoreStats {
   std::size_t sealed_chunks = 0;
   std::size_t compressed_bytes = 0;  // sealed payloads
   std::size_t head_points = 0;       // not yet sealed
+  std::size_t head_bytes = 0;        // open heads' streams, as sealed now
 };
 
 class TimeSeriesStore : public SliceReads<TimeSeriesStore> {
@@ -83,12 +87,12 @@ class TimeSeriesStore : public SliceReads<TimeSeriesStore> {
 
   // query_range / aggregate / downsample / scan: SliceReads (fold.hpp).
 
-  /// Newest point: the head's last, else the last chunk's summary. No
-  /// decode and no allocation.
+  /// Newest point: the head's kept last point, else the last chunk's
+  /// summary. No decode and no allocation.
   std::optional<core::TimedValue> latest(core::SeriesId series) const;
 
   /// Add the slices of `series` overlapping `fold.range()` to `fold`:
-  /// refs to the sealed chunks plus a copy of the in-range head, taken under
+  /// refs to the sealed chunks plus a copy of the head's stream, taken under
   /// the shared map lock and the series' stripe. Counts one store.queries
   /// and starts the read's stage span.
   void snapshot(core::SeriesId series, SliceFold& fold) const;
@@ -140,10 +144,11 @@ class TimeSeriesStore : public SliceReads<TimeSeriesStore> {
  private:
   friend class SliceFold;  // decodes through cache_, counts store.* reads
 
+  // One slot per raw SeriesId up to the highest appended, holding data or
+  // not: keep it small.
   struct Series {
+    ChunkWriter head;  // its last_time() is the series' ordering fence
     std::vector<std::shared_ptr<const Chunk>> sealed;
-    std::vector<core::TimedValue> head;
-    core::TimePoint last_time = INT64_MIN;
   };
 
   static constexpr std::size_t kLockStripes = 16;

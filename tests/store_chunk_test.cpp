@@ -19,7 +19,8 @@ TEST(BitstreamTest, RoundTripMixedWidths) {
   w.write(0xDEADBEEF, 32);
   w.write_bit(true);
   w.write(0x1234567890ABCDEFull, 64);
-  BitReader r(w.bytes());
+  const auto bytes = w.bytes();
+  BitReader r(bytes);
   EXPECT_EQ(r.read(3), 0b101u);
   EXPECT_EQ(r.read(32), 0xDEADBEEFu);
   EXPECT_TRUE(r.read_bit());
@@ -30,7 +31,8 @@ TEST(BitstreamTest, RoundTripMixedWidths) {
 TEST(BitstreamTest, ReaderReportsEof) {
   BitWriter w;
   w.write(0xFF, 8);
-  BitReader r(w.bytes());
+  const auto bytes = w.bytes();
+  BitReader r(bytes);
   EXPECT_EQ(r.read(8), 0xFFu);
   r.read(1);
   EXPECT_TRUE(r.eof());

@@ -9,6 +9,10 @@
 //     random write/read schedules, including resumed writes after bytes();
 //   * append-many: append_run and the span append_batch produce sealed
 //     chunks byte-identical to N individual append() calls;
+//   * open head: every chunk the store seals from its encode-on-arrival
+//     head equals Chunk::compress (and the reference encoding) of the
+//     accepted points, and after every append each read over the open head
+//     equals the same read over a plain vector of those points;
 //   * adversarial: bit-flip and truncated frames keep failing typed (empty
 //     chunk or a fully valid one — never a crash, hang, or bad invariant).
 #include <gtest/gtest.h>
@@ -34,10 +38,13 @@ namespace {
 using core::Sample;
 using core::SeriesId;
 using core::TimedValue;
+using core::TimeRange;
+using store::Agg;
 using store::BitReader;
 using store::BitWriter;
 using store::Chunk;
 using store::ChunkCursor;
+using store::ChunkSummary;
 
 // Seeded workload shapes chosen to hit every codec path: all four dod
 // prefix classes, XOR-zero runs, window reuse, window widening, exponent
@@ -261,6 +268,193 @@ TEST(CodecProperty, AppendBatchSpanByteIdenticalToPerSampleAppends) {
               one.query_range(SeriesId{s}, all))
         << "series=" << s;
   }
+}
+
+// -- Open head: encode on arrival -----------------------------------------
+
+// `make_points` with rejects mixed in: every 37th point repeats the previous
+// timestamp and every 53rd steps back before it.
+std::vector<TimedValue> with_rejects(std::uint64_t seed, int shape,
+                                     std::size_t n) {
+  auto pts = make_points(seed, shape, n);
+  for (std::size_t i = 1; i < pts.size(); ++i) {
+    if (i % 37 == 36) pts[i].time = pts[i - 1].time;
+    if (i % 53 == 52) pts[i].time = pts[i - 1].time - 1000;
+  }
+  return pts;
+}
+
+std::vector<TimedValue> in_range(const std::vector<TimedValue>& pts,
+                                 const TimeRange& range) {
+  std::vector<TimedValue> out;
+  for (const auto& p : pts) {
+    if (range.contains(p.time)) out.push_back(p);
+  }
+  return out;
+}
+
+ChunkSummary summarize(const std::vector<TimedValue>& pts) {
+  ChunkSummary acc;
+  for (const auto& p : pts) acc.add(p);
+  return acc;
+}
+
+// Buckets on the grid from range.begin, filled in time order.
+std::vector<TimedValue> downsample_of(const std::vector<TimedValue>& pts,
+                                      const TimeRange& range,
+                                      core::Duration bucket, Agg agg) {
+  std::vector<std::pair<core::TimePoint, ChunkSummary>> buckets;
+  for (const auto& p : in_range(pts, range)) {
+    const auto start = range.begin + (p.time - range.begin) / bucket * bucket;
+    if (buckets.empty() || buckets.back().first != start) {
+      buckets.emplace_back(start, ChunkSummary{});
+    }
+    buckets.back().second.add(p);
+  }
+  std::vector<TimedValue> out;
+  for (const auto& [start, acc] : buckets) {
+    out.push_back({start, *store::summary_aggregate(acc, agg)});
+  }
+  return out;
+}
+
+constexpr Agg kAggs[] = {Agg::kSum,   Agg::kMean,  Agg::kMin,
+                         Agg::kMax,   Agg::kCount, Agg::kLast};
+
+// Every read over `range` against the same read over `expected` (the
+// accepted points). Exact: with the range inside the open head, the store
+// adds the same doubles in the same order as the vector does.
+void expect_reads(const store::TimeSeriesStore& store, SeriesId id,
+                  const std::vector<TimedValue>& expected,
+                  const TimeRange& range) {
+  const auto want = in_range(expected, range);
+  ASSERT_EQ(store.query_range(id, range), want);
+  std::vector<TimedValue> seen;
+  store.scan(id, range, [&](const TimedValue& p) {
+    seen.push_back(p);
+    return true;
+  });
+  ASSERT_EQ(seen, want);
+  seen.clear();
+  const auto visited = store.scan(id, range, [&](const TimedValue& p) {
+    seen.push_back(p);
+    return seen.size() < 3;
+  });
+  ASSERT_EQ(visited, std::min<std::size_t>(3, want.size()));
+  ASSERT_TRUE(std::equal(seen.begin(), seen.end(), want.begin()));
+  const auto acc = summarize(want);
+  for (const auto agg : kAggs) {
+    ASSERT_EQ(store.aggregate(id, range, agg),
+              store::summary_aggregate(acc, agg))
+        << "agg=" << store::to_string(agg);
+  }
+  for (const core::Duration bucket : {7 * core::kSecond, core::kDay}) {
+    for (const auto agg : {Agg::kMean, Agg::kMax, Agg::kLast}) {
+      ASSERT_EQ(store.downsample(id, range, bucket, agg),
+                downsample_of(want, range, bucket, agg))
+          << "bucket=" << bucket << " agg=" << store::to_string(agg);
+    }
+  }
+}
+
+TEST(CodecProperty, OpenHeadSealsByteIdenticalToCompress) {
+  const SeriesId id{5};
+  for (const std::size_t chunk_points : {1u, 2u, 16u, 512u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      for (int shape = 0; shape < kShapes; ++shape) {
+        store::TimeSeriesStore store(chunk_points, 0);
+        std::vector<TimedValue> accepted;
+        for (const auto& p : with_rejects(seed, shape, 1200)) {
+          const bool fresh = accepted.empty() || p.time > accepted.back().time;
+          ASSERT_EQ(store.append(id, p.time, p.value), fresh);
+          if (fresh) accepted.push_back(p);
+        }
+        const auto sealed = store.sealed_chunks_before(INT64_MAX).chunks;
+        ASSERT_EQ(sealed.size(), accepted.size() / chunk_points);
+        for (std::size_t k = 0; k < sealed.size(); ++k) {
+          const std::vector<TimedValue> group(
+              accepted.begin() + k * chunk_points,
+              accepted.begin() + (k + 1) * chunk_points);
+          const auto want = Chunk::compress(group);
+          const auto& got = *sealed[k].second;
+          ASSERT_EQ(got.payload(), want.payload())
+              << "cp=" << chunk_points << " seed=" << seed
+              << " shape=" << shape << " chunk=" << k;
+          ASSERT_EQ(got.payload(), refcodec::ref_encode_payload(group));
+          ASSERT_EQ(got.summary(), want.summary());
+          ASSERT_EQ(got.count(), want.count());
+          ASSERT_EQ(got.min_time(), want.min_time());
+          ASSERT_EQ(got.max_time(), want.max_time());
+          ASSERT_NE(got.id(), 0u);
+        }
+        // The open head holds exactly what a seal would store.
+        const std::vector<TimedValue> head(
+            accepted.begin() + sealed.size() * chunk_points, accepted.end());
+        const auto st = store.stats();
+        ASSERT_EQ(st.head_points, head.size());
+        ASSERT_EQ(st.head_bytes, Chunk::compress(head).byte_size());
+      }
+    }
+  }
+}
+
+TEST(CodecProperty, OpenHeadReadsMatchPlainVectorAfterEveryAppend) {
+  const SeriesId id{9};
+  for (const std::size_t chunk_points : {1u, 2u, 16u, 512u}) {
+    for (int shape = 0; shape < kShapes; ++shape) {
+      // With the decode cache on: the head must never be served from it.
+      store::TimeSeriesStore store(chunk_points, 64);
+      std::vector<TimedValue> accepted;
+      for (const auto& p : with_rejects(17, shape, 600)) {
+        const bool fresh = accepted.empty() || p.time > accepted.back().time;
+        ASSERT_EQ(store.append(id, p.time, p.value), fresh);
+        if (!fresh) continue;
+        accepted.push_back(p);
+        ASSERT_EQ(store.latest(id), accepted.back());
+        const std::size_t open = accepted.size() % chunk_points;
+        if (open == 0) {
+          // Just sealed: nothing is open past the last point.
+          expect_reads(store, id, accepted,
+                       {accepted.back().time + 1, INT64_MAX});
+          continue;
+        }
+        const auto first = accepted[accepted.size() - open].time;
+        const auto last = accepted.back().time;
+        expect_reads(store, id, accepted, {first, INT64_MAX});  // whole head
+        expect_reads(store, id, accepted, {first + 1, last});   // inside it
+        // Over sealed chunks and the head: the merge-free answers.
+        const TimeRange all{INT64_MIN + 1, INT64_MAX};
+        ASSERT_EQ(store.query_range(id, all), accepted);
+        ASSERT_EQ(store.aggregate(id, all, Agg::kCount),
+                  static_cast<double>(accepted.size()));
+        ASSERT_EQ(store.aggregate(id, all, Agg::kLast), accepted.back().value);
+      }
+    }
+  }
+}
+
+// Times at opposite ends of the clock: the delta and delta-of-delta
+// overflow int64, so the encoder wraps them as the cursor does, and the
+// points come back exactly (from the open head, the sealed chunk and a
+// serialize round trip).
+TEST(CodecProperty, TimesAnyDistanceApartRoundTrip) {
+  const std::vector<TimedValue> pts = {
+      {INT64_MIN + 1, 1.0}, {INT64_MAX - 2, 2.0}, {INT64_MAX - 1, 3.0}};
+  const SeriesId id{2};
+  const TimeRange all{INT64_MIN, INT64_MAX};
+  store::TimeSeriesStore store(pts.size(), 0);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    ASSERT_TRUE(store.append(id, pts[i].time, pts[i].value));
+    const std::vector<TimedValue> want(pts.begin(), pts.begin() + i + 1);
+    ASSERT_EQ(store.query_range(id, all), want);
+  }
+  // (The reference encoder's signed arithmetic would overflow here.)
+  const auto sealed = store.sealed_chunks_before(INT64_MAX).chunks;
+  ASSERT_EQ(sealed.size(), 1u);
+  const auto chunk = Chunk::compress(pts);
+  ASSERT_EQ(sealed[0].second->payload(), chunk.payload());
+  ASSERT_EQ(chunk.decompress(), pts);
+  ASSERT_EQ(Chunk::deserialize(chunk.serialize()).decompress(), pts);
 }
 
 // A deserialized chunk must be all-or-nothing: either the empty chunk

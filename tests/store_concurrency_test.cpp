@@ -188,5 +188,68 @@ TYPED_TEST(StoreConcurrencyTest, QueryEngineReadersRaceWriterAndEvictor) {
   EXPECT_GT(obs::snapshot_of(store).counter("store.queries"), 0u);
 }
 
+// Readers racing the open head: one writer appends (sealing every 64th
+// point) while readers call query_range, scan and latest on the same
+// series. A read copies the head's stream under the stripe and decodes it
+// outside, so whatever instant it lands on, it must return a strictly
+// increasing prefix of the written points, and latest never goes backwards.
+TYPED_TEST(StoreConcurrencyTest, ReadersRacingTheOpenHeadSeePrefixes) {
+  constexpr int kReaders = 3;
+  constexpr int kPoints = 20000;
+  const SeriesId series{11};
+  const auto written = [](std::int64_t i) {  // the i-th point, from 1
+    return core::TimedValue{i * core::kSecond,
+                            0.5 * static_cast<double>(i) + (i % 7 == 0)};
+  };
+  const auto is_prefix = [&](const std::vector<core::TimedValue>& pts) {
+    for (std::size_t k = 0; k < pts.size(); ++k) {
+      if (k > 0 && pts[k - 1].time >= pts[k].time) return false;
+      if (!(pts[k] == written(static_cast<std::int64_t>(k) + 1))) return false;
+    }
+    return true;
+  };
+
+  auto store = make_store<TypeParam>();
+  std::atomic<bool> stop{false};
+  std::atomic<int> reading{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      const TimeRange all{0, core::kDay};
+      TimePoint newest = 0;
+      std::vector<core::TimedValue> seen;
+      reading.fetch_add(1, std::memory_order_release);
+      while (!stop.load(std::memory_order_acquire)) {
+        ASSERT_TRUE(is_prefix(store.query_range(series, all)));
+        seen.clear();
+        store.scan(series, all, [&](const core::TimedValue& p) {
+          seen.push_back(p);
+          return true;
+        });
+        ASSERT_TRUE(is_prefix(seen));
+        if (const auto l = store.latest(series)) {
+          ASSERT_GE(l->time, newest);
+          newest = l->time;
+          ASSERT_EQ(*l, written(l->time / core::kSecond));
+        }
+      }
+    });
+  }
+  while (reading.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
+  }
+  for (std::int64_t i = 1; i <= kPoints; ++i) {
+    const auto p = written(i);
+    ASSERT_TRUE(store.append(series, p.time, p.value));
+    if (i % 64 == 0) std::this_thread::yield();  // let the readers in
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  const auto all = store.query_range(series, TimeRange{0, core::kDay});
+  ASSERT_EQ(all.size(), static_cast<std::size_t>(kPoints));
+  EXPECT_TRUE(is_prefix(all));
+}
+
 }  // namespace
 }  // namespace hpcmon
