@@ -276,9 +276,10 @@ int main(int argc, char** argv) {
   json_init(argc, argv);
   header("Ablation: relay resilience — goodput & recovery vs fault rate",
          "Secs. III-IV (transport resilience); DESIGN.md \"Relay tier\"");
-  std::printf("workload: %d batches x %zu samples, one append in flight, "
-              "composed faults on one monotone socket-op stream\n",
-              kBatches, kSamplesPerBatch);
+  std::printf("workload: %d batches x %zu samples, up to %zu appends in "
+              "flight, composed faults on one monotone socket-op stream\n",
+              kBatches, kSamplesPerBatch,
+              hpcmon::relay::RelayClient::kSendWindow);
   goodput_sweep();
   recovery_latency();
   return finish();

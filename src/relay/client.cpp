@@ -6,13 +6,16 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <span>
 
 #include "serve/protocol.hpp"
 #include "serve/sockio.hpp"
@@ -26,6 +29,11 @@ namespace {
 /// block of the 64-bit space, so the state file is rewritten once per
 /// ~65k appends instead of once per append.
 constexpr std::uint64_t kSeqLeaseBlock = 1u << 16;
+
+/// While appends are in flight and the window has room, the worker's ack
+/// wait lasts at most kNap, so entries submitted meanwhile go out without
+/// submit() waking it.
+constexpr std::chrono::microseconds kNap{100};
 
 constexpr std::uint8_t kStateVersion = 1;
 constexpr std::uint8_t kStateMagic[4] = {'H', 'R', 'L', 'Y'};
@@ -94,10 +102,15 @@ void RelayClient::attach_to(obs::ObsRegistry& registry) const {
                   &state_write_errors_);
   registry.attach({"relay.pending", "batches", "entries awaiting ack"},
                   &pending_gauge_);
+  registry.attach({"relay.in_flight", "batches",
+                   "appends sent and not yet acked (at most the send window)"},
+                  &in_flight_gauge_);
   registry.attach({"relay.watermark", "seq",
                    "highest seq contiguously applied upstream"},
                   &watermark_gauge_);
-  registry.attach({"relay.ack_rtt_us", "us", "append send-to-ack latency"},
+  registry.attach({"relay.ack_rtt_us", "us",
+                   "append send-to-ack latency, including time queued behind "
+                   "earlier appends in the send window"},
                   &ack_rtt_us_);
 }
 
@@ -126,31 +139,53 @@ void RelayClient::stop() {
 }
 
 std::size_t RelayClient::submit(const core::SampleBatch& batch) {
-  if (batch.samples.empty() || !running_ || stop_) return 0;
-  // Partition by priority class, preserving order within each class.
-  std::array<core::SampleBatch, core::kPriorityClasses> by_class;
-  for (const auto& s : batch.samples) {
-    const auto cls = config_.priority_of ? config_.priority_of(s.series)
-                                         : core::Priority::kStandard;
-    auto& b = by_class[static_cast<std::size_t>(cls)];
-    b.samples.push_back(s);
-    b.sweep_time = batch.sweep_time;
-    b.origin = batch.origin;
-  }
-  const std::size_t chunk =
-      std::max<std::size_t>(1, config_.batch_samples);
-  std::size_t enqueued = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t c = 0; c < core::kPriorityClasses; ++c) {
-    const auto cls = static_cast<core::Priority>(c);
-    const auto& all = by_class[c].samples;
-    for (std::size_t off = 0; off < all.size(); off += chunk) {
+  if (batch.samples.empty() || stop_) return 0;
+  const auto class_of = [this](const core::Sample& s) {
+    return config_.priority_of ? config_.priority_of(s.series)
+                               : core::Priority::kStandard;
+  };
+  // Encode each <= batch_samples chunk outside the lock.
+  const std::size_t chunk = std::max<std::size_t>(1, config_.batch_samples);
+  std::vector<Pending> entries;
+  const auto add = [&](core::Priority cls,
+                       std::span<const core::Sample> samples) {
+    for (std::size_t off = 0; off < samples.size(); off += chunk) {
+      const auto part =
+          samples.subspan(off, std::min(chunk, samples.size() - off));
       Pending p;
       p.priority = cls;
-      p.batch.sweep_time = by_class[c].sweep_time;
-      p.batch.origin = by_class[c].origin;
-      p.batch.samples.assign(all.begin() + off,
-                             all.begin() + std::min(off + chunk, all.size()));
+      p.samples = part.size();
+      p.payload =
+          transport::encode_samples(batch.sweep_time, batch.origin, part)
+              .payload;
+      entries.push_back(std::move(p));
+    }
+  };
+  const auto first = class_of(batch.samples.front());
+  if (std::all_of(batch.samples.begin() + 1, batch.samples.end(),
+                  [&](const core::Sample& s) { return class_of(s) == first; })) {
+    // One class (the common case): chunk straight from the caller's samples.
+    add(first, batch.samples);
+  } else {
+    // Partition by priority class, preserving order within each class.
+    std::array<std::vector<core::Sample>, core::kPriorityClasses> by_class;
+    for (const auto& s : batch.samples) {
+      by_class[static_cast<std::size_t>(class_of(s))].push_back(s);
+    }
+    for (std::size_t c = 0; c < core::kPriorityClasses; ++c) {
+      add(static_cast<core::Priority>(c), by_class[c]);
+    }
+  }
+  std::size_t enqueued = 0;
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // The worker waits on cv_ only while the queue is empty; otherwise it
+    // picks up new entries within kNap, or when an ack frees room in a full
+    // window.
+    const bool was_empty = queue_.empty();
+    for (auto& p : entries) {
+      const auto cls = p.priority;
       if (queue_.size() >= config_.queue_cap &&
           cls != core::Priority::kCritical) {
         // Drop-oldest within the lowest sheddable class, never anything
@@ -158,7 +193,8 @@ std::size_t RelayClient::submit(const core::SampleBatch& batch) {
         // contiguous or the server watermark would stall on the gap).
         auto victim = queue_.end();
         for (auto cand = static_cast<int>(core::kPriorityClasses) - 1;
-             cand >= static_cast<int>(c) && victim == queue_.end(); --cand) {
+             cand >= static_cast<int>(cls) && victim == queue_.end();
+             --cand) {
           victim = std::find_if(queue_.begin(), queue_.end(),
                                 [&](const Pending& e) {
                                   return e.seq == 0 &&
@@ -171,13 +207,14 @@ std::size_t RelayClient::submit(const core::SampleBatch& batch) {
         queue_.erase(victim);
       }
       submitted_batches_.add();
-      submitted_samples_.add(p.batch.samples.size());
+      submitted_samples_.add(p.samples);
       queue_.push_back(std::move(p));
       ++enqueued;
     }
+    pending_gauge_.set(static_cast<double>(queue_.size()));
+    wake = was_empty && enqueued > 0;
   }
-  pending_gauge_.set(static_cast<double>(queue_.size()));
-  if (enqueued > 0) cv_.notify_one();
+  if (wake) cv_.notify_one();
   return enqueued;
 }
 
@@ -238,7 +275,7 @@ void RelayClient::worker() {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       continue;
     }
-    if (!send_front()) disconnect();
+    if (!send_window() || !await_replies()) disconnect();
   }
   disconnect();
 }
@@ -260,6 +297,13 @@ bool RelayClient::ensure_connected() {
   if (fd_ < 0) return fail();
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  // A window of appends can outgrow the socket buffers. If the peer stops
+  // reading, a send that makes no progress for ack_timeout_ms fails like an
+  // ack that never comes, so the worker (and stop()) cannot block forever.
+  const timeval send_timeout{config_.ack_timeout_ms / 1000,
+                             (config_.ack_timeout_ms % 1000) * 1000};
+  ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+               sizeof(send_timeout));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -268,29 +312,42 @@ bool RelayClient::ensure_connected() {
     return fail();
   }
   assembler_ = serve::WireAssembler();
-  // Hello: the server's watermark is authoritative. Everything at or below
-  // it is durably applied (drop it); and next_seq must jump past it so a
-  // lost state file can never re-use a consumed seq.
-  const std::uint32_t req_id = next_request_++;
-  if (!send_frame(serve::MsgType::kRelayHello,  req_id,
-                  serve::encode_relay_hello({config_.source_id}))) {
-    return fail();
+  // Hello: announce the first unacked seq (next_seq_ when nothing holds
+  // one), so the server stops waiting on seqs below it. Its watermark reply
+  // is authoritative: everything at or below it is durably applied (drop
+  // it), and next_seq must jump past it so a lost state file can never
+  // re-use a consumed seq.
+  serve::RelayHello hello{config_.source_id, 0};
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    hello.resume_seq = !queue_.empty() && queue_.front().seq != 0
+                           ? queue_.front().seq
+                           : next_seq_;
   }
-  auto reply = read_reply(config_.ack_timeout_ms);
-  if (!reply || reply->type != serve::MsgType::kOk) return fail();
+  std::vector<std::uint8_t> hello_frame;
+  serve::append_wire_frame(hello_frame, serve::MsgType::kRelayHello,
+                           next_request_++, serve::encode_relay_hello(hello));
+  if (!send_bytes(hello_frame)) return fail();
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(config_.ack_timeout_ms);
+  std::optional<serve::WireFrame> reply;
+  while (!(reply = next_reply())) {
+    const auto got = read_some(deadline);
+    if (got == ReadResult::kIdle) ack_timeouts_.add();
+    if (got != ReadResult::kFed) return fail();
+  }
+  if (reply->type != serve::MsgType::kOk) return fail();
   serve::RelayAck ack;
   if (!serve::decode_relay_ack(reply->body, ack)) return fail();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (ack.watermark > watermark_) watermark_ = ack.watermark;
+    advance_watermark_locked(ack.watermark);
     if (watermark_ >= next_seq_) {
       next_seq_ = watermark_ + 1;
       if (next_seq_ > lease_end_) {
         persist_state_locked(next_seq_ + kSeqLeaseBlock);
       }
     }
-    drop_acked_locked(watermark_);
-    watermark_gauge_.set(static_cast<double>(watermark_));
   }
   breaker_.record_success(now_us());
   connects_.add();
@@ -299,18 +356,24 @@ bool RelayClient::ensure_connected() {
 }
 
 void RelayClient::disconnect() {
+  {
+    // Whatever was in flight is resent from the first unacked entry.
+    std::lock_guard<std::mutex> lock(mu_);
+    in_flight_ = 0;
+    in_flight_gauge_.set(0);
+  }
   if (fd_ < 0) return;
   ::close(fd_);
   fd_ = -1;
   if (connected_.exchange(false)) disconnects_.add();
 }
 
-bool RelayClient::send_frame(serve::MsgType type, std::uint32_t request_id,
-                             const std::vector<std::uint8_t>& body) {
-  std::vector<std::uint8_t> bytes;
-  serve::append_wire_frame(bytes, type, request_id, body);
+bool RelayClient::send_bytes(const std::vector<std::uint8_t>& bytes) {
   std::size_t off = 0;
   while (off < bytes.size()) {
+    // Each send that makes progress restarts the send timeout, so a peer
+    // that reads slowly could otherwise hold stop() for a whole window.
+    if (stop_) return false;
     const ssize_t n = serve::faulty_send(fd_, bytes.data() + off,
                                          bytes.size() - off,
                                          config_.socket_faults);
@@ -324,124 +387,174 @@ bool RelayClient::send_frame(serve::MsgType type, std::uint32_t request_id,
   return true;
 }
 
-std::optional<serve::WireFrame> RelayClient::read_reply(int timeout_ms) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+RelayClient::ReadResult RelayClient::read_some(
+    std::chrono::steady_clock::time_point deadline) {
+  if (assembler_.errored()) return ReadResult::kClosed;
   while (true) {
-    if (auto frame = assembler_.next()) {
-      // The relay connection never subscribes, but stay robust to pushes.
-      if (frame->type == serve::MsgType::kSnapshot ||
-          frame->type == serve::MsgType::kDelta) {
-        continue;
-      }
-      return frame;
-    }
-    if (assembler_.errored()) return std::nullopt;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          deadline - std::chrono::steady_clock::now())
-                          .count();
-    if (left <= 0) {
-      ack_timeouts_.add();
-      return std::nullopt;
-    }
+    const auto ns = std::max<std::int64_t>(
+        0, std::chrono::duration_cast<std::chrono::nanoseconds>(
+               deadline - std::chrono::steady_clock::now())
+               .count());
+    const timespec ts{static_cast<time_t>(ns / 1'000'000'000),
+                      static_cast<long>(ns % 1'000'000'000)};
     pollfd pfd{fd_, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, static_cast<int>(left));
-    if (pr == 0) {
-      ack_timeouts_.add();
-      return std::nullopt;
-    }
+    const int pr = ::ppoll(&pfd, 1, &ts, nullptr);
+    if (pr == 0) return ReadResult::kIdle;
     if (pr < 0) {
       if (errno == EINTR) continue;
-      return std::nullopt;
+      return ReadResult::kClosed;
     }
     std::uint8_t buf[64 * 1024];
     const ssize_t n =
         serve::faulty_recv(fd_, buf, sizeof(buf), config_.socket_faults);
     if (n > 0) {
-      if (!assembler_.feed(buf, static_cast<std::size_t>(n))) {
-        return std::nullopt;
-      }
-      continue;
+      return assembler_.feed(buf, static_cast<std::size_t>(n))
+                 ? ReadResult::kFed
+                 : ReadResult::kClosed;
     }
     if (n < 0 && errno == EINTR) continue;
-    return std::nullopt;
+    return ReadResult::kClosed;
   }
 }
 
-bool RelayClient::send_front() {
-  serve::RelayAppend msg;
-  bool was_sent = false;
-  std::size_t samples = 0;
+std::optional<serve::WireFrame> RelayClient::next_reply() {
+  while (auto frame = assembler_.next()) {
+    // The relay connection never subscribes, but stay robust to pushes.
+    if (frame->type == serve::MsgType::kSnapshot ||
+        frame->type == serve::MsgType::kDelta) {
+      continue;
+    }
+    return frame;
+  }
+  return std::nullopt;
+}
+
+bool RelayClient::send_window() {
+  send_buf_.clear();
+  std::uint64_t frames = 0;
+  std::uint64_t resent = 0;
+  const auto now = std::chrono::steady_clock::now();
+  // One entry per lock hold, and frames are encoded outside it, so submit()
+  // never waits on a window's worth of copies.
+  while (true) {
+    serve::RelayAppend msg;
+    std::uint32_t request_id = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (in_flight_ >= queue_.size() || in_flight_ >= kSendWindow) break;
+      Pending& p = queue_[in_flight_++];
+      if (p.seq == 0) {
+        p.seq = next_seq_++;
+        if (next_seq_ > lease_end_) {
+          persist_state_locked(next_seq_ + kSeqLeaseBlock);
+        }
+      }
+      if (p.sent_once) ++resent;
+      p.sent_once = true;
+      p.request_id = request_id = next_request_++;
+      p.sent_at = now;
+      msg = {config_.source_id, p.seq, p.priority, p.payload};
+      in_flight_gauge_.set(static_cast<double>(in_flight_));
+    }
+    serve::append_wire_frame(send_buf_, serve::MsgType::kRelayAppend,
+                             request_id, serve::encode_relay_append(msg));
+    ++frames;
+  }
+  if (frames == 0) return true;
+  if (!send_bytes(send_buf_)) return false;
+  sent_batches_.add(frames);
+  resent_batches_.add(resent);
+  return true;
+}
+
+bool RelayClient::await_replies() {
+  std::chrono::steady_clock::time_point deadline;
+  bool room = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return true;
-    Pending& front = queue_.front();
-    if (front.seq == 0) {
-      front.seq = next_seq_++;
-      if (next_seq_ > lease_end_) {
-        persist_state_locked(next_seq_ + kSeqLeaseBlock);
-      }
-    }
-    if (front.payload.empty()) {
-      front.payload = transport::encode_samples(front.batch).payload;
-    }
-    msg.source_id = config_.source_id;
-    msg.seq = front.seq;
-    msg.priority = front.priority;
-    msg.payload = front.payload;
-    was_sent = front.sent_once;
-    front.sent_once = true;
-    samples = front.batch.samples.size();
+    if (in_flight_ == 0) return true;
+    room = in_flight_ < kSendWindow;
+    if (room && in_flight_ < queue_.size()) return true;  // more to send
+    deadline = queue_.front().sent_at +
+               std::chrono::milliseconds(config_.ack_timeout_ms);
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::uint32_t req_id = next_request_++;
-  if (!send_frame(serve::MsgType::kRelayAppend, req_id,
-                  serve::encode_relay_append(msg))) {
-    return false;
+  // Wait for the oldest outstanding append's ack no longer than its
+  // deadline; with room in the window, no longer than kNap either, so
+  // entries submitted meanwhile go out without submit() waking anyone.
+  const auto until =
+      room ? std::min(deadline, std::chrono::steady_clock::now() + kNap)
+           : deadline;
+  switch (read_some(until)) {
+    case ReadResult::kClosed:
+      return false;
+    case ReadResult::kIdle:
+      if (std::chrono::steady_clock::now() < deadline) return true;  // nap
+      ack_timeouts_.add();
+      return false;
+    case ReadResult::kFed:
+      break;
   }
-  sent_batches_.add();
-  if (was_sent) resent_batches_.add();
-  while (true) {
-    auto reply = read_reply(config_.ack_timeout_ms);
-    if (!reply) return false;
-    if (reply->request_id != req_id) continue;  // stale: skip
-    if (reply->type == serve::MsgType::kError) {
-      // The server refused (no relay hook, or the payload failed to decode
-      // server-side). Drop the poison entry rather than loop on it; the
-      // harness asserts this stays zero.
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!queue_.empty() && queue_.front().seq == msg.seq) {
-        queue_.pop_front();
-        pending_gauge_.set(static_cast<double>(queue_.size()));
-      }
-      rejected_batches_.add();
-      if (queue_.empty()) drain_cv_.notify_all();
-      return true;
-    }
-    serve::RelayAck ack;
-    if (!serve::decode_relay_ack(reply->body, ack)) return false;
-    ack_rtt_us_.record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-    std::lock_guard<std::mutex> lock(mu_);
-    if (ack.watermark > watermark_) watermark_ = ack.watermark;
-    drop_acked_locked(watermark_);
-    watermark_gauge_.set(static_cast<double>(watermark_));
-    (void)samples;
-    if (queue_.empty()) drain_cv_.notify_all();
-    return true;
+  while (auto frame = next_reply()) {
+    if (!handle_reply(*frame)) return false;
   }
+  return !assembler_.errored();
 }
 
-void RelayClient::drop_acked_locked(std::uint64_t watermark) {
-  while (!queue_.empty() && queue_.front().seq != 0 &&
-         queue_.front().seq <= watermark) {
-    acked_batches_.add();
-    acked_samples_.add(queue_.front().batch.samples.size());
+bool RelayClient::handle_reply(const serve::WireFrame& reply) {
+  serve::RelayAck ack;
+  const bool is_ack = reply.type == serve::MsgType::kOk;
+  if (is_ack && !serve::decode_relay_ack(reply.body, ack)) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (in_flight_ == 0 || queue_.front().request_id != reply.request_id) {
+    // A reply to a send already given up on (go-back-N): its watermark is
+    // cumulative, so it is still safe to apply.
+    if (is_ack) advance_watermark_locked(ack.watermark);
+    return true;
+  }
+  if (!is_ack) {
+    // The server refused (no relay hook, or the payload failed to decode
+    // server-side). Drop the poison entry rather than loop on it; the
+    // harness asserts this stays zero. Then reconnect: the next hello moves
+    // the server's watermark past the dropped seq instead of leaving a hole
+    // it would wait on forever.
     queue_.pop_front();
+    --in_flight_;
+    rejected_batches_.add();
+    pending_gauge_.set(static_cast<double>(queue_.size()));
+    in_flight_gauge_.set(static_cast<double>(in_flight_));
+    if (queue_.empty()) drain_cv_.notify_all();
+    return false;
+  }
+  ack_rtt_us_.record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - queue_.front().sent_at)
+          .count()));
+  advance_watermark_locked(ack.watermark);
+  if (in_flight_ > 0 && queue_.front().request_id == reply.request_id) {
+    // Acked without being covered: refused beyond the server's window, or
+    // applied above a gap. Go back N — resend from the first unacked entry,
+    // in seq order; the replies still due for this round are stale.
+    in_flight_ = 0;
+    in_flight_gauge_.set(0);
+  }
+  return true;
+}
+
+void RelayClient::advance_watermark_locked(std::uint64_t watermark) {
+  if (watermark > watermark_) {
+    watermark_ = watermark;
+    watermark_gauge_.set(static_cast<double>(watermark_));
+  }
+  while (!queue_.empty() && queue_.front().seq != 0 &&
+         queue_.front().seq <= watermark_) {
+    acked_batches_.add();
+    acked_samples_.add(queue_.front().samples);
+    queue_.pop_front();
+    if (in_flight_ > 0) --in_flight_;
   }
   pending_gauge_.set(static_cast<double>(queue_.size()));
+  in_flight_gauge_.set(static_cast<double>(in_flight_));
+  if (queue_.empty()) drain_cv_.notify_all();
 }
 
 void RelayClient::load_state() {

@@ -8,20 +8,31 @@
 // kRelayAppend) with **at-least-once, exactly-applied** semantics:
 //
 //   * Every forwarded batch carries a monotone per-source sequence number,
-//     assigned contiguously AT SEND TIME (so shedding unsent bulk under
-//     pressure never leaves a permanent gap the server would wait on).
-//   * One append is in flight at a time; the durable ack watermark advances
-//     only when the server acknowledges the applied watermark. Anything
-//     unacked survives locally and is resent after reconnect.
+//     assigned contiguously AT FIRST SEND (so shedding unsent bulk under
+//     pressure never leaves a permanent gap the server would wait on); the
+//     entries holding seqs are always a prefix of the pending queue.
+//   * Up to kSendWindow appends are in flight on a connection, sent in seq
+//     order; acks are read as they arrive and each ack's cumulative
+//     watermark drops the entries it covers. A reconnect, an ack timeout on
+//     the oldest outstanding append, or a refusal (an ack whose watermark
+//     does not cover it) resends from the first unacked entry (go-back-N).
+//     Sending in seq order and resuming from the first unacked entry is what
+//     keeps the aggregator's apply order equal to seq order: its store drops
+//     a series' samples older than the newest it holds, so an out-of-order
+//     apply would lose data silently.
 //   * Reconnects are governed by a resilience::CircuitBreaker on a
 //     steady-clock timeline: exponential backoff with seeded jitter, capped,
 //     so a dead aggregator costs bounded connect attempts and a revived one
 //     is found within one backoff period.
-//   * On (re)connect the client sends kRelayHello; the server's watermark
-//     reply is authoritative: acked entries are dropped, the send sequence
-//     resumes from the watermark, and next_seq jumps past it — so even a
-//     lost local state file cannot re-use a consumed seq (which the server
-//     would ack-as-duplicate, silently discarding fresh data).
+//   * On (re)connect the client sends kRelayHello with its first unacked seq
+//     (its next seq when nothing is unacked). The server raises the source's
+//     watermark to just below it — the client holds no lower seq, so none
+//     can arrive — which unwedges a restart's seq-lease jump, a restarted
+//     aggregator's empty dedupe state, and the hole a kError drop leaves.
+//     The reply's watermark is authoritative: acked entries are dropped, and
+//     next_seq jumps past it, so even a lost local state file cannot re-use
+//     a consumed seq (which the server would ack-as-duplicate, silently
+//     discarding fresh data).
 //   * The local state file (next-seq lease + watermark, tmp+fsync+rename,
 //     FsFaultInjector-aware) preserves seq continuity across node restarts
 //     while the aggregator is unreachable; with it lost, the hello heal
@@ -30,9 +41,11 @@
 // The server applies each (source_id, seq) at most once (serve/server.cpp's
 // dedupe window keyed to the acked watermark), so resends after lost acks
 // are acked-without-reapply: at-least-once delivery, exactly-once apply.
-// Node restarts re-submit WAL-replayed batches under FRESH seqs; the
-// aggregator store's strictly-increasing per-series timestamps reject the
-// byte-identical re-applies (the second dedupe layer, see DESIGN.md).
+//
+// Known gap: the pending queue lives only in memory, so a node crash loses
+// its unacked backlog. The stack replays its WAL into the local store before
+// the relay client exists, and nothing re-submits those batches upstream.
+// ROADMAP item 3 (the WAL as the relay's queue) closes it.
 //
 // submit() never blocks the caller: the bounded pending queue sheds unsent
 // bulk first, then unsent standard; critical entries are never shed (they
@@ -41,6 +54,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -75,7 +89,8 @@ struct RelayConfig {
   /// First reconnect backoff (wall ms); doubles per consecutive failure.
   int backoff_ms = 50;
   int backoff_max_ms = 2000;
-  /// Deadline on the ack read — distinguishes "slow" from "gone".
+  /// Deadline on the oldest outstanding append's ack, and on a send that
+  /// makes no progress — distinguishes "slow" from "gone".
   int ack_timeout_ms = 1000;
   /// Path of the durable seq-lease/watermark file; "" keeps state volatile.
   std::string state_path;
@@ -109,6 +124,12 @@ struct RelayStats {
 
 class RelayClient {
  public:
+  /// Appends kept in flight (sent, not yet acked) on one connection. A
+  /// constant, not a setting: it stays at or under the server's default
+  /// dedupe window (serve::ServeConfig::relay_dedupe_window, 1024), and is
+  /// twice the 64 appends an e2ebench relay_federation sweep makes.
+  static constexpr std::size_t kSendWindow = 128;
+
   explicit RelayClient(RelayConfig config);
   ~RelayClient();
 
@@ -124,7 +145,8 @@ class RelayClient {
 
   /// Enqueue `batch` for forwarding; never blocks. Splits by priority class
   /// and into <= batch_samples chunks. Returns entries enqueued (0 when the
-  /// batch is empty or everything was shed).
+  /// batch is empty, the client is stopped, or everything was shed).
+  /// Entries submitted before start() wait for the worker.
   std::size_t submit(const core::SampleBatch& batch);
 
   /// Block until every submitted entry is acked or `timeout_ms` expires.
@@ -143,21 +165,33 @@ class RelayClient {
   struct Pending {
     std::uint64_t seq = 0;  // 0 until first send (assigned contiguously)
     core::Priority priority = core::Priority::kStandard;
-    core::SampleBatch batch;
-    std::vector<std::uint8_t> payload;  // encoded lazily at first send
+    std::size_t samples = 0;
+    std::vector<std::uint8_t> payload;  // transport::encode_samples bytes
     bool sent_once = false;
+    // Of the latest send; valid while the entry is in flight.
+    std::uint32_t request_id = 0;
+    std::chrono::steady_clock::time_point sent_at{};
   };
 
   void worker();
   bool ensure_connected();
   void disconnect();
-  bool send_front();
-  bool send_frame(serve::MsgType type, std::uint32_t request_id,
-                  const std::vector<std::uint8_t>& body);
-  std::optional<serve::WireFrame> read_reply(int timeout_ms);
-  /// Drop every pending entry with an assigned seq <= `watermark` (they are
-  /// durably applied upstream). Caller holds mu_.
-  void drop_acked_locked(std::uint64_t watermark);
+  /// Send every queued entry the window admits, in seq order, in one write.
+  bool send_window();
+  /// Wait for replies (bounded while the window has room) and apply them.
+  /// False: the connection must be dropped.
+  bool await_replies();
+  bool handle_reply(const serve::WireFrame& reply);
+  bool send_bytes(const std::vector<std::uint8_t>& bytes);
+  enum class ReadResult { kFed, kIdle, kClosed };
+  /// Wait until `deadline` for bytes and feed one recv's worth to the
+  /// assembler. kIdle: the deadline passed with nothing to read.
+  ReadResult read_some(std::chrono::steady_clock::time_point deadline);
+  /// Next assembled reply (server pushes skipped), if any.
+  std::optional<serve::WireFrame> next_reply();
+  /// Raise the watermark to `watermark` (if higher) and drop every entry it
+  /// covers (durably applied upstream). Caller holds mu_.
+  void advance_watermark_locked(std::uint64_t watermark);
   void load_state();
   /// Persist {next_seq lease, watermark}; failures are counted and retried
   /// on the next persist point (forwarding never blocks on the state file).
@@ -166,13 +200,14 @@ class RelayClient {
 
   RelayConfig config_;
   resilience::CircuitBreaker breaker_;
-  std::thread worker_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
   std::atomic<bool> connected_{false};
-  int fd_ = -1;  // worker-owned
+  // Worker-owned.
+  int fd_ = -1;
   serve::WireAssembler assembler_;
   std::uint32_t next_request_ = 1;
+  std::vector<std::uint8_t> send_buf_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;        // work available / stop
@@ -181,6 +216,8 @@ class RelayClient {
   std::uint64_t next_seq_ = 1;
   std::uint64_t lease_end_ = 0;  // highest seq the durable lease covers
   std::uint64_t watermark_ = 0;
+  /// Entries at the queue's front sent on this connection and not yet acked.
+  std::size_t in_flight_ = 0;
 
   // relay.* instruments.
   obs::Counter submitted_batches_;
@@ -197,8 +234,11 @@ class RelayClient {
   obs::Counter ack_timeouts_;
   obs::Counter state_write_errors_;
   obs::Gauge pending_gauge_;
+  obs::Gauge in_flight_gauge_;
   obs::Gauge watermark_gauge_;
   obs::Histogram ack_rtt_us_;
+
+  std::thread worker_;  // last: it uses every member above
 };
 
 }  // namespace hpcmon::relay

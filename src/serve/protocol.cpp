@@ -128,13 +128,17 @@ std::vector<std::uint8_t> encode_relay_hello(const RelayHello& h) {
   std::vector<std::uint8_t> body;
   ByteWriter w(body);
   w.u64(h.source_id);
+  w.u64(h.resume_seq);
   return body;
 }
 
 bool decode_relay_hello(const std::vector<std::uint8_t>& body,
                         RelayHello& out) {
   ByteReader r(body);
-  return r.u64(out.source_id);
+  if (!r.u64(out.source_id)) return false;
+  out.resume_seq = 0;
+  if (r.remaining() >= 8) r.u64(out.resume_seq);
+  return true;
 }
 
 std::vector<std::uint8_t> encode_relay_append(const RelayAppend& a) {

@@ -87,8 +87,14 @@ bool decode_subscribe_req(const std::vector<std::uint8_t>& body,
 /// kRelayHello body: a relay client announces its durable source identity;
 /// the kOk reply carries a RelayAck whose watermark tells the client where
 /// to resume (every seq <= watermark is durably applied server-side).
+/// `resume_seq` is the client's first unacked seq (its next seq when nothing
+/// is unacked): the client holds no seq below it, so the server raises the
+/// source's watermark to resume_seq - 1 rather than wait on seqs that will
+/// never arrive. It trails the source id on the wire; a legacy 8-byte hello
+/// decodes as resume_seq 0, which moves nothing.
 struct RelayHello {
   std::uint64_t source_id = 0;
+  std::uint64_t resume_seq = 0;
 };
 
 /// kRelayAppend body: one at-least-once append. `payload` is verbatim

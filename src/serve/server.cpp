@@ -562,7 +562,21 @@ void ServeServer::dispatch_frame(const std::shared_ptr<Connection>& conn,
       RelayAck ack;
       {
         std::lock_guard<std::mutex> lock(relay_mu_);
-        ack.watermark = relay_sources_[hello.source_id].watermark;
+        RelaySource& src = relay_sources_[hello.source_id];
+        // The client holds no seq below resume_seq (acked, or dropped after
+        // a kError), so none of them will ever arrive: move the watermark
+        // past them, or it would wait on them forever (a node restart's
+        // seq lease jump, a restarted server's empty state, a kError hole).
+        if (hello.resume_seq > src.watermark + 1) {
+          src.watermark = hello.resume_seq - 1;
+          src.applied_above.erase(
+              src.applied_above.begin(),
+              src.applied_above.upper_bound(src.watermark));
+          while (src.applied_above.erase(src.watermark + 1) != 0) {
+            ++src.watermark;
+          }
+        }
+        ack.watermark = src.watermark;
         relay_sources_gauge_.set(static_cast<double>(relay_sources_.size()));
       }
       reply(conn, MsgType::kOk, id, encode_relay_ack(ack));

@@ -1,5 +1,6 @@
 #include "serve/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/strings.hpp"
@@ -10,7 +11,10 @@ void append_wire_frame(std::vector<std::uint8_t>& out, MsgType type,
                        std::uint32_t request_id,
                        const std::vector<std::uint8_t>& body) {
   const auto len = static_cast<std::uint32_t>(1 + 4 + body.size());
-  out.reserve(out.size() + 4 + len);
+  // Grow geometrically: a caller appending frame after frame to one buffer
+  // (the relay's send window) would otherwise reallocate on every frame.
+  const std::size_t need = out.size() + 4 + len;
+  if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
   const auto put_u32 = [&out](std::uint32_t v) {
     const auto* b = reinterpret_cast<const std::uint8_t*>(&v);
     out.insert(out.end(), b, b + 4);

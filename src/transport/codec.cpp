@@ -13,9 +13,14 @@ using core::Sample;
 using core::SampleBatch;
 
 Frame encode_samples(const SampleBatch& batch) {
+  return encode_samples(batch.sweep_time, batch.origin, batch.samples);
+}
+
+Frame encode_samples(core::TimePoint sweep_time, core::ComponentId origin,
+                     std::span<const Sample> samples) {
   Frame f;
   f.type = FrameType::kSamples;
-  const auto count = static_cast<std::uint32_t>(batch.samples.size());
+  const auto count = static_cast<std::uint32_t>(samples.size());
   // Fixed-width layout: size the payload once and fill it in place.
   f.payload.resize(kSampleHeaderBytes + kSampleRecordBytes * count);
   auto* p = f.payload.data();
@@ -23,10 +28,10 @@ Frame encode_samples(const SampleBatch& batch) {
     std::memcpy(p, &v, sizeof(v));
     p += sizeof(v);
   };
-  put(batch.sweep_time);
-  put(core::raw(batch.origin));
+  put(sweep_time);
+  put(core::raw(origin));
   put(count);
-  for (const auto& s : batch.samples) {
+  for (const auto& s : samples) {
     put(core::raw(s.series));
     put(s.time);
     put(s.value);

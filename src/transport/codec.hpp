@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -114,6 +115,10 @@ inline constexpr std::size_t kSampleCountOffset = 12;
 inline constexpr std::size_t kSampleRecordBytes = 20;
 
 Frame encode_samples(const core::SampleBatch& batch);
+/// The same frame for a slice of a batch's samples, so a caller that splits
+/// a batch (the relay's chunking) encodes straight from it without copying.
+Frame encode_samples(core::TimePoint sweep_time, core::ComponentId origin,
+                     std::span<const core::Sample> samples);
 core::Result<core::SampleBatch> decode_samples(const Frame& frame);
 
 /// Validate a sample frame without decoding it: the type is kSamples, the

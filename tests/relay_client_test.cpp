@@ -1,6 +1,8 @@
 // Relay tier unit tests over a real loopback wire: forwarding with acks,
 // server-side (source, seq) dedupe and the bounded window, the hello heal
-// after state-file loss, priority-aware shedding, and seq-lease persistence.
+// after state-file loss, the resume hello after a node crash or an
+// aggregator restart, the send window's depth, priority-aware shedding, and
+// seq-lease persistence.
 #include "relay/client.hpp"
 
 #include <arpa/inet.h>
@@ -10,12 +12,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <thread>
 
+#include "obs/registry.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "store/tsdb.hpp"
@@ -30,12 +37,17 @@ struct Upstream {
   store::TimeSeriesStore store;
   std::atomic<std::uint64_t> applies{0};
   std::atomic<std::uint64_t> applied_samples{0};
+  /// While set, an apply parks the server until it is cleared.
+  std::atomic<bool> hold{false};
   std::unique_ptr<serve::ServeServer> server;
 
   explicit Upstream(serve::ServeConfig config = {}) {
     serve::ServeHooks hooks;
     hooks.relay_apply = [this](const transport::Frame&,
                                const core::SampleBatch& b) {
+      while (hold.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
       ++applies;
       const auto n = store.append_batch(b.samples);
       applied_samples += n;
@@ -97,6 +109,17 @@ class RawPeer {
         return std::nullopt;
       }
     }
+  }
+
+  /// kRelayHello with `body` as given; the reply's watermark.
+  std::optional<std::uint64_t> hello(const std::vector<std::uint8_t>& body) {
+    auto reply = call(serve::MsgType::kRelayHello, body);
+    serve::RelayAck ack;
+    if (!reply || reply->type != serve::MsgType::kOk ||
+        !serve::decode_relay_ack(reply->body, ack)) {
+      return std::nullopt;
+    }
+    return ack.watermark;
   }
 
   std::optional<serve::RelayAck> append(std::uint64_t source,
@@ -272,6 +295,223 @@ TEST(RelayClientTest, CorruptPayloadIsRefusedNotAcked) {
   auto ack = peer.append(7, 1, make_batch(core::SeriesId{1}, 0, 2));
   ASSERT_TRUE(ack.has_value());
   EXPECT_TRUE(ack->applied);
+}
+
+TEST(RelayClientTest, ResumeHelloRaisesTheWatermarkPastSeqsThatNeverCome) {
+  Upstream up;
+  RawPeer peer;
+  ASSERT_TRUE(peer.connect(up.server->port()));
+  const auto batch = make_batch(core::SeriesId{9}, 0, 4);
+  ASSERT_TRUE(peer.append(42, 1, batch).has_value());
+  // seq 2 is refused (kError), so the client drops it; seq 3 applies above
+  // the hole and the watermark waits on 2 forever.
+  serve::RelayAppend poison;
+  poison.source_id = 42;
+  poison.seq = 2;
+  poison.payload = {0xde, 0xad};
+  auto reply = peer.call(serve::MsgType::kRelayAppend,
+                         serve::encode_relay_append(poison));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, serve::MsgType::kError);
+  auto ack = peer.append(42, 3, batch);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_TRUE(ack->applied);
+  EXPECT_EQ(ack->watermark, 1u);
+  // The reconnecting client's first unacked seq is 3: the watermark moves
+  // past the hole and sweeps over the seq already applied above it.
+  EXPECT_EQ(peer.hello(serve::encode_relay_hello({42, 3})), 3u);
+  // A restarted node resumes past its seq lease: nothing below it will
+  // come, so its first append lands in order instead of beyond the window.
+  EXPECT_EQ(peer.hello(serve::encode_relay_hello({42, 70000})), 69999u);
+  ack = peer.append(42, 70000, batch);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_TRUE(ack->applied);
+  EXPECT_EQ(ack->watermark, 70000u);
+  // A resume point at or below the watermark moves nothing.
+  EXPECT_EQ(peer.hello(serve::encode_relay_hello({42, 5})), 70000u);
+  EXPECT_EQ(up.server->stats().relay_window_rejects, 0u);
+}
+
+TEST(RelayClientTest, LegacyHelloWithoutResumeSeqLeavesTheWatermarkAlone) {
+  Upstream up;
+  RawPeer peer;
+  ASSERT_TRUE(peer.connect(up.server->port()));
+  const auto batch = make_batch(core::SeriesId{9}, 0, 4);
+  ASSERT_TRUE(peer.append(42, 1, batch).has_value());
+  ASSERT_TRUE(peer.append(42, 3, batch).has_value());  // above a gap at 2
+  // The 8-byte hello older clients send: source id only.
+  auto legacy = serve::encode_relay_hello({42, 0});
+  legacy.resize(8);
+  EXPECT_EQ(peer.hello(legacy), 1u);
+  serve::RelayHello decoded;
+  ASSERT_TRUE(serve::decode_relay_hello(legacy, decoded));
+  EXPECT_EQ(decoded.source_id, 42u);
+  EXPECT_EQ(decoded.resume_seq, 0u);
+  // The gap still closes the ordinary way.
+  auto ack = peer.append(42, 2, batch);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->watermark, 3u);
+}
+
+TEST(RelayClientTest, NodeCrashLeaseJumpDoesNotWedgeTheRelay) {
+  Upstream up;
+  const std::string state = "/tmp/hpcmon_relay_crash.state";
+  const std::string crashed = state + ".crashed";
+  std::filesystem::remove(state);
+  RelayConfig rc;
+  rc.upstream_port = up.server->port();
+  rc.source_id = 13;
+  rc.state_path = state;
+  rc.backoff_ms = 1;
+  {
+    RelayClient client(rc);
+    ASSERT_TRUE(client.start());
+    client.submit(make_batch(core::SeriesId{6}, 0, 10));
+    ASSERT_TRUE(client.drain_for(5000));
+    // A crash leaves the state file as the last lease write left it, a
+    // whole lease block past the last seq sent (a clean stop() shrinks it).
+    std::filesystem::copy_file(
+        state, crashed, std::filesystem::copy_options::overwrite_existing);
+    client.stop();
+  }
+  std::filesystem::rename(crashed, state);
+  {
+    // The restarted node's first seq lies far beyond the server's dedupe
+    // window; without the resume hello it is refused and resent forever.
+    RelayClient client(rc);
+    ASSERT_TRUE(client.start());
+    client.submit(make_batch(core::SeriesId{6}, 1000, 10));
+    EXPECT_TRUE(client.drain_for(5000));
+    client.stop();
+    EXPECT_EQ(client.stats().acked_batches, 1u);
+    EXPECT_EQ(client.stats().resent_batches, 0u);
+  }
+  EXPECT_EQ(up.applies.load(), 2u);
+  EXPECT_EQ(up.store.query_range(core::SeriesId{6}, {0, core::kHour}).size(),
+            20u);
+  EXPECT_EQ(up.server->stats().relay_window_rejects, 0u);
+  std::filesystem::remove(state);
+}
+
+TEST(RelayClientTest, AggregatorRestartDoesNotWedgeTheRelay) {
+  auto up = std::make_unique<Upstream>();
+  const std::uint16_t port = up->server->port();
+  RelayConfig rc;
+  rc.upstream_port = port;
+  rc.backoff_ms = 1;
+  rc.backoff_max_ms = 20;
+  RelayClient client(rc);
+  ASSERT_TRUE(client.start());
+  client.submit(make_batch(core::SeriesId{5}, 0, 10));
+  ASSERT_TRUE(client.drain_for(5000));
+
+  // The aggregator restarts on the same port with empty dedupe state: its
+  // watermark is 0 and seq 1 will never be sent again. Without the resume
+  // hello, seq 2 applies above that hole and is then acked as a duplicate
+  // forever, and seq 3 is never sent.
+  up.reset();
+  serve::ServeConfig sc;
+  sc.port = port;
+  Upstream fresh(sc);
+  client.submit(make_batch(core::SeriesId{5}, 1000, 10));
+  client.submit(make_batch(core::SeriesId{5}, 2000, 10));
+  EXPECT_TRUE(client.drain_for(5000));
+  client.stop();
+  EXPECT_EQ(fresh.applies.load(), 2u);
+  EXPECT_EQ(
+      fresh.store.query_range(core::SeriesId{5}, {0, core::kHour}).size(),
+      20u);
+  EXPECT_EQ(fresh.server->stats().relay_duplicates, 0u);
+  EXPECT_EQ(client.watermark(), 3u);
+}
+
+TEST(RelayClientTest, InFlightStaysWithinTheSendWindowAndDrainsToZero) {
+  Upstream up;
+  up.hold = true;  // the first apply parks the server
+  RelayConfig rc;
+  rc.upstream_port = up.server->port();
+  rc.batch_samples = 2;
+  rc.queue_cap = 4096;
+  rc.ack_timeout_ms = 10000;
+  RelayClient client(rc);
+  obs::ObsRegistry registry;
+  client.attach_to(registry);
+  const auto in_flight = [&] {
+    return registry.snapshot().gauge("relay.in_flight");
+  };
+  constexpr double kWindow = RelayClient::kSendWindow;
+  // Queued before the worker starts, so the first connect fills the window.
+  constexpr int kSamples = 2 * 1000;
+  ASSERT_EQ(client.submit(make_batch(core::SeriesId{8}, 0, kSamples)), 1000u);
+  ASSERT_TRUE(client.start());
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  double most = 0;
+  // With the server parked, the worker fills the window and stops there.
+  while (in_flight() < kWindow && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int i = 0; i < 20; ++i) {
+    most = std::max(most, in_flight());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(most, kWindow);
+  EXPECT_EQ(client.pending(), 1000u);
+  up.hold = false;
+  while (client.pending() > 0 && std::chrono::steady_clock::now() < give_up) {
+    most = std::max(most, in_flight());
+  }
+  ASSERT_TRUE(client.drain_for(5000));
+  EXPECT_LE(most, kWindow);
+  EXPECT_EQ(in_flight(), 0.0);
+  client.stop();
+  EXPECT_EQ(up.applies.load(), 1000u);
+  EXPECT_EQ(up.store.query_range(core::SeriesId{8}, {0, core::kHour}).size(),
+            static_cast<std::size_t>(kSamples));
+  EXPECT_EQ(client.stats().resent_batches, 0u);
+}
+
+TEST(RelayClientTest, StopStaysBoundedWhenTheUpstreamStopsReading) {
+  // The server accepts but stops reading (parked in an apply) while the
+  // window holds more bytes than the socket buffers take. The worker's send
+  // must give up after ack_timeout_ms, as an ack wait would, instead of
+  // blocking it, and stop(), until the server resumes.
+  Upstream up;
+  up.hold = true;
+  RelayConfig rc;
+  rc.upstream_port = up.server->port();
+  rc.batch_samples = 8192;
+  rc.ack_timeout_ms = 200;
+  rc.backoff_ms = 1;
+  RelayClient client(rc);
+  const auto batch = make_batch(core::SeriesId{1}, 0, 8192);  // ~160 KiB
+  for (std::size_t i = 0; i < RelayClient::kSendWindow; ++i) {
+    ASSERT_EQ(client.submit(batch), 1u);
+  }
+  ASSERT_TRUE(client.start());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  // Resume the server after 5 s at the latest, so a blocked stop() fails
+  // the test instead of hanging it.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool stopped = false;
+  std::thread releaser([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(5), [&] { return stopped; });
+    up.hold = false;
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  client.stop();
+  const auto took = std::chrono::steady_clock::now() - t0;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    stopped = true;
+  }
+  cv.notify_all();
+  releaser.join();
+  EXPECT_LT(took, std::chrono::seconds(2));
+  EXPECT_GE(client.stats().disconnects, 1u);
 }
 
 TEST(RelayClientTest, HelloHealPreventsSeqReuseAfterStateLoss) {

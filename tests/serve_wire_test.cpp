@@ -187,5 +187,22 @@ TEST(ProtocolCodecs, RoundTripEveryBody) {
   EXPECT_EQ(conns2[1].id, 2u);
 }
 
+TEST(ProtocolCodecs, RelayHelloCarriesAResumeSeqAndReadsLegacyBodies) {
+  RelayHello hello{42, 9001};
+  RelayHello out;
+  ASSERT_TRUE(decode_relay_hello(encode_relay_hello(hello), out));
+  EXPECT_EQ(out.source_id, 42u);
+  EXPECT_EQ(out.resume_seq, 9001u);
+  // The resume seq trails the source id, so the first 8 bytes are the
+  // legacy hello, and a legacy hello decodes with resume_seq 0.
+  auto legacy = encode_relay_hello(hello);
+  legacy.resize(8);
+  ASSERT_TRUE(decode_relay_hello(legacy, out));
+  EXPECT_EQ(out.source_id, 42u);
+  EXPECT_EQ(out.resume_seq, 0u);
+  legacy.resize(7);
+  EXPECT_FALSE(decode_relay_hello(legacy, out));
+}
+
 }  // namespace
 }  // namespace hpcmon::serve
