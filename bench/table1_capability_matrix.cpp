@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 
 #include "analysis/correlate.hpp"
 #include "analysis/rules.hpp"
@@ -15,7 +16,6 @@
 #include "response/alerts.hpp"
 #include "store/compactor.hpp"
 #include "store/tier.hpp"
-#include "transport/bus.hpp"
 #include "viz/dashboard.hpp"
 #include "viz/query.hpp"
 
@@ -82,20 +82,22 @@ int main() {
                         static_cast<unsigned long long>(frames)));
   }
   {
-    // Multiple consumers: add a second subscriber + a topic bus fan-out.
-    transport::Bus bus;
-    int admin = 0;
-    int user = 0;
-    bus.subscribe("samples.*",
-                  [&](const std::string&, const transport::Payload&) { ++admin; });
-    bus.subscribe("samples.power",
-                  [&](const std::string&, const transport::Payload&) { ++user; });
-    core::SampleBatch b;
-    b.samples.push_back({core::SeriesId{0}, now, 1.0});
-    bus.publish("samples.power", b);
+    // Multiple consumers: two more subscribers on the live router, beside
+    // the store's. The router keeps them, so they count through shared state.
+    auto admin = std::make_shared<std::size_t>(0);
+    auto user = std::make_shared<std::size_t>(0);
+    mc.router.subscribe(transport::FrameType::kSamples,
+                        [admin](const transport::Frame&) { ++*admin; });
+    mc.router.subscribe(transport::FrameType::kSamples,
+                        [user](const transport::Frame& f) {
+                          if (transport::decode_samples(f).is_ok()) ++*user;
+                        });
+    mc.cluster.run_for(30 * core::kSecond);  // one sweep
     row("Architecture", "data and results to multiple consumers",
-        admin == 1 && user == 1,
-        "topic bus delivered one batch to two independent consumers");
+        *admin > 0 && *user == *admin,
+        core::strformat("two added router subscribers each got all %zu "
+                        "sample frames of a sweep",
+                        *admin));
   }
   {
     // Integrate non-platform data: register a weather-station metric and

@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "core/series_buffer.hpp"
 #include "core/time.hpp"
 
 namespace hpcmon::analysis {

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/series_buffer.hpp"
 #include "core/time.hpp"
 
 namespace hpcmon::analysis {

@@ -10,8 +10,8 @@
 
 #include <deque>
 #include <optional>
+#include <vector>
 
-#include "core/series_buffer.hpp"
 #include "core/time.hpp"
 
 namespace hpcmon::analysis {

@@ -49,6 +49,13 @@ struct TimeRange {
   friend constexpr bool operator==(const TimeRange&, const TimeRange&) = default;
 };
 
+/// One point of a series: what every read path returns.
+struct TimedValue {
+  TimePoint time = 0;
+  double value = 0.0;
+  friend bool operator==(const TimedValue&, const TimedValue&) = default;
+};
+
 /// Render a TimePoint as "D+HH:MM:SS.mmm" for logs and dashboards.
 std::string format_time(TimePoint t);
 

@@ -1,14 +1,13 @@
 // AMQP-style topic matching over dot-separated segments.
 //
-// Factored out of transport::Bus so every layer that routes by dotted name
-// shares ONE matcher with ONE set of semantics: the in-process Bus bindings
-// and the serve tier's live-subscription patterns (a network client
-// subscribing to "node.power_w.#" must match exactly what a Bus binding
-// would). Semantics: '#' matches zero or more whole segments; within a
-// segment, '*' and '?' glob without crossing dots, so a bare '*' segment
-// matches exactly one segment. Empty segments (from "a..b" or a leading /
-// trailing dot) are ordinary zero-length segments: only another empty
-// segment, '*', '?'-free globs matching "", or '#' can match them.
+// The one matcher for every layer that routes by dotted name, so a pattern
+// means the same thing wherever it is written; today that is the serve
+// tier's live-subscription patterns (a network client subscribing to
+// "node.power_w.#"). Semantics: '#' matches zero or more whole segments;
+// within a segment, '*' and '?' glob without crossing dots, so a bare '*'
+// segment matches exactly one segment. Empty segments (from "a..b" or a
+// leading / trailing dot) are ordinary zero-length segments: only another
+// empty segment, '*', '?'-free globs matching "", or '#' can match them.
 #pragma once
 
 #include <string_view>

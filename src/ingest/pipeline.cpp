@@ -9,6 +9,12 @@ namespace hpcmon::ingest {
 namespace {
 using std::chrono::steady_clock;
 
+/// Worker wake period while idle (bounds shutdown latency).
+constexpr std::chrono::milliseconds kIdlePoll{20};
+/// In SUMMARIZE mode, admit every Nth standard-class sample per series
+/// (downsample-on-ingest); the rest are counted as voluntarily shed.
+constexpr std::size_t kStandardStride = 4;
+
 std::uint64_t elapsed_us(steady_clock::time_point since) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -38,7 +44,6 @@ IngestPipeline::IngestPipeline(ShardedTimeSeriesStore& store,
     : store_(store), config_(config), metrics_(store.shard_count()) {
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
   if (config_.max_coalesce_batches == 0) config_.max_coalesce_batches = 1;
-  if (config_.standard_stride == 0) config_.standard_stride = 1;
   channels_.reserve(store_.shard_count());
   for (std::size_t i = 0; i < store_.shard_count(); ++i) {
     channels_.push_back(std::make_unique<transport::Channel<PrioritizedBatch>>(
@@ -50,7 +55,7 @@ bool IngestPipeline::admit_standard(core::SeriesId series) {
   const auto idx = static_cast<std::size_t>(core::raw(series));
   std::scoped_lock lock(stride_mu_);
   if (idx >= stride_counts_.size()) stride_counts_.resize(idx + 1, 0);
-  return (stride_counts_[idx]++ % config_.standard_stride) == 0;
+  return (stride_counts_[idx]++ % kStandardStride) == 0;
 }
 
 IngestPipeline::~IngestPipeline() { stop(); }
@@ -241,13 +246,12 @@ void IngestPipeline::stop() {
 
 void IngestPipeline::worker(std::size_t shard) {
   auto& ch = *channels_[shard];
-  const auto idle = std::chrono::milliseconds(config_.idle_poll_ms);
   // Per-worker merge arena: reset on every drain, so the coalesce+append
   // hot loop reuses one warmed-up allocation instead of growing and freeing
   // a vector per iteration.
   SampleArena arena;
   for (;;) {
-    auto first = ch.pop_for(idle);
+    auto first = ch.pop_for(kIdlePoll);
     if (!first) {
       // Timeout or closed-and-drained; this worker is the only consumer, so
       // the emptiness check cannot race another pop.

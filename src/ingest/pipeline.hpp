@@ -77,16 +77,11 @@ struct IngestConfig {
   OverloadPolicy policy = OverloadPolicy::kBlock;
   /// Max queued sub-batches a worker merges into one shard append.
   std::size_t max_coalesce_batches = 16;
-  /// Worker wake period while idle (bounds shutdown latency).
-  int idle_poll_ms = 20;
   /// Priority lookup for a series (typically MetricRegistry::series_priority
   /// via the owning stack, a lock-free read), called once per submitted
   /// sample. Unset => every sample is kStandard and the priority machinery
   /// is inert (seed behavior).
   std::function<core::Priority(core::SeriesId)> priority_of;
-  /// In SUMMARIZE mode, admit every Nth standard-class sample per series
-  /// (downsample-on-ingest); the rest are counted as voluntarily shed.
-  std::size_t standard_stride = 4;
   /// Stage timer for queue_wait / shard_worker / store_append spans; unset
   /// disables span recording.
   obs::StageTimer* stages = nullptr;

@@ -531,8 +531,8 @@ bool RelayClient::handle_reply(const serve::WireFrame& reply) {
           .count()));
   advance_watermark_locked(ack.watermark);
   if (in_flight_ > 0 && queue_.front().request_id == reply.request_id) {
-    // Acked without being covered: refused beyond the server's window, or
-    // applied above a gap. Go back N — resend from the first unacked entry,
+    // Acked without being covered: refused above the server's next
+    // expected seq. Go back N — resend from the first unacked entry,
     // in seq order; the replies still due for this round are stale.
     in_flight_ = 0;
     in_flight_gauge_.set(0);

@@ -28,7 +28,7 @@
 //     (its next seq when nothing is unacked). The server raises the source's
 //     watermark to just below it — the client holds no lower seq, so none
 //     can arrive — which unwedges a restart's seq-lease jump, a restarted
-//     aggregator's empty dedupe state, and the hole a kError drop leaves.
+//     aggregator's empty state, and the hole a kError drop leaves.
 //     The reply's watermark is authoritative: acked entries are dropped, and
 //     next_seq jumps past it, so even a lost local state file cannot re-use
 //     a consumed seq (which the server would ack-as-duplicate, silently
@@ -38,9 +38,11 @@
 //     while the aggregator is unreachable; with it lost, the hello heal
 //     above still guarantees no consumed seq is reused.
 //
-// The server applies each (source_id, seq) at most once (serve/server.cpp's
-// dedupe window keyed to the acked watermark), so resends after lost acks
-// are acked-without-reapply: at-least-once delivery, exactly-once apply.
+// The server keeps one watermark per source and applies only the seq just
+// above it. A resend at or below the watermark is acked without re-apply, so
+// lost acks cost a resend, not a duplicate: at-least-once delivery,
+// exactly-once apply. An append above the next expected seq is acked at the
+// watermark without apply, and the client goes back N.
 //
 // Known gap: the pending queue lives only in memory, so a node crash loses
 // its unacked backlog. The stack replays its WAL into the local store before
@@ -80,7 +82,7 @@ struct RelayConfig {
   /// Upstream aggregator's serve port on 127.0.0.1 (the serve tier binds
   /// loopback; a real fleet would front it with the LAN listener).
   std::uint16_t upstream_port = 0;
-  /// Durable source identity; the server keys its dedupe state on it.
+  /// Durable source identity; the server keys its watermark on it.
   std::uint64_t source_id = 1;
   /// Max samples per append frame; larger submits are split.
   std::size_t batch_samples = 512;
@@ -125,9 +127,10 @@ struct RelayStats {
 class RelayClient {
  public:
   /// Appends kept in flight (sent, not yet acked) on one connection. A
-  /// constant, not a setting: it stays at or under the server's default
-  /// dedupe window (serve::ServeConfig::relay_dedupe_window, 1024), and is
-  /// twice the 64 appends an e2ebench relay_federation sweep makes.
+  /// constant, not a setting: twice the 64 appends an e2ebench
+  /// relay_federation sweep makes. The server applies only the next seq,
+  /// and one connection delivers appends in the order they were sent, so a
+  /// full window costs no refusals.
   static constexpr std::size_t kSendWindow = 128;
 
   explicit RelayClient(RelayConfig config);

@@ -23,8 +23,8 @@
 //     the scripted `sock_*_at` one-shots, so a resume test can reset the
 //     wire at exactly the Nth socket operation of a send/ack exchange and
 //     assert byte-exact recovery on the aggregator.
-//   * ReliableDelivery — faulty_deliver() wraps a delivery function with
-//     injected failures to drive retry/dead-letter paths.
+//   * WriteAheadLog::deliver — draws delivery_error() before every try,
+//     redeliveries included, to drive the retry/dead-letter paths.
 //
 // Determinism: all probabilistic draws come from one seeded core::Rng behind
 // a mutex; given a fixed seed and a fixed sequence of queries the injected

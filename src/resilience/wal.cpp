@@ -232,6 +232,68 @@ core::Status WriteAheadLog::append(const transport::Frame& frame) {
   return Status::ok();
 }
 
+bool WriteAheadLog::try_deliver(const transport::Frame& frame) {
+  if (opts_.faults != nullptr && opts_.faults->delivery_error()) return false;
+  return append(frame).is_ok();
+}
+
+bool WriteAheadLog::deliver(const transport::Frame& frame) {
+  for (int n = 0; n < kDeliveryAttempts; ++n) {
+    if (n > 0) retries_.add();
+    if (try_deliver(frame)) {
+      delivered_.add();
+      return true;
+    }
+  }
+  failures_.add();
+  if (opts_.dead_letter_cap > 0) dead_letter(frame);
+  return false;
+}
+
+void WriteAheadLog::dead_letter(const transport::Frame& frame) {
+  if (dead_letters_.size() >= opts_.dead_letter_cap) {
+    // Priority values order kCritical(0) < kStandard < kBulk, so the victim
+    // is the first (oldest) frame of the largest value present.
+    auto victim = dead_letters_.begin();
+    for (auto it = dead_letters_.begin(); it != dead_letters_.end(); ++it) {
+      if (it->priority > victim->priority) victim = it;
+    }
+    evicted_.add();
+    if (victim->priority < frame.priority) {
+      update_dlq_fill();
+      return;  // the newcomer is the lowest class in sight
+    }
+    dead_letters_.erase(victim);
+  }
+  dead_letters_.push_back(frame);
+  dead_lettered_.add();
+  update_dlq_fill();
+}
+
+std::size_t WriteAheadLog::redeliver() {
+  std::size_t ok = 0;
+  const std::size_t pending = dead_letters_.size();
+  for (std::size_t i = 0; i < pending; ++i) {
+    transport::Frame frame = std::move(dead_letters_.front());
+    dead_letters_.pop_front();
+    if (try_deliver(frame)) {
+      ++ok;
+      redelivered_.add();
+    } else {
+      dead_letters_.push_back(std::move(frame));  // keep, retry later
+    }
+  }
+  update_dlq_fill();
+  return ok;
+}
+
+void WriteAheadLog::update_dlq_fill() {
+  dlq_fill_.set(opts_.dead_letter_cap == 0
+                    ? 0.0
+                    : static_cast<double>(dead_letters_.size()) /
+                          static_cast<double>(opts_.dead_letter_cap));
+}
+
 core::Status WriteAheadLog::rotate() {
   if (file_ != nullptr) seal_active();
   const auto st = open_segment(active_index_ + 1);
@@ -300,6 +362,30 @@ void WriteAheadLog::attach_to(obs::ObsRegistry& registry) const {
       {"resilience.wal_segments_truncated", "segments",
        "sealed WAL segments deleted past the durability watermark"},
       &segments_truncated_);
+  registry.attach({"resilience.delivered_frames", "frames",
+                   "frames that eventually got through"},
+                  &delivered_);
+  registry.attach({"resilience.delivery_retries", "attempts",
+                   "extra delivery attempts beyond the first"},
+                  &retries_);
+  registry.attach({"resilience.delivery_failures", "frames",
+                   "frames that exhausted every delivery attempt"},
+                  &failures_);
+  registry.attach({"resilience.dead_letters", "frames",
+                   "frames parked in the dead-letter queue (cumulative)"},
+                  &dead_lettered_);
+  registry.attach({"resilience.dead_letter_evictions", "frames",
+                   "dead letters evicted by the bounded queue"},
+                  &evicted_);
+  registry.attach({"resilience.redelivered", "frames",
+                   "dead letters successfully redelivered"},
+                  &redelivered_);
+  obs::InstrumentInfo fill;
+  fill.name = "resilience.dlq_fill";
+  fill.unit = "frac";
+  fill.description = "dead-letter queue occupancy / capacity";
+  fill.gauge_agg = obs::GaugeAgg::kMax;
+  registry.attach(fill, &dlq_fill_);
 }
 
 }  // namespace hpcmon::resilience

@@ -34,10 +34,20 @@
 // segment once the active one exceeds segment_bytes; truncate_before()
 // deletes sealed segments whose newest sample is older than a durability
 // watermark (e.g. the hot-window cutoff once the archive has been spilled).
+//
+// deliver() is the publish path's append. Sec. IV's transport war stories
+// (NERSC's RabbitMQ pipeline, ALCF's reverse-engineered ERD) converge on one
+// requirement: forwarding must retry transient failures, give up visibly
+// (never silently), and bound the memory a dead downstream can consume. So
+// deliver() makes up to kDeliveryAttempts tries, then parks the frame in a
+// bounded dead-letter queue; redeliver() retries the queue once the disk
+// recovers. Every retry, failure, dead letter and eviction is counted (Table
+// I: the transport's impact "should be well-documented").
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -53,7 +63,10 @@ namespace hpcmon::resilience {
 struct WalOptions {
   std::string dir;                       // segment directory (created if absent)
   std::size_t segment_bytes = 1u << 20;  // rotate past this size
-  FaultPlan* faults = nullptr;           // optional file-layer fault injection
+  std::size_t dead_letter_cap = 64;      // frames deliver() may park (0: none)
+  /// Optional fault injection: the file layer (append's record write) and
+  /// the delivery faults deliver() and redeliver() draw before each try.
+  FaultPlan* faults = nullptr;
 };
 
 struct ReplayStats {
@@ -88,6 +101,28 @@ class WriteAheadLog {
   /// a crash mid-record.
   core::Status append(const transport::Frame& frame);
 
+  /// Tries per frame before deliver() gives up on it.
+  static constexpr int kDeliveryAttempts = 3;
+
+  /// append() with retries. Each try first draws faults->delivery_error()
+  /// (when a plan is set), then appends. After kDeliveryAttempts failed
+  /// tries the frame is dead-lettered. A full queue makes room by evicting
+  /// the oldest frame of the lowest class present (bulk before standard
+  /// before critical), so a bulk flood never pushes out a critical frame;
+  /// when everything parked outranks the newcomer, the newcomer is turned
+  /// away. Returns true if the frame was logged.
+  bool deliver(const transport::Frame& frame);
+
+  /// One try per dead letter, drawing faults the way deliver() does;
+  /// logged frames leave the queue, the rest keep their order. Returns the
+  /// number logged.
+  std::size_t redeliver();
+
+  std::size_t dead_letter_count() const { return dead_letters_.size(); }
+  const std::deque<transport::Frame>& dead_letters() const {
+    return dead_letters_;
+  }
+
   /// Flush the active segment's stdio buffer.
   core::Status sync();
 
@@ -109,7 +144,8 @@ class WriteAheadLog {
   /// active segment is never deleted. Returns segments removed.
   std::size_t truncate_before(core::TimePoint cutoff);
 
-  /// Catalog the WAL's instruments as resilience.wal_* in `registry`.
+  /// Catalog the WAL's instruments in `registry`: resilience.wal_* for the
+  /// log, then the delivery counters and the dead-letter fill gauge.
   void attach_to(obs::ObsRegistry& registry) const;
   std::size_t sealed_segments() const { return sealed_.size(); }
   std::uint64_t active_segment_index() const { return active_index_; }
@@ -132,6 +168,10 @@ class WriteAheadLog {
   std::string segment_path(std::uint64_t index) const;
   core::Status open_segment(std::uint64_t index);
   void seal_active();
+  /// One delivery try: the injected delivery fault, then append().
+  bool try_deliver(const transport::Frame& frame);
+  void dead_letter(const transport::Frame& frame);
+  void update_dlq_fill();
 
   WalOptions opts_;
   std::FILE* file_ = nullptr;
@@ -146,6 +186,14 @@ class WriteAheadLog {
   obs::Counter segments_created_;
   obs::Counter segments_truncated_;
   bool dead_ = false;
+  std::deque<transport::Frame> dead_letters_;
+  obs::Counter delivered_;
+  obs::Counter retries_;
+  obs::Counter failures_;
+  obs::Counter dead_lettered_;
+  obs::Counter evicted_;
+  obs::Counter redelivered_;
+  obs::Gauge dlq_fill_;  // dead letters / cap, refreshed on every change
 };
 
 }  // namespace hpcmon::resilience

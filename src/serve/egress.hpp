@@ -7,7 +7,7 @@
 // (core/priority.hpp) to delta frames:
 //
 //   * bulk is evicted first, then standard (oldest first within a class) —
-//     exactly BufferedSubscription's shedding order, now per network client;
+//     the order the WAL's dead-letter queue evicts in, per network client;
 //   * critical is NEVER dropped: when the queue is full of critical frames,
 //     further critical deltas COALESCE — the queue keeps the latest value
 //     per (subscription, series), so memory is bounded by the subscriber's
@@ -35,7 +35,7 @@
 #include "core/ids.hpp"
 #include "core/priority.hpp"
 #include "core/sample.hpp"
-#include "core/series_buffer.hpp"
+#include "core/time.hpp"
 #include "obs/instruments.hpp"
 
 namespace hpcmon::serve {

@@ -26,7 +26,6 @@
 #include "core/ids.hpp"
 #include "core/priority.hpp"
 #include "core/sample.hpp"
-#include "core/series_buffer.hpp"
 #include "core/time.hpp"
 #include "rollup/reducer.hpp"
 #include "store/summary.hpp"
@@ -101,8 +100,8 @@ struct RelayHello {
 /// transport::encode_samples() bytes — the same codec the in-process router
 /// moves — and `priority` carries the batch's class across the hop so the
 /// aggregator's storm-mode shedding still sees it. `seq` is assigned
-/// contiguously per source; the server applies each (source_id, seq) at most
-/// once (dedupe window keyed to the acked watermark).
+/// contiguously per source; the server applies seqs strictly in order, each
+/// (source_id, seq) once: only the seq just above the watermark applies.
 struct RelayAppend {
   std::uint64_t source_id = 0;
   std::uint64_t seq = 0;
@@ -113,8 +112,8 @@ struct RelayAppend {
 /// kOk reply to both relay requests: the server's applied watermark (highest
 /// seq S such that every seq <= S has been applied). `applied` reports what
 /// happened to THIS append: freshly applied, or acked-without-apply because
-/// it was a duplicate or beyond the dedupe window (resend after the
-/// watermark catches up).
+/// it was a duplicate (at or below the watermark) or above the next expected
+/// seq (resend, in order, from the first seq the watermark does not cover).
 struct RelayAck {
   std::uint64_t watermark = 0;
   bool applied = false;

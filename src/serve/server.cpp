@@ -22,6 +22,9 @@ namespace hpcmon::serve {
 
 namespace {
 
+/// Max points returned per scan page regardless of the client's ask.
+constexpr std::uint32_t kScanPageCap = 4096;
+
 std::int64_t steady_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -113,10 +116,10 @@ void ServeServer::attach_to(obs::ObsRegistry& registry) const {
                    "relay appends acked without re-apply (already applied)"},
                   &relay_duplicates_);
   registry.attach({"serve.relay_window_rejects", "batches",
-                   "relay appends beyond the dedupe window (resent later)"},
+                   "relay appends above the next expected seq (resent)"},
                   &relay_window_rejects_);
   registry.attach({"serve.relay_sources", "sources",
-                   "relay sources with dedupe state"},
+                   "relay sources with a watermark"},
                   &relay_sources_gauge_);
   registry.attach({"serve.rollup_queries", "reqs",
                    "kRollupQuery requests answered from the rollup tree"},
@@ -307,7 +310,6 @@ void ServeServer::accept_ready() {
     counters.depth_hwm = &egress_depth_hwm_;
     auto conn = std::make_shared<Connection>(fd, next_conn_id_++,
                                              config_.egress_cap, counters);
-    conn->assembler = WireAssembler(config_.max_frame_bytes);
     conn->last_activity_ms.store(steady_ms(), std::memory_order_relaxed);
     conns_[fd] = conn;
     epoll_event ev{};
@@ -507,10 +509,8 @@ void ServeServer::dispatch_frame(const std::shared_ptr<Connection>& conn,
       cur.series = req.series;
       cur.range = req.range;
       cur.next_begin = req.range.begin;
-      cur.page_points = std::max<std::uint32_t>(
-          1, std::min<std::uint32_t>(
-                 req.page_points,
-                 static_cast<std::uint32_t>(config_.scan_page_cap)));
+      cur.page_points =
+          std::max<std::uint32_t>(1, std::min(req.page_points, kScanPageCap));
       conn->cursors[cursor_id] = cur;
       reply(conn, MsgType::kOk, id, encode_u32(cursor_id));
       return;
@@ -562,22 +562,17 @@ void ServeServer::dispatch_frame(const std::shared_ptr<Connection>& conn,
       RelayAck ack;
       {
         std::lock_guard<std::mutex> lock(relay_mu_);
-        RelaySource& src = relay_sources_[hello.source_id];
+        std::uint64_t& watermark = relay_watermarks_[hello.source_id];
         // The client holds no seq below resume_seq (acked, or dropped after
         // a kError), so none of them will ever arrive: move the watermark
         // past them, or it would wait on them forever (a node restart's
         // seq lease jump, a restarted server's empty state, a kError hole).
-        if (hello.resume_seq > src.watermark + 1) {
-          src.watermark = hello.resume_seq - 1;
-          src.applied_above.erase(
-              src.applied_above.begin(),
-              src.applied_above.upper_bound(src.watermark));
-          while (src.applied_above.erase(src.watermark + 1) != 0) {
-            ++src.watermark;
-          }
+        // Seqs come off the wire, so the test is written not to wrap.
+        if (hello.resume_seq != 0 && hello.resume_seq - 1 > watermark) {
+          watermark = hello.resume_seq - 1;
         }
-        ack.watermark = src.watermark;
-        relay_sources_gauge_.set(static_cast<double>(relay_sources_.size()));
+        ack.watermark = watermark;
+        relay_sources_gauge_.set(static_cast<double>(relay_watermarks_.size()));
       }
       reply(conn, MsgType::kOk, id, encode_relay_ack(ack));
       return;
@@ -739,21 +734,18 @@ void ServeServer::handle_relay_append(const std::shared_ptr<Connection>& conn,
   }
   RelayAck ack;
   std::lock_guard<std::mutex> lock(relay_mu_);
-  RelaySource& src = relay_sources_[req.source_id];
-  if (req.seq <= src.watermark || src.applied_above.count(req.seq) != 0) {
+  std::uint64_t& watermark = relay_watermarks_[req.source_id];
+  if (req.seq <= watermark) {
     // At-least-once resend of something already applied: ack, never
     // re-apply — this is the "exactly-applied" half of the contract.
     ack.duplicate = true;
     relay_duplicates_.add();
-  } else if (req.seq >
-             src.watermark +
-                 std::max<std::size_t>(1, config_.relay_dedupe_window)) {
-    // Beyond the bounded window: acking it would either grow dedupe state
-    // without bound or (worse) force the watermark past seqs never seen.
-    // Ack at the current watermark without applying; the client holds the
-    // batch and resends once the watermark catches up. The window is
-    // floored at 1 — a zero window would refuse even the next in-order
-    // seq and livelock the client against its own resends.
+  } else if (req.seq - 1 > watermark) {
+    // Above the next expected seq. Applying it would put it in the store
+    // before the seqs below it, and the store drops a series' samples
+    // older than the newest it holds: their data would be lost. Ack at
+    // the watermark without applying; the client goes back N and resends
+    // in order. (req.seq > watermark here, so req.seq - 1 cannot wrap.)
     relay_window_rejects_.add();
   } else {
     transport::Frame f;
@@ -768,14 +760,13 @@ void ServeServer::handle_relay_append(const std::shared_ptr<Connection>& conn,
       return;
     }
     const std::size_t applied = hooks_.relay_apply(f, decoded.value());
-    src.applied_above.insert(req.seq);
-    while (src.applied_above.erase(src.watermark + 1) != 0) ++src.watermark;
+    watermark = req.seq;
     ack.applied = true;
     relay_applied_batches_.add();
     relay_applied_samples_.add(applied);
   }
-  ack.watermark = src.watermark;
-  relay_sources_gauge_.set(static_cast<double>(relay_sources_.size()));
+  ack.watermark = watermark;
+  relay_sources_gauge_.set(static_cast<double>(relay_watermarks_.size()));
   reply(conn, MsgType::kOk, frame.request_id, encode_relay_ack(ack));
 }
 

@@ -39,7 +39,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -68,10 +67,6 @@ struct ServeConfig {
   std::size_t writer_threads = 2;
   /// Per-connection egress cap in frames (the priority door's bound).
   std::size_t egress_cap = 256;
-  /// Max points returned per scan page regardless of the client's ask.
-  std::size_t scan_page_cap = 4096;
-  /// Reject wire frames whose declared length exceeds this.
-  std::uint32_t max_frame_bytes = kMaxWireFrameBytes;
   /// When > 0, shrink each accepted socket's send buffer (tests use a tiny
   /// buffer to make a stalled reader stall the pipe within a few frames).
   int sndbuf_bytes = 0;
@@ -79,11 +74,6 @@ struct ServeConfig {
   /// written) for this many wall milliseconds. Off by default: a half-open
   /// peer otherwise holds its EgressQueue and subscriptions forever.
   int idle_timeout_ms = 0;
-  /// Relay dedupe bound: appends more than this many seqs beyond a source's
-  /// acked watermark are acked-without-apply (the client resends once the
-  /// watermark catches up), so per-source dedupe state stays bounded.
-  /// Floored at 1 — a zero window would refuse even the next in-order seq.
-  std::size_t relay_dedupe_window = 1024;
   /// Fault injection consulted before every recv/send (tests only).
   core::SocketFaultInjector* socket_faults = nullptr;
 };
@@ -116,10 +106,11 @@ struct ServeHooks {
   std::function<bool(std::optional<core::DegradationMode>)> set_mode;
   std::function<bool()> wal_rotate;
   /// Relay ingest apply (required for kRelayAppend; without it relay
-  /// requests answer kError). Called exactly once per novel (source_id,
-  /// seq) with the wire payload as a kSamples frame (its priority class in
-  /// `frame.priority`) and the batch decoded from it; must be durable by
-  /// the time it returns (the ack promises the client it may forget).
+  /// requests answer kError). Called exactly once per (source_id, seq), in
+  /// seq order, with the wire payload as a kSamples frame (its priority
+  /// class in `frame.priority`) and the batch decoded from it; must be
+  /// durable by the time it returns (the ack promises the client it may
+  /// forget).
   /// Returns the number of samples applied.
   std::function<std::size_t(const transport::Frame&, const core::SampleBatch&)>
       relay_apply;
@@ -327,15 +318,10 @@ class ServeServer {
   };
   std::vector<std::unique_ptr<Writer>> writers_;
 
-  /// Per-source relay dedupe state: `watermark` is the highest seq S with
-  /// every seq <= S applied; `applied_above` holds applied seqs > watermark
-  /// (bounded by relay_dedupe_window) awaiting the gap to close.
-  struct RelaySource {
-    std::uint64_t watermark = 0;
-    std::set<std::uint64_t> applied_above;
-  };
+  /// Relay watermark per source id: the highest seq applied. Appends apply
+  /// strictly in seq order, so every seq at or below it is applied.
   mutable std::mutex relay_mu_;
-  std::unordered_map<std::uint64_t, RelaySource> relay_sources_;
+  std::unordered_map<std::uint64_t, std::uint64_t> relay_watermarks_;
 
   mutable std::mutex subs_mu_;
   std::vector<Subscription> subs_;

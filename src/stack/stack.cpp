@@ -169,7 +169,7 @@ core::Result<StackOptions> StackOptions::parse(const core::Config& config) {
   r.seconds("degradation_interval_s", 1, o.degradation_interval);
   r.text("wal_path", o.wal.dir);
   r.integer("wal_segment_bytes", 1, o.wal.segment_bytes);
-  r.integer("dead_letter_cap", 1, o.delivery.dead_letter_cap);
+  r.integer("dead_letter_cap", 1, o.wal.dead_letter_cap);
   r.integer("sampler_deadline_ms", 0, o.sampler_deadline_ms);
   r.integer("breaker_threshold", 0, o.breaker_threshold);
   r.seconds("breaker_cooldown_s", 0, o.breaker.cooldown);
@@ -341,14 +341,6 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     wo.faults = chaos_;
     wal_ = std::make_unique<resilience::WriteAheadLog>(wo);
     wal_->attach_to(obs_);
-    resilience::ReliableDelivery::DeliverFn append_fn =
-        [this](const transport::Frame& f) { return wal_->append(f); };
-    if (chaos_ != nullptr) {
-      append_fn = resilience::faulty_deliver(std::move(append_fn), *chaos_);
-    }
-    wal_delivery_ = std::make_unique<resilience::ReliableDelivery>(
-        std::move(append_fn), opts.delivery);
-    wal_delivery_->attach_to(obs_);
   }
 
   const bool supervise =
@@ -441,9 +433,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
           // (and keep dlq pressure honest); once the path recovers the queue
           // drains and the controller can stand down.
           if (wal_ && wal_->poisoned()) wal_->rotate();
-          if (wal_delivery_ && wal_delivery_->dead_letter_count() > 0) {
-            wal_delivery_->redeliver();
-          }
+          if (wal_ && wal_->dead_letter_count() > 0) wal_->redeliver();
           degradation_->evaluate(health_assembler_.assemble(obs_snapshot()));
         });
   }
@@ -503,7 +493,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     // Detector/rule analysis stays node-side (it already ran there).
     hooks.relay_apply = [this](const transport::Frame& frame,
                                const core::SampleBatch& batch) -> std::size_t {
-      if (wal_delivery_) wal_delivery_->deliver(frame);
+      if (wal_) wal_->deliver(frame);
       const std::size_t applied = store_batch(batch);
       if (serve_) serve_->publish_batch(batch);
       return applied;
@@ -585,7 +575,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
                       }
                       // Write-ahead: the frame is durable (or dead-lettered
                       // and counted) before the in-memory store sees it.
-                      if (wal_delivery_) wal_delivery_->deliver(f);
+                      if (wal_) wal_->deliver(f);
                       store_batch(batch.value());
                       // Live-subscription tap: fan the batch out to serve
                       // clients through bounded egress queues (never blocks
@@ -663,9 +653,9 @@ ShutdownReport MonitoringStack::shutdown(std::chrono::milliseconds deadline) {
   if (shut_down_) return report;
   shut_down_ = true;
   // Drain the relay first, while the upstream can still ack: anything left
-  // unacked at the deadline is REPORTED and survives in the durable queue
-  // semantics (fresh seqs after restart; the aggregator store's
-  // strictly-increasing timestamps reject re-applies).
+  // unacked at the deadline is REPORTED. The client holds that backlog in
+  // memory only. The node's own WAL keeps the samples, but a restarted node
+  // does not resend them, so the aggregator never gets them.
   if (relay_) {
     relay_->drain_for(static_cast<int>(deadline.count()));
     report.relay_unacked = relay_->pending();
@@ -681,8 +671,10 @@ ShutdownReport MonitoringStack::shutdown(std::chrono::milliseconds deadline) {
     if (!report.drained) report.abandoned_batches = ingest_->in_flight();
     ingest_->stop();
   }
-  if (wal_) wal_->sync();
-  if (wal_delivery_) report.dead_letters = wal_delivery_->dead_letter_count();
+  if (wal_) {
+    wal_->sync();
+    report.dead_letters = wal_->dead_letter_count();
+  }
   return report;
 }
 
@@ -818,9 +810,7 @@ std::string MonitoringStack::status() const {
     line += core::strformat(" | breakers closed=%zu open=%zu half=%zu",
                             supervised_.size() - open - half, open, half);
   }
-  if (wal_delivery_) {
-    line += core::strformat(" dlq=%zu", wal_delivery_->dead_letter_count());
-  }
+  if (wal_) line += core::strformat(" dlq=%zu", wal_->dead_letter_count());
   // Everything else — ingest/store/wal/supervisor/degradation counters and
   // the per-stage latency histograms — is the exporter's one-line rendering
   // of the same snapshot the control loop reads.

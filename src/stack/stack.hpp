@@ -29,7 +29,6 @@
 #include "relay/client.hpp"
 #include "resilience/breaker.hpp"
 #include "resilience/degradation.hpp"
-#include "resilience/delivery.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/supervisor.hpp"
 #include "resilience/wal.hpp"
@@ -78,9 +77,9 @@ struct StackOptions {
 
   /// wal_path (wal.dir): when set, every sample frame is appended to a
   /// segmented write-ahead log there before ingestion, and segments left by
-  /// a previous incarnation are replayed at construction. wal_segment_bytes.
+  /// a previous incarnation are replayed at construction. wal_segment_bytes,
+  /// dead_letter_cap.
   resilience::WalOptions wal;
-  resilience::DeliveryOptions delivery;  // dead_letter_cap
   int sampler_deadline_ms = 0;  // > 0: run each sampler under a watchdog
   int breaker_threshold = 0;    // > 0: wrap each sampler in a breaker
   resilience::BreakerConfig breaker;  // breaker_cooldown_s
@@ -124,7 +123,8 @@ struct ShutdownReport {
   std::int64_t abandoned_batches = 0;  // sub-batches still queued at deadline
   std::size_t dead_letters = 0;        // frames stranded in the WAL DLQ
   std::size_t relay_unacked = 0;       // relay entries still unacked at stop
-                                       // (durable locally; resent on restart)
+                                       // (held in memory only; a restarted
+                                       // node does not resend them)
   bool clean() const { return drained && abandoned_batches == 0; }
 };
 
@@ -138,9 +138,9 @@ class MonitoringStack {
   /// replayed into the store here, before any new collection happens.
   ///
   /// With a non-null `chaos` (the chaos harness) every fault surface is
-  /// threaded through it: samplers are wrapped in FaultySampler, the WAL
-  /// consults it before each physical append, and the WAL delivery path
-  /// injects delivery failures. The plan must outlive the stack (and any
+  /// threaded through it: samplers are wrapped in FaultySampler, and the
+  /// WAL draws a delivery fault before each try and a file fault before
+  /// each physical append. The plan must outlive the stack (and any
   /// hung sampler threads; call chaos->release_hangs() before teardown).
   MonitoringStack(sim::Cluster& cluster, const core::Config& config,
                   resilience::FaultPlan* chaos = nullptr);
@@ -194,9 +194,9 @@ class MonitoringStack {
   const resilience::WriteAheadLog* wal() const { return wal_.get(); }
   /// Replay outcome of the WAL recovery performed at construction.
   const resilience::ReplayStats& replay_stats() const { return replay_stats_; }
-  /// Retry/dead-letter guard on the WAL append path; nullptr unless the WAL
-  /// is enabled. redeliver() flushes dead letters after a disk recovers.
-  resilience::ReliableDelivery* wal_delivery() { return wal_delivery_.get(); }
+  /// The same log, for the publish path: deliver() retries and
+  /// dead-letters, redeliver() flushes dead letters after a disk recovers.
+  resilience::WriteAheadLog* wal_delivery() { return wal_.get(); }
   /// Supervised sampler wrappers (empty unless breaker_threshold or
   /// sampler_deadline_ms is set); exposes per-sampler breaker state.
   const std::vector<resilience::SupervisedSampler*>& supervised_samplers()
@@ -315,7 +315,6 @@ class MonitoringStack {
   std::unique_ptr<ingest::IngestPipeline> ingest_;
   // Resilience tier (all optional, see config keys above).
   std::unique_ptr<resilience::WriteAheadLog> wal_;
-  std::unique_ptr<resilience::ReliableDelivery> wal_delivery_;
   resilience::ReplayStats replay_stats_;
   std::vector<resilience::SupervisedSampler*> supervised_;  // owned by
                                                             // collection_

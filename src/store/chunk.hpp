@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/series_buffer.hpp"  // TimedValue
 #include "core/time.hpp"
 #include "store/bitstream.hpp"
 #include "store/summary.hpp"

@@ -17,7 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/series_buffer.hpp"  // TimedValue
+#include "core/time.hpp"
 #include "obs/registry.hpp"
 
 namespace hpcmon::store {

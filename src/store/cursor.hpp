@@ -21,7 +21,7 @@
 #include <span>
 #include <vector>
 
-#include "core/series_buffer.hpp"  // TimedValue
+#include "core/time.hpp"
 #include "store/bitstream.hpp"
 
 namespace hpcmon::store {

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/ids.hpp"
-#include "core/series_buffer.hpp"
 #include "core/time.hpp"
 #include "obs/stage.hpp"
 #include "store/chunk.hpp"

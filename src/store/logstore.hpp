@@ -15,7 +15,6 @@
 
 #include "core/log_event.hpp"
 #include "core/result.hpp"
-#include "core/series_buffer.hpp"
 #include "core/time.hpp"
 
 namespace hpcmon::store {

@@ -16,7 +16,7 @@
 #include <optional>
 #include <string_view>
 
-#include "core/series_buffer.hpp"  // TimedValue
+#include "core/time.hpp"
 
 namespace hpcmon::store {
 

@@ -58,7 +58,6 @@
 #include "core/ids.hpp"
 #include "core/priority.hpp"
 #include "core/result.hpp"
-#include "core/series_buffer.hpp"
 #include "core/time.hpp"
 #include "obs/registry.hpp"
 #include "store/chunk.hpp"

@@ -37,7 +37,6 @@
 
 #include "core/ids.hpp"
 #include "core/sample.hpp"
-#include "core/series_buffer.hpp"
 #include "core/time.hpp"
 #include "obs/registry.hpp"
 #include "obs/stage.hpp"

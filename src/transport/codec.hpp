@@ -34,10 +34,10 @@ enum class FrameType : std::uint8_t {
 };
 
 /// One framed message: type tag + binary payload. `priority` is a hop-local
-/// QoS tag (not serialized): bounded fan-out queues shed lower-priority
-/// frames first (see EventRouter::subscribe_buffered). Encoders default it
-/// to kStandard; producers that know better (self-telemetry, chaos floods)
-/// tag their frames explicitly.
+/// QoS tag (not serialized): the WAL's bounded dead-letter queue evicts
+/// lower-priority frames first (see WriteAheadLog::deliver). Encoders
+/// default it to kStandard; producers that know better (self-telemetry,
+/// chaos floods) tag their frames explicitly.
 struct Frame {
   FrameType type = FrameType::kSamples;
   core::Priority priority = core::Priority::kStandard;

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/series_buffer.hpp"
+#include "core/time.hpp"
 
 namespace hpcmon::viz {
 

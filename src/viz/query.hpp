@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/registry.hpp"
-#include "core/series_buffer.hpp"
+#include "core/time.hpp"
 #include "store/tsdb.hpp"
 
 namespace hpcmon::viz {

@@ -1,11 +1,9 @@
-// core::topic_match edge cases: the one matcher shared by the in-process Bus
-// and the serve tier's live subscriptions. '#' at the start, middle, and end;
-// empty segments; literal-only patterns.
+// core::topic_match edge cases: the one matcher for dotted names, used by
+// the serve tier's live subscriptions. '#' at the start, middle, and end;
+// '*' within one segment; empty segments; literal-only patterns.
 #include "core/topic.hpp"
 
 #include <gtest/gtest.h>
-
-#include "transport/bus.hpp"
 
 namespace hpcmon {
 namespace {
@@ -49,6 +47,33 @@ TEST(TopicMatch, HashInMiddle) {
   EXPECT_FALSE(topic_match("#.hsn.#", "a.b.c"));
 }
 
+TEST(TopicMatch, StarMatchesExactlyOneSegment) {
+  // AMQP semantics: `*` never crosses a `.` boundary.
+  EXPECT_TRUE(topic_match("samples.*.power", "samples.node.power"));
+  EXPECT_FALSE(topic_match("samples.*.power", "samples.node.c0-0.power"));
+  EXPECT_FALSE(topic_match("samples.*", "samples.node.c0-0"));
+  EXPECT_FALSE(topic_match("*", "samples.node"));
+  EXPECT_TRUE(topic_match("*", "samples"));
+  // Glob characters still work WITHIN a segment.
+  EXPECT_TRUE(topic_match("samples.node.c0-*", "samples.node.c0-0c1s3n2"));
+  EXPECT_FALSE(topic_match("samples.node.c0-*", "samples.node.c1-0"));
+  EXPECT_TRUE(topic_match("logs.hw?", "logs.hw1"));
+}
+
+TEST(TopicMatch, HashMatchesZeroOrMoreSegments) {
+  EXPECT_TRUE(topic_match("#", "samples.node.c0-0"));
+  EXPECT_TRUE(topic_match("#", "samples"));
+  EXPECT_TRUE(topic_match("logs.#", "logs.hardware.gpu"));
+  EXPECT_TRUE(topic_match("logs.#", "logs"));  // zero segments
+  EXPECT_FALSE(topic_match("logs.#", "samples.node"));
+  EXPECT_TRUE(topic_match("samples.#.power", "samples.power"));
+  EXPECT_TRUE(topic_match("samples.#.power", "samples.node.c0-0.power"));
+  EXPECT_FALSE(topic_match("samples.#.power", "samples.node.temp"));
+  // `#` composes with `*`: any depth, then one node segment.
+  EXPECT_TRUE(topic_match("#.c0-*", "samples.node.c0-0"));
+  EXPECT_FALSE(topic_match("#.c0-*", "samples.node"));
+}
+
 TEST(TopicMatch, StarAndQuestionStayWithinSegments) {
   EXPECT_TRUE(topic_match("node.*", "node.power_w"));
   EXPECT_FALSE(topic_match("node.*", "node.power_w.cab0"));  // '*' != '#'
@@ -79,18 +104,6 @@ TEST(TopicMatch, SerchSeriesNameShapes) {
   EXPECT_TRUE(topic_match("node.power_w@*", "node.power_w@node-3"));
   EXPECT_TRUE(topic_match("node.#", "node.power_w@node-3"));
   EXPECT_FALSE(topic_match("node.power_w@node-4", "node.power_w@node-3"));
-}
-
-TEST(TopicMatch, BusDelegatesToCore) {
-  // transport::topic_match must be a thin alias — identical verdicts.
-  const char* patterns[] = {"#", "a.#.b", "*.x", "a..b", "node.*", ""};
-  const char* topics[] = {"", "a.b", "a.q.b", "a..b", "node.x", "node.x.y"};
-  for (const char* p : patterns) {
-    for (const char* t : topics) {
-      EXPECT_EQ(transport::topic_match(p, t), core::topic_match(p, t))
-          << "pattern=" << p << " topic=" << t;
-    }
-  }
 }
 
 }  // namespace

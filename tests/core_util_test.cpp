@@ -1,4 +1,4 @@
-// Config, CSV, SeriesBuffer, Result, Rng, DriftClock.
+// Config, CSV, Result, Rng, DriftClock.
 #include <gtest/gtest.h>
 
 #include "core/clock.hpp"
@@ -6,7 +6,6 @@
 #include "core/csv.hpp"
 #include "core/result.hpp"
 #include "core/rng.hpp"
-#include "core/series_buffer.hpp"
 
 namespace hpcmon::core {
 namespace {
@@ -67,25 +66,6 @@ TEST(CsvTest, EscapingAndRows) {
   w.number(1.5);
   w.end_row();
   EXPECT_EQ(w.str(), "plain,\"has,comma\",\"has\"\"quote\",3,1.5\n");
-}
-
-TEST(SeriesBufferTest, RingSemantics) {
-  SeriesBuffer buf(3);
-  EXPECT_TRUE(buf.empty());
-  buf.push(1, 10.0);
-  buf.push(2, 20.0);
-  buf.push(3, 30.0);
-  buf.push(4, 40.0);  // overwrites (1, 10)
-  EXPECT_EQ(buf.size(), 3u);
-  EXPECT_EQ(buf.latest()->time, 4);
-  EXPECT_EQ(buf.at_newest(2).time, 2);
-  const auto snap = buf.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap.front().time, 2);
-  EXPECT_EQ(snap.back().time, 4);
-  const auto win = buf.window({3, 5});
-  ASSERT_EQ(win.size(), 2u);
-  EXPECT_EQ(win[0].time, 3);
 }
 
 TEST(ResultTest, OkAndError) {

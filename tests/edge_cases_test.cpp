@@ -10,7 +10,6 @@
 #include "collect/health.hpp"
 #include "store/logstore.hpp"
 #include "store/tsdb.hpp"
-#include "transport/bus.hpp"
 #include "transport/codec.hpp"
 #include "viz/drilldown.hpp"
 #include "viz/export.hpp"
@@ -36,16 +35,6 @@ TEST(CodecEdge, HugeMessageTruncatedSafely) {
   const auto back = transport::decode_logs(transport::encode_logs({e}));
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value()[0].message.size(), 65535u);
-}
-
-TEST(BusEdge, StringPayloadVariant) {
-  transport::Bus bus;
-  std::string got;
-  bus.subscribe("raw.*", [&](const std::string&, const transport::Payload& p) {
-    if (const auto* s = std::get_if<std::string>(&p)) got = *s;
-  });
-  bus.publish("raw.console", std::string("hello"));
-  EXPECT_EQ(got, "hello");
 }
 
 TEST(TsdbEdge, QueryEmptyAndUnknownSeries) {

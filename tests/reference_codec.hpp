@@ -15,7 +15,7 @@
 #include <span>
 #include <vector>
 
-#include "core/series_buffer.hpp"  // TimedValue
+#include "core/time.hpp"
 
 namespace hpcmon::refcodec {
 

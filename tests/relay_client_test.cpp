@@ -1,5 +1,5 @@
 // Relay tier unit tests over a real loopback wire: forwarding with acks,
-// server-side (source, seq) dedupe and the bounded window, the hello heal
+// the server's in-order apply and (source, seq) dedupe, the hello heal
 // after state-file loss, the resume hello after a node crash or an
 // aggregator restart, the send window's depth, priority-aware shedding, and
 // seq-lease persistence.
@@ -18,6 +18,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -69,7 +70,7 @@ core::SampleBatch make_batch(core::SeriesId series, core::TimePoint t0,
   return batch;
 }
 
-/// A raw wire peer for driving the server's dedupe state directly with
+/// A raw wire peer for driving the server's watermarks directly with
 /// hand-built (source, seq) appends — the client never sends these shapes.
 class RawPeer {
  public:
@@ -202,15 +203,13 @@ TEST(RelayClientTest, SplitsByPriorityClassAndChunkSize) {
   EXPECT_EQ(up.applies.load(), 6u);
 }
 
-TEST(RelayClientTest, ServerDedupesBySourceSeqWithinBoundedWindow) {
-  serve::ServeConfig sc;
-  sc.relay_dedupe_window = 3;
-  Upstream up(sc);
+TEST(RelayClientTest, ServerAppliesEachSourceSeqOnceInOrder) {
+  Upstream up;
   RawPeer peer;
   ASSERT_TRUE(peer.connect(up.server->port()));
 
   const auto batch = make_batch(core::SeriesId{9}, 0, 4);
-  // Novel seq applies and advances the watermark.
+  // The next seq applies and advances the watermark.
   auto ack = peer.append(42, 1, batch);
   ASSERT_TRUE(ack.has_value());
   EXPECT_TRUE(ack->applied);
@@ -221,27 +220,17 @@ TEST(RelayClientTest, ServerDedupesBySourceSeqWithinBoundedWindow) {
   EXPECT_FALSE(ack->applied);
   EXPECT_TRUE(ack->duplicate);
   EXPECT_EQ(up.applies.load(), 1u);
-  // Beyond the window (> watermark + 3): refused un-applied, watermark
-  // unchanged — the client must resend once the gap closes.
+  // Above the next expected seq: refused un-applied, watermark unchanged —
+  // the client must resend in order.
   ack = peer.append(42, 5, batch);
   ASSERT_TRUE(ack.has_value());
   EXPECT_FALSE(ack->applied);
   EXPECT_FALSE(ack->duplicate);
   EXPECT_EQ(ack->watermark, 1u);
   EXPECT_EQ(up.applies.load(), 1u);
-  // Out-of-order within the window: applied above the watermark, then the
-  // gap closes and the watermark sweeps forward contiguously.
-  ack = peer.append(42, 3, batch);
-  ASSERT_TRUE(ack.has_value());
-  EXPECT_TRUE(ack->applied);
-  EXPECT_EQ(ack->watermark, 1u);  // 2 still missing
-  ack = peer.append(42, 2, batch);
-  ASSERT_TRUE(ack.has_value());
-  EXPECT_TRUE(ack->applied);
-  EXPECT_EQ(ack->watermark, 3u);  // 2 applied, 3 already above
   // seq 0 is invalid (seqs are 1-based): kError, nothing applied.
   EXPECT_FALSE(peer.append(42, 0, batch).has_value());
-  // A second source has independent dedupe state.
+  // A second source has its own watermark.
   ack = peer.append(43, 1, batch);
   ASSERT_TRUE(ack.has_value());
   EXPECT_TRUE(ack->applied);
@@ -252,30 +241,67 @@ TEST(RelayClientTest, ServerDedupesBySourceSeqWithinBoundedWindow) {
   EXPECT_EQ(stats.relay_sources, 2u);
 }
 
-TEST(RelayClientTest, ZeroDedupeWindowIsFlooredAtOne) {
-  // A zero window must not refuse the next in-order seq — that would
-  // livelock every client against its own resends (the refusal-ack leaves
-  // the watermark where it was, so the client resends the same seq
-  // forever). The server floors the window at 1: strictly in-order
-  // traffic always makes progress.
-  serve::ServeConfig sc;
-  sc.relay_dedupe_window = 0;
-  Upstream up(sc);
+TEST(RelayClientTest, AnAppendAboveAGapWaitsUntilItIsResentInOrder) {
+  // The store drops a series' samples older than the newest it holds, so
+  // applying seq 3 before seq 2 would silently lose seq 2's samples.
+  Upstream up;
+  RawPeer peer;
+  ASSERT_TRUE(peer.connect(up.server->port()));
+  const core::SeriesId series{9};
+  ASSERT_TRUE(peer.append(42, 1, make_batch(series, 0, 4)).has_value());
+  auto ack = peer.append(42, 3, make_batch(series, 200, 4));
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_FALSE(ack->applied);
+  EXPECT_FALSE(ack->duplicate);
+  EXPECT_EQ(ack->watermark, 1u);
+  EXPECT_EQ(up.applies.load(), 1u);
+  EXPECT_TRUE(up.store.query_range(series, {200, 300}).empty());
+  ack = peer.append(42, 2, make_batch(series, 100, 4));
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_TRUE(ack->applied);
+  EXPECT_EQ(ack->watermark, 2u);
+  // Resent after 2, seq 3 applies, and nothing was lost.
+  ack = peer.append(42, 3, make_batch(series, 200, 4));
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_TRUE(ack->applied);
+  EXPECT_EQ(ack->watermark, 3u);
+  EXPECT_EQ(up.applies.load(), 3u);
+  EXPECT_EQ(up.store.query_range(series, {0, 1000}).size(), 12u);
+  EXPECT_EQ(up.server->stats().relay_window_rejects, 1u);
+}
+
+TEST(RelayClientTest, SeqsAtTheTopOfTheRangeNeverMoveTheWatermarkBack) {
+  // Seqs come off the wire: a hello or append carrying 2^64-1 must not
+  // wrap a comparison and move a watermark backwards.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  Upstream up;
   RawPeer peer;
   ASSERT_TRUE(peer.connect(up.server->port()));
   const auto batch = make_batch(core::SeriesId{9}, 0, 4);
-  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
-    auto ack = peer.append(42, seq, batch);
-    ASSERT_TRUE(ack.has_value());
-    EXPECT_TRUE(ack->applied);
-    EXPECT_EQ(ack->watermark, seq);
-  }
-  EXPECT_EQ(up.applies.load(), 3u);
-  // Anything past next-in-order is still refused: the floor is exactly 1.
-  auto ack = peer.append(42, 5, batch);
+  // Far above the watermark (0): refused, not applied.
+  auto ack = peer.append(42, kMax, batch);
   ASSERT_TRUE(ack.has_value());
   EXPECT_FALSE(ack->applied);
-  EXPECT_EQ(ack->watermark, 3u);
+  EXPECT_EQ(ack->watermark, 0u);
+  // A hello resuming at 2^64-1 moves the watermark just below it, and the
+  // top seq then applies.
+  EXPECT_EQ(peer.hello(serve::encode_relay_hello({42, kMax})), kMax - 1);
+  ack = peer.append(42, kMax, batch);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_TRUE(ack->applied);
+  EXPECT_EQ(ack->watermark, kMax);
+  // At the top, every seq is a duplicate and no hello moves it.
+  for (const std::uint64_t seq : {kMax, kMax - 1, std::uint64_t{1}}) {
+    ack = peer.append(42, seq, batch);
+    ASSERT_TRUE(ack.has_value());
+    EXPECT_TRUE(ack->duplicate) << seq;
+    EXPECT_EQ(ack->watermark, kMax) << seq;
+  }
+  for (const std::uint64_t resume : {kMax, kMax - 1, std::uint64_t{1}}) {
+    EXPECT_EQ(peer.hello(serve::encode_relay_hello({42, resume})), kMax)
+        << resume;
+  }
+  EXPECT_EQ(up.applies.load(), 1u);
 }
 
 TEST(RelayClientTest, CorruptPayloadIsRefusedNotAcked) {
@@ -303,8 +329,8 @@ TEST(RelayClientTest, ResumeHelloRaisesTheWatermarkPastSeqsThatNeverCome) {
   ASSERT_TRUE(peer.connect(up.server->port()));
   const auto batch = make_batch(core::SeriesId{9}, 0, 4);
   ASSERT_TRUE(peer.append(42, 1, batch).has_value());
-  // seq 2 is refused (kError), so the client drops it; seq 3 applies above
-  // the hole and the watermark waits on 2 forever.
+  // seq 2 is refused (kError), so the client drops it; seq 3 is refused
+  // above the hole, and the watermark would wait on 2 forever.
   serve::RelayAppend poison;
   poison.source_id = 42;
   poison.seq = 2;
@@ -315,11 +341,15 @@ TEST(RelayClientTest, ResumeHelloRaisesTheWatermarkPastSeqsThatNeverCome) {
   EXPECT_EQ(reply->type, serve::MsgType::kError);
   auto ack = peer.append(42, 3, batch);
   ASSERT_TRUE(ack.has_value());
-  EXPECT_TRUE(ack->applied);
+  EXPECT_FALSE(ack->applied);
   EXPECT_EQ(ack->watermark, 1u);
   // The reconnecting client's first unacked seq is 3: the watermark moves
-  // past the hole and sweeps over the seq already applied above it.
-  EXPECT_EQ(peer.hello(serve::encode_relay_hello({42, 3})), 3u);
+  // past the hole, and the resent seq 3 applies.
+  EXPECT_EQ(peer.hello(serve::encode_relay_hello({42, 3})), 2u);
+  ack = peer.append(42, 3, batch);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_TRUE(ack->applied);
+  EXPECT_EQ(ack->watermark, 3u);
   // A restarted node resumes past its seq lease: nothing below it will
   // come, so its first append lands in order instead of beyond the window.
   EXPECT_EQ(peer.hello(serve::encode_relay_hello({42, 70000})), 69999u);
@@ -329,7 +359,7 @@ TEST(RelayClientTest, ResumeHelloRaisesTheWatermarkPastSeqsThatNeverCome) {
   EXPECT_EQ(ack->watermark, 70000u);
   // A resume point at or below the watermark moves nothing.
   EXPECT_EQ(peer.hello(serve::encode_relay_hello({42, 5})), 70000u);
-  EXPECT_EQ(up.server->stats().relay_window_rejects, 0u);
+  EXPECT_EQ(up.server->stats().relay_window_rejects, 1u);  // the first 3
 }
 
 TEST(RelayClientTest, LegacyHelloWithoutResumeSeqLeavesTheWatermarkAlone) {
@@ -338,7 +368,7 @@ TEST(RelayClientTest, LegacyHelloWithoutResumeSeqLeavesTheWatermarkAlone) {
   ASSERT_TRUE(peer.connect(up.server->port()));
   const auto batch = make_batch(core::SeriesId{9}, 0, 4);
   ASSERT_TRUE(peer.append(42, 1, batch).has_value());
-  ASSERT_TRUE(peer.append(42, 3, batch).has_value());  // above a gap at 2
+  ASSERT_TRUE(peer.append(42, 3, batch).has_value());  // refused: gap at 2
   // The 8-byte hello older clients send: source id only.
   auto legacy = serve::encode_relay_hello({42, 0});
   legacy.resize(8);
@@ -349,6 +379,9 @@ TEST(RelayClientTest, LegacyHelloWithoutResumeSeqLeavesTheWatermarkAlone) {
   EXPECT_EQ(decoded.resume_seq, 0u);
   // The gap still closes the ordinary way.
   auto ack = peer.append(42, 2, batch);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->watermark, 2u);
+  ack = peer.append(42, 3, batch);
   ASSERT_TRUE(ack.has_value());
   EXPECT_EQ(ack->watermark, 3u);
 }

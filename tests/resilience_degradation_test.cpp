@@ -296,9 +296,8 @@ TEST(PriorityDoorTest, CriticalBypassesReject) {
 
 TEST(PriorityDoorTest, ModesShedAtTheDoor) {
   ingest::ShardedTimeSeriesStore store(1);
-  auto cfg = door_config(ingest::OverloadPolicy::kBlock, 256);
-  cfg.standard_stride = 4;
-  ingest::IngestPipeline pipe(store, cfg);
+  ingest::IngestPipeline pipe(
+      store, door_config(ingest::OverloadPolicy::kBlock, 256));
   core::TimePoint t = core::kSecond;
 
   pipe.set_mode(core::DegradationMode::kShedBulk);

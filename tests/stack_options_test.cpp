@@ -90,7 +90,7 @@ TEST(StackOptionsTest, EveryKeyParsesToItsField) {
   EXPECT_FALSE(o.ingest_autostart);
   EXPECT_EQ(o.wal.dir, "/nonexistent/wal");
   EXPECT_EQ(o.wal.segment_bytes, 4096u);
-  EXPECT_EQ(o.delivery.dead_letter_cap, 8u);
+  EXPECT_EQ(o.wal.dead_letter_cap, 8u);
   EXPECT_EQ(o.breaker_threshold, 5);
   EXPECT_EQ(o.breaker.cooldown, 120 * kSecond);
   EXPECT_TRUE(o.serve_enable);
@@ -116,8 +116,7 @@ TEST(StackOptionsTest, EmptyConfigKeepsComponentDefaults) {
   EXPECT_EQ(o.ingest.queue_capacity, ingest::IngestConfig{}.queue_capacity);
   EXPECT_EQ(o.ingest.policy, ingest::IngestConfig{}.policy);
   EXPECT_EQ(o.wal.segment_bytes, resilience::WalOptions{}.segment_bytes);
-  EXPECT_EQ(o.delivery.dead_letter_cap,
-            resilience::DeliveryOptions{}.dead_letter_cap);
+  EXPECT_EQ(o.wal.dead_letter_cap, resilience::WalOptions{}.dead_letter_cap);
   EXPECT_EQ(o.breaker.cooldown, resilience::BreakerConfig{}.cooldown);
   EXPECT_EQ(o.serve.writer_threads, serve::ServeConfig{}.writer_threads);
   EXPECT_EQ(o.relay.queue_cap, relay::RelayConfig{}.queue_cap);

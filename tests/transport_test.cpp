@@ -1,11 +1,10 @@
-// Codec (binary round-trip, lossy text path), EventRouter, Bus, Channel.
+// Codec (binary round-trip, lossy text path), EventRouter, Channel.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <thread>
 
 #include "core/registry.hpp"
-#include "transport/bus.hpp"
 #include "transport/channel.hpp"
 #include "transport/codec.hpp"
 #include "transport/event_router.hpp"
@@ -187,76 +186,6 @@ TEST(RouterTest, ThrowingRawTapIsContained) {
   EXPECT_EQ(delivered, 1);
   const auto snap = obs::snapshot_of(router);
   EXPECT_EQ(snap.counter("transport.subscriber_failures"), 1u);
-}
-
-TEST(BusTest, TopicGlobRouting) {
-  Bus bus;
-  int node_batches = 0;
-  int all = 0;
-  int logs = 0;
-  bus.subscribe("samples.node.*", [&](const std::string&, const Payload&) {
-    ++node_batches;
-  });
-  bus.subscribe("#", [&](const std::string&, const Payload&) { ++all; });
-  bus.subscribe("logs.*", [&](const std::string&, const Payload& p) {
-    ++logs;
-    EXPECT_TRUE(std::holds_alternative<std::vector<LogEvent>>(p));
-  });
-  bus.publish("samples.node.c0-0", make_batch());
-  bus.publish("samples.power.system", make_batch());
-  bus.publish("logs.hardware", make_logs());
-  EXPECT_EQ(node_batches, 1);
-  EXPECT_EQ(all, 3);
-  EXPECT_EQ(logs, 1);
-  EXPECT_EQ(bus.stats().published, 3u);
-  EXPECT_EQ(bus.stats().deliveries, 5u);
-  EXPECT_EQ(bus.stats().unrouted, 0u);
-}
-
-TEST(BusTest, StarMatchesExactlyOneSegment) {
-  // AMQP semantics: `*` never crosses a `.` boundary.
-  EXPECT_TRUE(topic_match("samples.*.power", "samples.node.power"));
-  EXPECT_FALSE(topic_match("samples.*.power", "samples.node.c0-0.power"));
-  EXPECT_FALSE(topic_match("samples.*", "samples.node.c0-0"));
-  EXPECT_FALSE(topic_match("*", "samples.node"));
-  EXPECT_TRUE(topic_match("*", "samples"));
-  // Glob characters still work WITHIN a segment.
-  EXPECT_TRUE(topic_match("samples.node.c0-*", "samples.node.c0-0c1s3n2"));
-  EXPECT_FALSE(topic_match("samples.node.c0-*", "samples.node.c1-0"));
-  EXPECT_TRUE(topic_match("logs.hw?", "logs.hw1"));
-}
-
-TEST(BusTest, HashMatchesZeroOrMoreSegments) {
-  EXPECT_TRUE(topic_match("#", "samples.node.c0-0"));
-  EXPECT_TRUE(topic_match("#", "samples"));
-  EXPECT_TRUE(topic_match("logs.#", "logs.hardware.gpu"));
-  EXPECT_TRUE(topic_match("logs.#", "logs"));  // zero segments
-  EXPECT_FALSE(topic_match("logs.#", "samples.node"));
-  EXPECT_TRUE(topic_match("samples.#.power", "samples.power"));
-  EXPECT_TRUE(topic_match("samples.#.power", "samples.node.c0-0.power"));
-  EXPECT_FALSE(topic_match("samples.#.power", "samples.node.temp"));
-  // `#` composes with `*`: any depth, then one node segment.
-  EXPECT_TRUE(topic_match("#.c0-*", "samples.node.c0-0"));
-  EXPECT_FALSE(topic_match("#.c0-*", "samples.node"));
-}
-
-TEST(BusTest, HashSubscriptionRoutesAcrossDepths) {
-  Bus bus;
-  int n = 0;
-  bus.subscribe("samples.#", [&](const std::string&, const Payload&) { ++n; });
-  bus.publish("samples", make_batch());
-  bus.publish("samples.node", make_batch());
-  bus.publish("samples.node.c0-0.power", make_batch());
-  bus.publish("logs.hardware", make_logs());
-  EXPECT_EQ(n, 3);
-  EXPECT_EQ(bus.stats().unrouted, 1u);
-}
-
-TEST(BusTest, UnroutedCounted) {
-  Bus bus;
-  bus.subscribe("only.this", [](const std::string&, const Payload&) {});
-  bus.publish("something.else", std::string("payload"));
-  EXPECT_EQ(bus.stats().unrouted, 1u);
 }
 
 TEST(ChannelTest, FifoAndClose) {
