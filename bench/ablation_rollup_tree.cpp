@@ -15,6 +15,7 @@
 //   * scatter (window) — aggregate_many over a dashboard window, the actual
 //     pre-refactor fan-out path
 // plus the hot-path microcosts (observe ns/sample, full-sweep tick cost),
+// a shape check that a one-leaf tick re-folds only that leaf's ancestors,
 // an ingest-overhead measurement at the production operating point — a
 // full-MonitoringStack A/B for the serialized reference plus the
 // calibrated ingest-path model that the <5% target gates on (see the
@@ -230,6 +231,24 @@ int main(int argc, char** argv) {
     bench::json_metric("rollup.window_speedup_" + tag + "_x",
                        t.window_scatter_ns / t.rollup_ns);
     bench::json_metric("rollup.read_p_" + tag + "_ns", t.rollup_ns);
+
+    // A tick after one leaf's update re-folds that leaf's ancestors and
+    // nothing else, at every fleet size: a count, stable on any runner.
+    {
+      const int leaf = nodes / 2;
+      std::size_t depth = 0;
+      for (auto c = f.registry.component(f.topo.node(leaf)).parent;
+           c != core::kNoComponent; c = f.registry.component(c).parent) {
+        ++depth;
+      }
+      f.store.append(f.series[static_cast<std::size_t>(leaf)],
+                     now + core::kSecond, 1.0);
+      const auto one = f.tree.tick();
+      bench::shape_check(one.recomputed == depth,
+                         "one-leaf tick at " + tag + " nodes re-folds only its " +
+                             std::to_string(depth) + " ancestors (re-folded " +
+                             std::to_string(one.recomputed) + ")");
+    }
 
     // The rollup reads must answer from the snapshot alone — any
     // store.queries movement during the rollup-read loop is a refactor leak.

@@ -5,11 +5,11 @@
 #   scripts/e2e_smoke.sh [results.jsonl]     # run from the repository root
 #
 # Fails on any non-zero exit, or on a result line without "correct": true.
-# One exception: fleet_live may exit 3 (RUN INVALID: the harness's generator
-# fell behind its send schedule, so the run reports no numbers). That is a
-# warning, not a failure, until the thread that drives the timeline keeps its
-# schedule (ROADMAP.md). Every result line is appended to the results file
-# (default e2e_smoke.jsonl).
+# That includes exit 3 (RUN INVALID: the harness's generator fell behind its
+# send schedule, so the run reports no numbers), which fleet_live, whose
+# generator also runs the rollup tick and every compaction pass, must not
+# hit. Every result line is appended to the results file (default
+# e2e_smoke.jsonl).
 set -u
 
 out="${1:-e2e_smoke.jsonl}"
@@ -28,8 +28,9 @@ for workload in ingest_burst fleet_live relay_federation; do
   rc=${PIPESTATUS[0]}
   result="$(tail -n 1 "$log")"
   rm -f "$log"
-  if [ "$rc" -eq 3 ] && [ "$workload" = fleet_live ]; then
-    echo "::warning::e2ebench $workload: RUN INVALID (generator fell behind)"
+  if [ "$rc" -eq 3 ]; then
+    echo "::error::e2ebench $workload: RUN INVALID (generator fell behind)"
+    status=1
     continue
   fi
   if [ "$rc" -ne 0 ]; then

@@ -38,6 +38,21 @@ constexpr std::chrono::microseconds kNap{100};
 constexpr std::uint8_t kStateVersion = 1;
 constexpr std::uint8_t kStateMagic[4] = {'H', 'R', 'L', 'Y'};
 
+/// The reconnect and refusal breakers' schedule: open on one failure for
+/// backoff_ms, doubling per failed probe up to backoff_max_ms, never under
+/// 1 ms, so no setting lets the worker spin.
+resilience::BreakerConfig backoff_schedule(const RelayConfig& config) {
+  const int first = std::max(1, config.backoff_ms);
+  return {
+      .failure_threshold = 1,
+      .cooldown = first * core::kMillisecond,
+      .backoff_factor = 2.0,
+      .max_cooldown = std::max(first, config.backoff_max_ms) *
+                      core::kMillisecond,
+      .jitter = 0.1,
+  };
+}
+
 }  // namespace
 
 std::int64_t RelayClient::now_us() {
@@ -48,17 +63,8 @@ std::int64_t RelayClient::now_us() {
 
 RelayClient::RelayClient(RelayConfig config)
     : config_(std::move(config)),
-      breaker_(
-          resilience::BreakerConfig{
-              .failure_threshold = 1,
-              .cooldown = std::max(1, config_.backoff_ms) * core::kMillisecond,
-              .backoff_factor = 2.0,
-              .max_cooldown =
-                  std::max(config_.backoff_ms, config_.backoff_max_ms) *
-                  core::kMillisecond,
-              .jitter = 0.1,
-          },
-          0x5EEDB4EAull ^ config_.source_id) {}
+      breaker_(backoff_schedule(config_), 0x5EEDB4EAull ^ config_.source_id),
+      refusals_(backoff_schedule(config_), 0x5EEDB4EBull ^ config_.source_id) {}
 
 RelayClient::~RelayClient() { stop(); }
 
@@ -128,7 +134,12 @@ bool RelayClient::start() {
 
 void RelayClient::stop() {
   if (!running_) return;
-  stop_ = true;
+  {
+    // Under mu_, so a worker that just checked stop_ in a cv_ wait cannot
+    // miss the wakeup.
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
   cv_.notify_all();
   if (worker_.joinable()) worker_.join();
   running_ = false;
@@ -433,6 +444,17 @@ bool RelayClient::send_window() {
   send_buf_.clear();
   std::uint64_t frames = 0;
   std::uint64_t resent = 0;
+  {
+    // After a refusal, wait out the refusal breaker's cooldown; the probe it
+    // then admits is the one append the window allows.
+    std::unique_lock<std::mutex> lock(mu_);
+    if (refusals_.state() == resilience::BreakerState::kOpen) {
+      cv_.wait_for(lock,
+                   std::chrono::microseconds(refusals_.retry_at() - now_us()),
+                   [&] { return stop_.load(); });
+      if (!refusals_.allow(now_us())) return true;
+    }
+  }
   const auto now = std::chrono::steady_clock::now();
   // One entry per lock hold, and frames are encoded outside it, so submit()
   // never waits on a window's worth of copies.
@@ -441,7 +463,7 @@ bool RelayClient::send_window() {
     std::uint32_t request_id = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (in_flight_ >= queue_.size() || in_flight_ >= kSendWindow) break;
+      if (in_flight_ >= queue_.size() || in_flight_ >= window_locked()) break;
       Pending& p = queue_[in_flight_++];
       if (p.seq == 0) {
         p.seq = next_seq_++;
@@ -473,7 +495,7 @@ bool RelayClient::await_replies() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (in_flight_ == 0) return true;
-    room = in_flight_ < kSendWindow;
+    room = in_flight_ < window_locked();
     if (room && in_flight_ < queue_.size()) return true;  // more to send
     deadline = queue_.front().sent_at +
                std::chrono::milliseconds(config_.ack_timeout_ms);
@@ -531,11 +553,16 @@ bool RelayClient::handle_reply(const serve::WireFrame& reply) {
           .count()));
   advance_watermark_locked(ack.watermark);
   if (in_flight_ > 0 && queue_.front().request_id == reply.request_id) {
-    // Acked without being covered: refused above the server's next
-    // expected seq. Go back N — resend from the first unacked entry,
-    // in seq order; the replies still due for this round are stale.
+    // Acked without being covered. The hello put the server's watermark
+    // just below the first unacked entry, so this is the next seq it
+    // expects, and it refused to apply it: it could not make it durable.
+    // Go back N — resend from the first unacked entry, in seq order; the
+    // replies still due for this round are stale. The refusal breaker opens
+    // (or, for a refused probe, re-opens for twice as long), so a failing
+    // aggregator WAL costs one append per cooldown.
     in_flight_ = 0;
     in_flight_gauge_.set(0);
+    refusals_.record_failure(now_us());
   }
   return true;
 }
@@ -544,6 +571,7 @@ void RelayClient::advance_watermark_locked(std::uint64_t watermark) {
   if (watermark > watermark_) {
     watermark_ = watermark;
     watermark_gauge_.set(static_cast<double>(watermark_));
+    refusals_.record_success(now_us());
   }
   while (!queue_.empty() && queue_.front().seq != 0 &&
          queue_.front().seq <= watermark_) {

@@ -16,6 +16,11 @@
 //     watermark drops the entries it covers. A reconnect, an ack timeout on
 //     the oldest outstanding append, or a refusal (an ack whose watermark
 //     does not cover it) resends from the first unacked entry (go-back-N).
+//     A refusal means the aggregator could not make the batch durable, so
+//     a second breaker on the reconnect schedule opens: the client pauses
+//     before resending (backoff_ms, doubling per refused probe up to
+//     backoff_max_ms, never under 1 ms) and probes with one append at a
+//     time until the watermark moves again.
 //     Sending in seq order and resuming from the first unacked entry is what
 //     keeps the aggregator's apply order equal to seq order: its store drops
 //     a series' samples older than the newest it holds, so an out-of-order
@@ -88,7 +93,9 @@ struct RelayConfig {
   std::size_t batch_samples = 512;
   /// Pending-entry bound; unsent bulk/standard shed above it (critical never).
   std::size_t queue_cap = 1024;
-  /// First reconnect backoff (wall ms); doubles per consecutive failure.
+  /// First pause (wall ms) before a reconnect, or before a resend after a
+  /// refusal; doubles per consecutive failure up to backoff_max_ms. Both
+  /// are floored at 1 ms.
   int backoff_ms = 50;
   int backoff_max_ms = 2000;
   /// Deadline on the oldest outstanding append's ack, and on a send that
@@ -195,6 +202,13 @@ class RelayClient {
   /// Raise the watermark to `watermark` (if higher) and drop every entry it
   /// covers (durably applied upstream). Caller holds mu_.
   void advance_watermark_locked(std::uint64_t watermark);
+  /// Appends allowed in flight: kSendWindow, or 1 after a refusal until the
+  /// watermark moves again, since the server refuses everything above the
+  /// seq it could not take. Caller holds mu_.
+  std::size_t window_locked() const {
+    return refusals_.state() == resilience::BreakerState::kClosed ? kSendWindow
+                                                                  : 1;
+  }
   void load_state();
   /// Persist {next_seq lease, watermark}; failures are counted and retried
   /// on the next persist point (forwarding never blocks on the state file).
@@ -221,6 +235,9 @@ class RelayClient {
   std::uint64_t watermark_ = 0;
   /// Entries at the queue's front sent on this connection and not yet acked.
   std::size_t in_flight_ = 0;
+  /// Opens when the server refuses the next seq, admits one probe append
+  /// per cooldown, and closes when the watermark moves.
+  resilience::CircuitBreaker refusals_;
 
   // relay.* instruments.
   obs::Counter submitted_batches_;

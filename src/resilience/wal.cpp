@@ -174,6 +174,11 @@ void WriteAheadLog::seal_active() {
 }
 
 core::Status WriteAheadLog::append(const transport::Frame& frame) {
+  std::scoped_lock lock(mu_);
+  return append_locked(frame);
+}
+
+core::Status WriteAheadLog::append_locked(const transport::Frame& frame) {
   // Validate in place; the record is the exact byte range decode_samples
   // reads, so nothing is decoded or re-encoded on the publish path.
   const auto extent = transport::sample_frame_bytes(frame);
@@ -202,7 +207,7 @@ core::Status WriteAheadLog::append(const transport::Frame& frame) {
       case core::FsFault::kCrash:
         // A crash mid-append and a short write are indistinguishable to the
         // next reader: both leave a torn tail that replay must tolerate.
-        simulate_torn_tail();
+        tear_locked();
         return Status::error("wal: injected short write (torn tail)");
     }
   }
@@ -234,10 +239,12 @@ core::Status WriteAheadLog::append(const transport::Frame& frame) {
 
 bool WriteAheadLog::try_deliver(const transport::Frame& frame) {
   if (opts_.faults != nullptr && opts_.faults->delivery_error()) return false;
-  return append(frame).is_ok();
+  return append_locked(frame).is_ok();
 }
 
-bool WriteAheadLog::deliver(const transport::Frame& frame) {
+bool WriteAheadLog::deliver(const transport::Frame& frame,
+                            OnFailure on_failure) {
+  std::scoped_lock lock(mu_);
   for (int n = 0; n < kDeliveryAttempts; ++n) {
     if (n > 0) retries_.add();
     if (try_deliver(frame)) {
@@ -246,7 +253,9 @@ bool WriteAheadLog::deliver(const transport::Frame& frame) {
     }
   }
   failures_.add();
-  if (opts_.dead_letter_cap > 0) dead_letter(frame);
+  if (on_failure == OnFailure::kDeadLetter && opts_.dead_letter_cap > 0) {
+    dead_letter(frame);
+  }
   return false;
 }
 
@@ -271,6 +280,7 @@ void WriteAheadLog::dead_letter(const transport::Frame& frame) {
 }
 
 std::size_t WriteAheadLog::redeliver() {
+  std::scoped_lock lock(mu_);
   std::size_t ok = 0;
   const std::size_t pending = dead_letters_.size();
   for (std::size_t i = 0; i < pending; ++i) {
@@ -295,6 +305,7 @@ void WriteAheadLog::update_dlq_fill() {
 }
 
 core::Status WriteAheadLog::rotate() {
+  std::scoped_lock lock(mu_);
   if (file_ != nullptr) seal_active();
   const auto st = open_segment(active_index_ + 1);
   dead_ = !st.is_ok();
@@ -302,12 +313,18 @@ core::Status WriteAheadLog::rotate() {
 }
 
 core::Status WriteAheadLog::sync() {
+  std::scoped_lock lock(mu_);
   if (file_ == nullptr) return Status::error("wal: no active segment");
   return std::fflush(file_) == 0 ? Status::ok()
                                  : Status::error("wal: flush failed");
 }
 
 void WriteAheadLog::simulate_torn_tail() {
+  std::scoped_lock lock(mu_);
+  tear_locked();
+}
+
+void WriteAheadLog::tear_locked() {
   if (file_ == nullptr) return;
   // Promise an 80-byte payload, deliver half of it, then "crash".
   const std::vector<std::uint8_t> half(40, 0xAB);
@@ -320,6 +337,7 @@ void WriteAheadLog::simulate_torn_tail() {
 }
 
 std::size_t WriteAheadLog::truncate_before(TimePoint cutoff) {
+  std::scoped_lock lock(mu_);
   std::size_t removed = 0;
   auto it = sealed_.begin();
   while (it != sealed_.end() && it->max_time < cutoff) {

@@ -43,12 +43,17 @@
 // bounded dead-letter queue; redeliver() retries the queue once the disk
 // recovers. Every retry, failure, dead letter and eviction is counted (Table
 // I: the transport's impact "should be well-documented").
+//
+// Every method takes one mutex: an aggregator's serve reactor logs relayed
+// batches while its timeline thread logs its own sweeps, self-heals the log
+// (rotate, redeliver) and truncates it after a compaction pass.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -104,22 +109,35 @@ class WriteAheadLog {
   /// Tries per frame before deliver() gives up on it.
   static constexpr int kDeliveryAttempts = 3;
 
+  /// What deliver() does with a frame it could not log.
+  enum class OnFailure {
+    kDeadLetter,   // park it for redeliver()
+    kCallerKeeps,  // leave it: the caller still holds it and resends it
+  };
+
   /// append() with retries. Each try first draws faults->delivery_error()
   /// (when a plan is set), then appends. After kDeliveryAttempts failed
-  /// tries the frame is dead-lettered. A full queue makes room by evicting
-  /// the oldest frame of the lowest class present (bulk before standard
-  /// before critical), so a bulk flood never pushes out a critical frame;
-  /// when everything parked outranks the newcomer, the newcomer is turned
-  /// away. Returns true if the frame was logged.
-  bool deliver(const transport::Frame& frame);
+  /// tries the frame is dead-lettered, unless the caller keeps it. A full
+  /// queue makes room by evicting the oldest frame of the lowest class
+  /// present (bulk before standard before critical), so a bulk flood never
+  /// pushes out a critical frame; when everything parked outranks the
+  /// newcomer, the newcomer is turned away. Returns true if the frame was
+  /// logged.
+  bool deliver(const transport::Frame& frame,
+               OnFailure on_failure = OnFailure::kDeadLetter);
 
   /// One try per dead letter, drawing faults the way deliver() does;
   /// logged frames leave the queue, the rest keep their order. Returns the
   /// number logged.
   std::size_t redeliver();
 
-  std::size_t dead_letter_count() const { return dead_letters_.size(); }
-  const std::deque<transport::Frame>& dead_letters() const {
+  std::size_t dead_letter_count() const {
+    std::scoped_lock lock(mu_);
+    return dead_letters_.size();
+  }
+  /// A copy of the parked frames, oldest first.
+  std::deque<transport::Frame> dead_letters() const {
+    std::scoped_lock lock(mu_);
     return dead_letters_;
   }
 
@@ -136,7 +154,7 @@ class WriteAheadLog {
   /// success. Appending after a tear must go to a NEW segment — anything
   /// written after a torn record in the same file would be unreachable to
   /// replay. No-op-ish on a healthy log: the active segment just rotates.
-  /// The storm-mode self-heal loop calls this; sites can too, after an
+  /// The stack's self-heal tick calls this; sites can too, after an
   /// operator clears a disk fault.
   core::Status rotate();
 
@@ -147,9 +165,18 @@ class WriteAheadLog {
   /// Catalog the WAL's instruments in `registry`: resilience.wal_* for the
   /// log, then the delivery counters and the dead-letter fill gauge.
   void attach_to(obs::ObsRegistry& registry) const;
-  std::size_t sealed_segments() const { return sealed_.size(); }
-  std::uint64_t active_segment_index() const { return active_index_; }
-  bool poisoned() const { return dead_; }
+  std::size_t sealed_segments() const {
+    std::scoped_lock lock(mu_);
+    return sealed_.size();
+  }
+  std::uint64_t active_segment_index() const {
+    std::scoped_lock lock(mu_);
+    return active_index_;
+  }
+  bool poisoned() const {
+    std::scoped_lock lock(mu_);
+    return dead_;
+  }
 
   /// Scan every segment in `dir` in index order, invoking `apply` for each
   /// intact record's decoded batch. Safe on a directory with a torn tail or
@@ -165,14 +192,18 @@ class WriteAheadLog {
     core::TimePoint max_time = INT64_MIN;
   };
 
+  // These helpers run with mu_ held (or in the constructor).
   std::string segment_path(std::uint64_t index) const;
   core::Status open_segment(std::uint64_t index);
   void seal_active();
-  /// One delivery try: the injected delivery fault, then append().
+  core::Status append_locked(const transport::Frame& frame);
+  void tear_locked();
+  /// One delivery try: the injected delivery fault, then the append.
   bool try_deliver(const transport::Frame& frame);
   void dead_letter(const transport::Frame& frame);
   void update_dlq_fill();
 
+  mutable std::mutex mu_;
   WalOptions opts_;
   std::FILE* file_ = nullptr;
   std::size_t file_bytes_ = 0;

@@ -1,6 +1,7 @@
 #include "rollup/tree.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 
 namespace hpcmon::rollup {
@@ -70,7 +71,7 @@ void RollupTree::observe(std::size_t shard,
   // either table's bounds.
   const std::uint32_t* route = sh.route.data();
   std::size_t route_size = sh.route.size();
-  Pending* cells = pending.data();
+  Latest* cells = pending.data();
   std::size_t cell_count = pending.size();
   for (const auto& s : samples) {
     if (s.time == kNoTime) continue;  // the sentinel can't be represented
@@ -89,7 +90,7 @@ void RollupTree::observe(std::size_t shard,
       cells = pending.data();
       cell_count = pending.size();
     }
-    Pending& p = cells[cell];
+    Latest& p = cells[cell];
     if (p.t == kNoTime) {
       p.t = s.time;
       p.v = s.value;
@@ -156,8 +157,9 @@ std::uint32_t RollupTree::intern_comp(std::uint32_t plane_idx,
   node.parent = parent_slot;
   node.depth = parent_slot == kNoSlot ? 0 : plane.nodes[parent_slot].depth + 1;
   plane.nodes.push_back(std::move(node));
-  plane.self.emplace_back();
-  plane.total.emplace_back();
+  plane.latest.emplace_back();
+  plane.up.push_back(kNoEntry << 1 | kChildless);  // set by rebuild_layout
+  plane.grown = true;
   ++total_levels_;
   if (raw >= plane.slot_of_comp.size()) plane.slot_of_comp.resize(raw + 1, 0);
   plane.slot_of_comp[raw] = slot + 1;
@@ -203,16 +205,103 @@ void RollupTree::forget_series(core::SeriesId id) {
   }
 }
 
-void RollupTree::mark_dirty_up(Plane& plane, std::uint32_t slot) {
-  for (auto s = slot; s != kNoSlot; s = plane.nodes[s].parent) {
-    Node& n = plane.nodes[s];
-    if (n.dirty) break;  // its whole ancestor chain is already marked
-    n.dirty = true;
-    if (n.depth >= plane.dirty_by_depth.size()) {
-      plane.dirty_by_depth.resize(n.depth + 1);
+std::size_t RollupTree::set_latest(Plane& plane, std::uint32_t slot,
+                                  Latest value) {
+  plane.latest[slot] = value;
+  const auto up = plane.up[slot];
+  if ((up >> 1) != kNoEntry) mark(plane, up >> 1);
+  return up & kChildless;
+}
+
+void RollupTree::mark(Plane& plane, std::uint32_t entry) {
+  plane.dirty[entry / 64] |= std::uint64_t{1} << (entry % 64);
+}
+
+RollupStat RollupTree::fold_entry(const Plane& plane, std::uint32_t entry) {
+  const Fold& f = plane.folds[entry];
+  RollupStat total = plane.latest[f.slot].stat();
+  for (auto r = f.refs_begin; r != f.refs_end; ++r) {
+    const auto ref = plane.refs[r];
+    if ((ref & kLeafRef) != 0) {
+      const Latest& leaf = plane.latest[ref & ~kLeafRef];
+      if (leaf.t != kNoTime) total.fold(RollupStat::of_value(leaf.t, leaf.v));
+    } else {
+      total.fold(plane.total[ref]);
     }
-    plane.dirty_by_depth[n.depth].push_back(s);
-    ++plane.dirty_count;
+  }
+  return total;
+}
+
+std::size_t RollupTree::rebuild_layout(Plane& plane) {
+  const auto n = static_cast<std::uint32_t>(plane.nodes.size());
+  // Fold entries are the levels with children, deepest first (then in slot
+  // order), so every child's entry precedes its parent's.
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t slot = 0; slot < n; ++slot) {
+    if (!plane.nodes[slot].children.empty()) order.push_back(slot);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return plane.nodes[a].depth > plane.nodes[b].depth;
+                   });
+  const auto entries = static_cast<std::uint32_t>(order.size());
+  std::vector<std::uint32_t> entry_of(n, kNoEntry);
+  plane.folds.assign(entries, Fold{});
+  for (std::uint32_t e = 0; e < entries; ++e) {
+    entry_of[order[e]] = e;
+    plane.folds[e].slot = order[e];
+  }
+  plane.refs.clear();
+  for (Fold& f : plane.folds) {
+    const Node& node = plane.nodes[f.slot];
+    f.parent = node.parent == kNoSlot ? kNoEntry : entry_of[node.parent];
+    f.refs_begin = static_cast<std::uint32_t>(plane.refs.size());
+    for (const auto child : node.children) {
+      plane.refs.push_back(entry_of[child] == kNoEntry ? (child | kLeafRef)
+                                                       : entry_of[child]);
+    }
+    f.refs_end = static_cast<std::uint32_t>(plane.refs.size());
+  }
+  for (std::uint32_t slot = 0; slot < n; ++slot) {
+    const auto parent = plane.nodes[slot].parent;
+    plane.up[slot] =
+        entry_of[slot] != kNoEntry
+            ? entry_of[slot] << 1
+            : (parent == kNoSlot ? kNoEntry : entry_of[parent]) << 1 |
+                  kChildless;
+  }
+  plane.dirty.assign((entries + 63) / 64, 0);
+  // No level's value moved since the last tick, and a level's new children
+  // are still empty, so a fresh fold reproduces every published stat.
+  plane.total.assign(entries, RollupStat{});
+  for (std::uint32_t e = 0; e < entries; ++e) {
+    plane.total[e] = fold_entry(plane, e);
+  }
+  plane.grown = false;
+  return entries;
+}
+
+void RollupTree::refold_marked(Plane& plane, RollupTickStats& out) {
+  // Entries are deepest first and marks only ever move to a parent, which
+  // has a higher entry, so one ascending pass folds every child before its
+  // parent. Re-reading the word after each fold picks up a parent marked
+  // in the same word; a parent in a later word is set before the pass gets
+  // there.
+  for (std::size_t w = 0; w < plane.dirty.size(); ++w) {
+    auto& bits = plane.dirty[w];
+    while (bits != 0) {
+      const auto e = static_cast<std::uint32_t>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      bits &= bits - 1;
+      if (const auto parent = plane.folds[e].parent; parent != kNoEntry) {
+        mark(plane, parent);
+      }
+      const RollupStat total = fold_entry(plane, e);
+      ++out.recomputed;
+      if (total == plane.total[e]) continue;
+      plane.total[e] = total;
+      ++out.changed;
+    }
   }
 }
 
@@ -225,7 +314,7 @@ RollupTickStats RollupTree::tick() {
 
   // Phase 1: retire every shard's write buffer — an O(1) epoch flip under
   // the shard lock. Writers carry on in the fresh buffer; the retired one
-  // is exclusively ours to read lock-free in phase 2b (the flip's lock
+  // is exclusively ours to read lock-free in phase 3b (the flip's lock
   // hand-off orders their prior writes before our reads).
   std::vector<std::uint8_t> retired(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -237,40 +326,43 @@ RollupTickStats RollupTree::tick() {
 
   std::scoped_lock lock(mu_);
 
-  // Phase 2a: retractions first. A forget already cleared its pending cell
+  // Phase 2: lay out the planes whose topology grew since the last tick.
+  for (Plane& plane : planes_) {
+    if (plane.grown) out.recomputed += rebuild_layout(plane);
+  }
+
+  // Phase 3a: retractions first. A forget already cleared its pending cell
   // in the write epoch, so any retired update for that cell raced the
   // forget and may apply in either order (same contract as before
   // double-buffering; single-threaded forget-then-tick always retracts).
   for (const auto cell : forgotten_) {
     const Cell& c = cells_[cell];
     Plane& plane = planes_[c.plane];
-    if (!plane.self[c.slot].empty()) {
-      plane.self[c.slot] = RollupStat{};
-      // The retracted leaf's last_time resets too, so a later re-append at
+    if (plane.latest[c.slot].t != kNoTime) {
+      // The retracted level's time resets too, so a later re-append at
       // any newer-than-kNoTime time re-admits the series.
-      mark_dirty_up(plane, c.slot);
+      out.changed += set_latest(plane, c.slot, Latest{});
       ++out.forgotten;
     }
   }
   forgotten_.clear();
 
-  // Phase 2b: apply the retired pending values to the leaves straight from
-  // the shard buffers (no copy), resetting each cell so the buffer is
-  // clean before the next flip makes it the write target again. The
-  // strictly-newer guard drops stale windows (all-rejected appends older
-  // than the applied latest).
+  // Phase 3b: apply the retired pending values straight from the shard
+  // buffers (no copy), resetting each cell so the buffer is clean before
+  // the next flip makes it the write target again. The strictly-newer
+  // guard drops stale windows (all-rejected appends older than the
+  // applied latest).
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& sh = *shards_[i];
     auto& pending = sh.pending[retired[i]];
     auto& dirty = sh.dirty[retired[i]];
     for (const auto cell : dirty) {
-      Pending& p = pending[cell];
+      Latest& p = pending[cell];
       if (p.t == kNoTime) continue;  // cleared by forget, or duplicate entry
       const Cell& c = cells_[cell];
       Plane& plane = planes_[c.plane];
-      if (p.t > plane.self[c.slot].last_time) {
-        plane.self[c.slot] = RollupStat::of_value(p.t, p.v);
-        mark_dirty_up(plane, c.slot);
+      if (p.t > plane.latest[c.slot].t) {
+        out.changed += set_latest(plane, c.slot, p);
         ++out.leaf_updates;
       }
       p.t = kNoTime;
@@ -279,32 +371,11 @@ RollupTickStats RollupTree::tick() {
   }
   updates_.add(out.leaf_updates);
 
-  // Phase 3: re-fold dirty nodes deepest-first — the depth buckets make the
-  // walk linear; every dirty node's dirty descendants are strictly deeper,
-  // so children are final when folded.
-  for (Plane& plane : planes_) {
-    if (plane.dirty_count == 0) continue;
-    for (auto bucket = plane.dirty_by_depth.rbegin();
-         bucket != plane.dirty_by_depth.rend(); ++bucket) {
-      for (const auto slot : *bucket) {
-        Node& node = plane.nodes[slot];
-        node.dirty = false;
-        RollupStat total = plane.self[slot];
-        for (const auto child : node.children) {
-          total.fold(plane.total[child]);
-        }
-        ++out.recomputed;
-        if (total == plane.total[slot]) continue;
-        plane.total[slot] = total;
-        ++out.changed;
-      }
-      bucket->clear();
-    }
-    plane.dirty_count = 0;
-  }
+  // Phase 4: re-fold the levels above every change, children first.
+  for (Plane& plane : planes_) refold_marked(plane, out);
   recomputes_.add(out.recomputed);
 
-  // Phase 4: version the result; materialization is deferred to the next
+  // Phase 5: version the result; materialization is deferred to the next
   // snapshot() call so sweeps don't build views nobody reads. (Version 0
   // always publishes so readers see interned planes even before data.)
   if (out.changed != 0 || out.forgotten != 0 || version_ == 0) {
@@ -328,7 +399,7 @@ void RollupTree::publish_locked() const {
   for (Plane& plane : planes_) {
     // The interning maps only change when a new component joins; share one
     // immutable copy across every snapshot until the next growth so the
-    // per-version publish copies stats, not maps.
+    // per-version publish writes stats, not maps.
     if (plane.snap_slot_of_comp == nullptr) {
       plane.snap_slot_of_comp =
           std::make_shared<const std::vector<std::uint32_t>>(
@@ -344,7 +415,15 @@ void RollupTree::publish_locked() const {
     sp.metric = plane.metric;
     sp.slot_of_comp = plane.snap_slot_of_comp;
     sp.comp_of_slot = plane.snap_comp_of_slot;
-    sp.total = plane.total;
+    // One pass in slot order expands every level from its own value, then
+    // the folded totals overwrite the levels with children. A level that
+    // gained children after the last tick is not laid out yet; its stat
+    // is still its own value, which is what the first pass wrote.
+    sp.total.reserve(plane.latest.size());
+    for (const Latest& l : plane.latest) sp.total.push_back(l.stat());
+    for (std::size_t e = 0; e < plane.folds.size(); ++e) {
+      sp.total[plane.folds[e].slot] = plane.total[e];
+    }
     snap->planes_.push_back(std::move(sp));
   }
   // Keys view into the final planes_ strings — built only now, after the
@@ -375,8 +454,8 @@ void RollupTree::attach_to(obs::ObsRegistry& registry) const {
                   &updates_);
   registry.attach({"rollup.ticks", "ticks", "Coalescing merge ticks run"},
                   &ticks_);
-  registry.attach({"rollup.recomputes", "nodes",
-                   "Tree levels re-folded from their children at ticks"},
+  registry.attach({"rollup.recomputes", "levels",
+                   "Levels with children re-folded at ticks"},
                   &recomputes_);
   registry.attach({"rollup.forgotten", "series",
                    "Series retracted from the tree (eviction / node churn)"},

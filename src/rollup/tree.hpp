@@ -20,17 +20,26 @@
 //     sample of a window IS the store's latest whenever any sample was
 //     accepted, and the merge discards pending values older than the
 //     level's applied last_time.
-//   * COALESCING TICK — tick() drains the retired shard buffers, applies
-//     them to the leaf slots of each metric plane, and recomputes the dirty
-//     ancestor chains bottom-up from their children (totals are re-folded
-//     fresh, so float sums are reproducible regardless of update history —
-//     the property tests assert bitwise equality against scatter-gather).
+//   * COALESCING TICK — tick() drains the retired shard buffers and applies
+//     them to each metric plane's slot-indexed latest values: one 16-byte
+//     (t, v) pair per level's own series. A level with no children is never
+//     re-folded, because its total is its own value. Only levels with
+//     children (a plane's fold entries, stored deepest first) re-fold, each
+//     reading its children through precomputed refs kept in
+//     ascending-ComponentId order, so totals are re-folded fresh and float
+//     sums are reproducible regardless of update history (the property
+//     tests assert bitwise equality against scatter-gather). A tick marks
+//     the entry each change feeds and re-folds the marked entries and their
+//     ancestors: work in proportion to changes x depth. The fold layout is
+//     rebuilt at the start of a tick, only for a plane whose topology grew
+//     since the last one.
 //   * READS — a changing tick bumps the published version; the immutable
 //     RollupSnapshot itself materializes lazily at the next snapshot()
 //     call (at most once per version), so sampling sweeps never pay for
-//     views nobody reads. Steady-state reads are a lock-free atomic
-//     shared_ptr load, and a snapshot stays valid for as long as the
-//     reader holds it.
+//     views nobody reads. Materializing expands each childless level's
+//     (t, v) pair into its RollupStat and copies the folded totals over.
+//     Steady-state reads are a lock-free atomic shared_ptr load, and a
+//     snapshot stays valid for as long as the reader holds it.
 //
 // Topology comes from the collector's component registry: the first sample
 // of a series interns its component's whole parent chain
@@ -129,8 +138,8 @@ class RollupSnapshot {
 struct RollupTickStats {
   std::size_t leaf_updates = 0;  // pending cells applied to leaves
   std::size_t forgotten = 0;     // series retracted (eviction/churn)
-  std::size_t recomputed = 0;    // tree nodes re-folded
-  std::size_t changed = 0;       // nodes whose stat actually moved
+  std::size_t recomputed = 0;    // levels with children re-folded
+  std::size_t changed = 0;       // levels whose stat actually moved
 };
 
 class RollupTree {
@@ -155,9 +164,9 @@ class RollupTree {
   /// tick; any pending update for the series is discarded immediately.
   void forget_series(core::SeriesId id);
 
-  /// Coalescing merge: drain shard deltas, re-fold dirty levels, bump the
-  /// published version (the snapshot itself materializes at the next
-  /// snapshot() call).
+  /// Coalescing merge: drain shard deltas, re-fold the levels with children
+  /// above each change, bump the published version (the snapshot itself
+  /// materializes at the next snapshot() call).
   RollupTickStats tick();
 
   /// Read the current published view (empty before the first tick). The
@@ -173,29 +182,64 @@ class RollupTree {
   static constexpr std::uint32_t kUnresolved = 0;  // route states
   static constexpr std::uint32_t kIgnored = 1;
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  // Fold entries fit in 31 bits: a fold ref sets kLeafRef to name a
+  // childless level's slot instead, and Plane::up shifts an entry left by
+  // one to make room for kChildless.
+  static constexpr std::uint32_t kNoEntry = 0x7FFFFFFFu;
+  static constexpr std::uint32_t kLeafRef = 0x80000000u;
+  static constexpr std::uint32_t kChildless = 1;
   static constexpr core::TimePoint kNoTime = RollupStat::kNoTime;
 
+  /// A series' latest (t, v): a shard's pending cell, or a level's applied
+  /// own value. An empty level value is (kNoTime, +0.0), so stat() expands
+  /// it without a branch, bit for bit RollupStat{}.
+  struct Latest {
+    core::TimePoint t = kNoTime;
+    double v = 0.0;
+
+    RollupStat stat() const {
+      RollupStat s;
+      s.count = t != kNoTime ? 1 : 0;
+      s.sum = s.min = s.max = s.last = v;
+      s.last_time = t;
+      return s;
+    }
+  };
+
+  /// Topology: read when interning and when the fold layout is rebuilt,
+  /// never by a tick's apply or fold.
   struct Node {
     std::uint32_t parent = kNoSlot;
     std::uint32_t depth = 0;
     core::ComponentId comp = core::kNoComponent;
     std::vector<std::uint32_t> children;  // sorted by raw ComponentId
-    bool dirty = false;
+  };
+
+  /// One level with children. Entries are ordered deepest first, so every
+  /// child entry precedes its parent.
+  struct Fold {
+    std::uint32_t slot = 0;           // the level; its own value is latest[slot]
+    std::uint32_t parent = kNoEntry;  // the parent's fold entry
+    std::uint32_t refs_begin = 0;     // children: refs[refs_begin, refs_end)
+    std::uint32_t refs_end = 0;
   };
 
   struct Plane {
     std::string metric;
     std::vector<std::uint32_t> slot_of_comp;  // raw ComponentId -> slot+1
     std::vector<Node> nodes;
-    // Level stats live in slot-indexed arrays parallel to `nodes`, split
-    // out of Node so the apply/fold/publish loops stream dense 48-byte
-    // stats instead of striding across the cold topology fields.
-    std::vector<RollupStat> self;   // own series' latest value (count <= 1)
-    std::vector<RollupStat> total;  // self folded with every child's total
-    // Slots awaiting re-fold, bucketed by depth so the deepest-first walk
-    // is a linear scan instead of a per-tick sort (capacity is recycled).
-    std::vector<std::vector<std::uint32_t>> dirty_by_depth;
-    std::size_t dirty_count = 0;
+    bool grown = false;  // nodes interned since the fold layout was built
+    // Slot-indexed, parallel to `nodes`.
+    std::vector<Latest> latest;
+    // The fold entry a change to latest[slot] marks, shifted left by one:
+    // the level's own when it has children, else its parent's (kNoEntry for
+    // a childless root), with kChildless set when the level has no entry.
+    std::vector<std::uint32_t> up;
+    // The fold layout, indexed by fold entry.
+    std::vector<Fold> folds;
+    std::vector<std::uint32_t> refs;  // slot | kLeafRef, or a fold entry
+    std::vector<RollupStat> total;    // own value folded with every child's
+    std::vector<std::uint64_t> dirty;  // one bit per marked fold entry
     // Lazily rebuilt snapshot views of the interning maps; invalidated by
     // intern_comp, shared by every snapshot published since the last growth.
     std::shared_ptr<const std::vector<std::uint32_t>> snap_slot_of_comp;
@@ -208,11 +252,6 @@ class RollupTree {
     std::uint32_t slot = 0;
   };
 
-  struct Pending {
-    core::TimePoint t = kNoTime;  // kNoTime = empty cell
-    double v = 0.0;
-  };
-
   struct Shard {
     std::mutex mu;
     std::vector<std::uint32_t> route;  // raw SeriesId -> state or cell+2
@@ -223,7 +262,7 @@ class RollupTree {
     // drain). The drain resets the retired cells before the next flip
     // makes them the write target again.
     std::uint8_t epoch = 0;
-    std::array<std::vector<Pending>, 2> pending;      // indexed by cell
+    std::array<std::vector<Latest>, 2> pending;       // indexed by cell
     std::array<std::vector<std::uint32_t>, 2> dirty;  // cells filled
   };
 
@@ -232,7 +271,19 @@ class RollupTree {
   std::uint32_t resolve_route(core::SeriesId id);
   std::uint32_t intern_plane(std::uint32_t metric_index);
   std::uint32_t intern_comp(std::uint32_t plane_idx, core::ComponentId comp);
-  void mark_dirty_up(Plane& plane, std::uint32_t slot);
+  /// Lay out a grown plane's fold entries and refs, and fold every entry
+  /// afresh. Returns the entries folded.
+  static std::size_t rebuild_layout(Plane& plane);
+  static RollupStat fold_entry(const Plane& plane, std::uint32_t entry);
+  /// Store a level's own value, and mark the fold entry it feeds. Returns 1
+  /// when the level is childless (no fold will count its change), else 0.
+  static std::size_t set_latest(Plane& plane, std::uint32_t slot,
+                                Latest value);
+  static void mark(Plane& plane, std::uint32_t entry);
+  /// Re-fold every marked entry and, through the parent links, every entry
+  /// above it, children first, counting each and whether its total moved;
+  /// clears the marks.
+  static void refold_marked(Plane& plane, RollupTickStats& out);
   /// Materialize planes_ into a fresh snapshot and store it (mu_ held).
   void publish_locked() const;
 

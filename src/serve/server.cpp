@@ -118,6 +118,9 @@ void ServeServer::attach_to(obs::ObsRegistry& registry) const {
   registry.attach({"serve.relay_window_rejects", "batches",
                    "relay appends above the next expected seq (resent)"},
                   &relay_window_rejects_);
+  registry.attach({"serve.relay_refusals", "batches",
+                   "relay appends the host could not make durable (resent)"},
+                  &relay_refusals_);
   registry.attach({"serve.relay_sources", "sources",
                    "relay sources with a watermark"},
                   &relay_sources_gauge_);
@@ -759,11 +762,18 @@ void ServeServer::handle_relay_append(const std::shared_ptr<Connection>& conn,
       reply_error(conn, frame.request_id, "bad relay payload");
       return;
     }
-    const std::size_t applied = hooks_.relay_apply(f, decoded.value());
-    watermark = req.seq;
-    ack.applied = true;
-    relay_applied_batches_.add();
-    relay_applied_samples_.add(applied);
+    if (const auto applied = hooks_.relay_apply(f, decoded.value())) {
+      watermark = req.seq;
+      ack.applied = true;
+      relay_applied_batches_.add();
+      relay_applied_samples_.add(*applied);
+    } else {
+      // The host could not log it (its WAL is failing). Ack at the
+      // watermark without applying, as for an append above the next
+      // expected seq: the client still holds the batch and goes back N.
+      // Never kError, on which the client drops the batch.
+      relay_refusals_.add();
+    }
   }
   ack.watermark = watermark;
   relay_sources_gauge_.set(static_cast<double>(relay_watermarks_.size()));

@@ -106,13 +106,15 @@ struct ServeHooks {
   std::function<bool(std::optional<core::DegradationMode>)> set_mode;
   std::function<bool()> wal_rotate;
   /// Relay ingest apply (required for kRelayAppend; without it relay
-  /// requests answer kError). Called exactly once per (source_id, seq), in
-  /// seq order, with the wire payload as a kSamples frame (its priority
-  /// class in `frame.priority`) and the batch decoded from it; must be
-  /// durable by the time it returns (the ack promises the client it may
-  /// forget).
-  /// Returns the number of samples applied.
-  std::function<std::size_t(const transport::Frame&, const core::SampleBatch&)>
+  /// requests answer kError). Called once per (source_id, seq) until it
+  /// applies it, in seq order, with the wire payload as a kSamples frame
+  /// (its priority class in `frame.priority`) and the batch decoded from
+  /// it; must be durable by the time it returns (the ack promises the
+  /// client it may forget). Returns the number of samples applied, or
+  /// nullopt when the host could not make the batch durable: the server
+  /// then acks without applying, and the client resends it later.
+  std::function<std::optional<std::size_t>(const transport::Frame&,
+                                           const core::SampleBatch&)>
       relay_apply;
   /// Rollup level read by NAME (required for kRollupQuery / kRollupSub;
   /// absent => kError). The host answers from its RollupTree's current
@@ -351,6 +353,7 @@ class ServeServer {
   obs::Counter relay_applied_samples_;
   obs::Counter relay_duplicates_;
   obs::Counter relay_window_rejects_;
+  obs::Counter relay_refusals_;
   obs::Counter rollup_queries_;
   obs::Counter rollup_deltas_;
   obs::Gauge rollup_subs_gauge_;

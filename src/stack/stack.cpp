@@ -423,18 +423,23 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     degradation_->attach_to(obs_);
     degradation_->on_change(
         [this](core::DegradationMode mode) { apply_degradation(mode); });
+  }
+  // The WAL self-heals on the controller's cadence, with or without the
+  // controller: rotate a poisoned WAL onto a fresh segment, then run one
+  // redelivery pass over the dead-letter queue. While the fault persists
+  // the letters stay put (and keep dlq pressure honest); once the path
+  // recovers the queue drains. With storm mode on, the heal runs before
+  // the controller's reading, so the controller can stand down.
+  if (wal_ || degradation_) {
     cluster_.events().schedule_every(
         cluster_.now() + opts.degradation_interval, opts.degradation_interval,
         [this, alive = alive_](core::TimePoint) {
           if (!*alive) return;
-          // Self-heal before taking the reading: rotate a poisoned WAL onto
-          // a fresh segment, then run one redelivery pass over the
-          // dead-letter queue. While the fault persists the letters stay put
-          // (and keep dlq pressure honest); once the path recovers the queue
-          // drains and the controller can stand down.
           if (wal_ && wal_->poisoned()) wal_->rotate();
           if (wal_ && wal_->dead_letter_count() > 0) wal_->redeliver();
-          degradation_->evaluate(health_assembler_.assemble(obs_snapshot()));
+          if (degradation_) {
+            degradation_->evaluate(health_assembler_.assemble(obs_snapshot()));
+          }
         });
   }
 
@@ -489,11 +494,15 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     // (source, seq) before calling this, so the hook applies each novel
     // batch through the SAME pathway local samples take — WAL first (the
     // wire payload as received, never re-encoded), then the numeric store,
-    // then the live-subscription fan-out.
+    // then the live-subscription fan-out. A batch the WAL cannot log is
+    // refused, neither applied nor dead-lettered: the ack would tell the
+    // client to forget it, and the client still holds it to resend.
     // Detector/rule analysis stays node-side (it already ran there).
-    hooks.relay_apply = [this](const transport::Frame& frame,
-                               const core::SampleBatch& batch) -> std::size_t {
-      if (wal_) wal_->deliver(frame);
+    hooks.relay_apply =
+        [this](const transport::Frame& frame,
+               const core::SampleBatch& batch) -> std::optional<std::size_t> {
+      constexpr auto keep = resilience::WriteAheadLog::OnFailure::kCallerKeeps;
+      if (wal_ && !wal_->deliver(frame, keep)) return std::nullopt;
       const std::size_t applied = store_batch(batch);
       if (serve_) serve_->publish_batch(batch);
       return applied;

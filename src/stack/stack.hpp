@@ -72,7 +72,8 @@ struct StackOptions {
   ingest::IngestConfig ingest;  // ingest_queue_cap, ingest_policy
   bool ingest_autostart = true;  // ingest_autostart: false = workers idle
   bool degradation = false;  // degradation: storm-mode controller
-  /// degradation_interval_s: the controller's evaluation cadence.
+  /// degradation_interval_s: the controller's evaluation cadence, and the
+  /// WAL self-heal's (which runs whenever wal_path is set).
   core::Duration degradation_interval = core::kMinute;
 
   /// wal_path (wal.dir): when set, every sample frame is appended to a

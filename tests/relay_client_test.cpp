@@ -1,5 +1,6 @@
 // Relay tier unit tests over a real loopback wire: forwarding with acks,
-// the server's in-order apply and (source, seq) dedupe, the hello heal
+// the server's in-order apply and (source, seq) dedupe, the backoff after
+// an append the upstream could not make durable, the hello heal
 // after state-file loss, the resume hello after a node crash or an
 // aggregator restart, the send window's depth, priority-aware shedding, and
 // seq-lease persistence.
@@ -16,11 +17,13 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "obs/registry.hpp"
@@ -40,14 +43,23 @@ struct Upstream {
   std::atomic<std::uint64_t> applied_samples{0};
   /// While set, an apply parks the server until it is cleared.
   std::atomic<bool> hold{false};
+  /// While set, every apply reports that the batch could not be made
+  /// durable, and the server refuses it.
+  std::atomic<bool> refuse{false};
+  std::atomic<std::uint64_t> refusals{0};
   std::unique_ptr<serve::ServeServer> server;
 
   explicit Upstream(serve::ServeConfig config = {}) {
     serve::ServeHooks hooks;
-    hooks.relay_apply = [this](const transport::Frame&,
-                               const core::SampleBatch& b) {
+    hooks.relay_apply =
+        [this](const transport::Frame&,
+               const core::SampleBatch& b) -> std::optional<std::size_t> {
       while (hold.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      if (refuse.load()) {
+        ++refusals;
+        return std::nullopt;
       }
       ++applies;
       const auto n = store.append_batch(b.samples);
@@ -456,6 +468,66 @@ TEST(RelayClientTest, AggregatorRestartDoesNotWedgeTheRelay) {
       20u);
   EXPECT_EQ(fresh.server->stats().relay_duplicates, 0u);
   EXPECT_EQ(client.watermark(), 3u);
+}
+
+/// The most refusals a client can meet in `ms` of wall time: one per
+/// cooldown, each at least 0.9 x its scheduled length (the jitter),
+/// doubling from 1 ms up to `cap_ms` (floored at 1 ms).
+std::uint64_t max_refusals(double ms, int cap_ms) {
+  std::uint64_t n = 1;
+  double cooldown = 1.0;
+  for (double t = 0.9 * cooldown; t <= ms; t += 0.9 * cooldown) {
+    ++n;
+    cooldown = std::min(2 * cooldown, static_cast<double>(std::max(1, cap_ms)));
+  }
+  return n;
+}
+
+// An upstream that cannot make appends durable refuses them; the client
+// keeps each batch, pauses and resends one append at a time. backoff_ms = 0
+// (and backoff_max_ms = 0) still pause at least 1 ms per refusal, so the
+// client cannot spin on it, and every batch lands exactly once after.
+TEST(RelayClientTest, RefusedAppendsBackOffEvenWithZeroBackoff) {
+  for (const int cap_ms : {0, 16}) {
+    Upstream up;
+    up.refuse = true;
+    RelayConfig rc;
+    rc.upstream_port = up.server->port();
+    rc.source_id = 21;
+    rc.backoff_ms = 0;
+    rc.backoff_max_ms = cap_ms;
+    RelayClient client(rc);
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.start());
+    for (int i = 0; i < 20; ++i) {
+      client.submit(make_batch(core::SeriesId{8}, 1000 * i, 4));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    // Resends first: each follows a refusal, so refusals read later are at
+    // least as many.
+    const auto resent = client.stats().resent_batches;
+    const auto refused = up.refusals.load();
+    const double elapsed_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    std::printf("cap %d ms: %llu refusals, %llu appends resent in %.0f ms\n",
+                cap_ms, static_cast<unsigned long long>(refused),
+                static_cast<unsigned long long>(resent), elapsed_ms);
+    EXPECT_GE(refused, 2u);
+    EXPECT_LE(refused, max_refusals(elapsed_ms, cap_ms));
+    EXPECT_LE(resent, refused);  // one probe per refusal, not a window
+    EXPECT_EQ(up.applies.load(), 0u);
+
+    up.refuse = false;
+    ASSERT_TRUE(client.drain_for(5000));
+    client.stop();
+    EXPECT_EQ(up.applies.load(), 20u);
+    EXPECT_EQ(up.store.query_range(core::SeriesId{8}, {0, core::kHour}).size(),
+              80u);
+    EXPECT_EQ(client.stats().rejected_batches, 0u);
+    EXPECT_EQ(client.watermark(), 20u);
+  }
 }
 
 TEST(RelayClientTest, InFlightStaysWithinTheSendWindowAndDrainsToZero) {

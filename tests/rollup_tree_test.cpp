@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 #include "core/registry.hpp"
 #include "core/strings.hpp"
 #include "ingest/sharded_store.hpp"
 #include "obs/registry.hpp"
 #include "rollup/reducer.hpp"
+#include "sim/topology.hpp"
 #include "store_evict.hpp"
 
 namespace hpcmon::rollup {
@@ -70,6 +73,54 @@ RollupStat reference(core::MetricRegistry& reg, const Store& store,
     total.fold(reference(reg, store, metric, child));
   }
   return total;
+}
+
+/// Each series' latest value, as a tree driven without a store should hold
+/// it: the reference's stand-in for a store.
+struct LatestValues {
+  std::map<SeriesId, core::TimedValue> values;
+
+  void observe(RollupTree& tree, SeriesId id, core::TimePoint t, double v) {
+    tree.observe(0, core::Sample{id, t, v});
+    values[id] = {t, v};
+  }
+  void forget(RollupTree& tree, SeriesId id) {
+    tree.forget_series(id);
+    values.erase(id);
+  }
+  std::optional<core::TimedValue> latest(SeriesId id) const {
+    const auto it = values.find(id);
+    if (it == values.end()) return std::nullopt;
+    return it->second;
+  }
+};
+
+/// Every level of `metric` in `snap` equals the scatter-gather reference,
+/// bit for bit; a level the tree never interned must be empty there.
+template <typename Store>
+void expect_levels_match(core::MetricRegistry& reg, const Store& store,
+                         const RollupSnapshot& snap, std::string_view metric) {
+  for (std::uint32_t c = 0; c < reg.component_count(); ++c) {
+    const ComponentId comp{c};
+    const auto ref = reference(reg, store, metric, comp);
+    const auto* got = snap.find(comp, metric);
+    if (got == nullptr) {
+      EXPECT_TRUE(ref.empty()) << metric << "@" << reg.component(comp).name;
+    } else {
+      EXPECT_EQ(*got, ref) << metric << "@" << reg.component(comp).name;
+    }
+  }
+}
+
+/// The ancestors of `comp` (its parent chain up to the root).
+std::set<std::uint32_t> ancestors(const core::MetricRegistry& reg,
+                                  ComponentId comp) {
+  std::set<std::uint32_t> out;
+  for (auto c = reg.component(comp).parent; c != core::kNoComponent;
+       c = reg.component(c).parent) {
+    out.insert(core::raw(c));
+  }
+  return out;
 }
 
 TEST(RollupStatTest, FoldKeepsFirstValueOnLastTimeTies) {
@@ -306,6 +357,159 @@ TEST(RollupTreeTest, ShardedRollupAggregateAnswersFromTree) {
                                    store::Agg::kLast),
             43.0);
   store.attach_rollup(nullptr);
+}
+
+// The fold layout is rebuilt when a plane's topology grows after the first
+// tick: a new node, a new plane, and a childless level (node 0, which has
+// its own series) gaining a child of the same metric.
+TEST(RollupTreeTest, TopologyGrowthAfterTheFirstTickMatchesScatterGather) {
+  SmallFleet f;
+  RollupTree tree(f.reg);
+  LatestValues live;
+  for (int i = 0; i < 4; ++i) live.observe(tree, f.temp[i], 10, 40.0 + i);
+  tree.tick();
+  expect_levels_match(f.reg, live, *tree.snapshot(), "node.temp_c");
+
+  const auto n4 = f.reg.register_component(
+      {"c1-0c0s0n2", ComponentKind::kNode, f.cab1});
+  const auto gpu = f.reg.register_component(
+      {"c0-0c0s0n0g0", ComponentKind::kGpu, f.nodes[0]});
+  live.observe(tree, f.reg.series("node.temp_c", n4), 11, 33.5);
+  live.observe(tree, f.reg.series("node.temp_c", gpu), 11, 71.25);
+  live.observe(tree, f.reg.series("node.power_w", f.nodes[1]), 11, 350.0);
+  live.observe(tree, f.temp[2], 11, 52.0);
+  tree.tick();
+  auto snap = tree.snapshot();
+  expect_levels_match(f.reg, live, *snap, "node.temp_c");
+  expect_levels_match(f.reg, live, *snap, "node.power_w");
+  // Node 0 folds its own value with its new child's.
+  EXPECT_EQ(snap->find(f.nodes[0], "node.temp_c")->count, 2u);
+  EXPECT_EQ(snap->find(f.system, "node.temp_c")->count, 6u);
+
+  // Later ticks fold through the rebuilt layout.
+  live.observe(tree, f.temp[0], 12, 39.0);
+  live.observe(tree, f.reg.series("node.temp_c", gpu), 12, 72.0);
+  tree.tick();
+  snap = tree.snapshot();
+  expect_levels_match(f.reg, live, *snap, "node.temp_c");
+  expect_levels_match(f.reg, live, *snap, "node.power_w");
+}
+
+// A plane whose only level is a root with its own series, like the
+// facility metrics: nothing folds, and the level is its own value.
+TEST(RollupTreeTest, ARootOnlyPlaneIsItsOwnValue) {
+  SmallFleet f;
+  RollupTree tree(f.reg);
+  LatestValues live;
+  const auto facility = f.reg.series("facility.power_kw", f.system);
+  live.observe(tree, facility, 5, 1200.0);
+  live.observe(tree, f.temp[1], 5, 45.0);
+  const auto stats = tree.tick();
+  EXPECT_EQ(stats.changed, 4u);  // the facility level, node 1, cab 0, system
+  auto snap = tree.snapshot();
+  expect_levels_match(f.reg, live, *snap, "facility.power_kw");
+  expect_levels_match(f.reg, live, *snap, "node.temp_c");
+  EXPECT_EQ(*snap->find(f.system, "facility.power_kw"),
+            RollupStat::of_value(5, 1200.0));
+
+  live.observe(tree, facility, 6, 1250.0);
+  EXPECT_EQ(tree.tick().recomputed, 0u);
+  EXPECT_EQ(tree.snapshot()->find(f.system, "facility.power_kw")->last,
+            1250.0);
+  live.forget(tree, facility);
+  EXPECT_EQ(tree.tick().forgotten, 1u);
+  snap = tree.snapshot();
+  expect_levels_match(f.reg, live, *snap, "facility.power_kw");
+  EXPECT_TRUE(snap->find(f.system, "facility.power_kw")->empty());
+}
+
+// A tick in which one leaf moves re-folds exactly that leaf's ancestors and
+// leaves every other level as it was, however large the tree; k moved
+// leaves re-fold the union of their ancestors, at most k x depth.
+TEST(RollupTreeTest, SparseTicksRefoldOnlyTheAncestorsOfTheirChanges) {
+  for (const int cabinets : {2, 8}) {
+    core::MetricRegistry reg;
+    sim::MachineShape shape;
+    shape.cabinets = cabinets;
+    shape.chassis_per_cabinet = 2;
+    shape.blades_per_chassis = 4;
+    shape.nodes_per_blade = 4;
+    sim::Topology topo(reg, shape, sim::FabricKind::kDragonfly);
+    RollupTree tree(reg);
+    LatestValues live;
+    std::vector<SeriesId> temp;
+    for (int n = 0; n < topo.num_nodes(); ++n) {
+      temp.push_back(reg.series("node.temp_c", topo.node(n)));
+      live.observe(tree, temp.back(), 1, 20.0 + n);
+    }
+    tree.tick();
+    const auto before = tree.snapshot();
+
+    const int node = topo.num_nodes() / 3;
+    live.observe(tree, temp[node], 2, -7.5);
+    const auto one = tree.tick();
+    const auto up = ancestors(reg, topo.node(node));
+    EXPECT_EQ(one.leaf_updates, 1u);
+    EXPECT_EQ(one.recomputed, up.size()) << cabinets << " cabinets";
+    const auto after = tree.snapshot();
+    expect_levels_match(reg, live, *after, "node.temp_c");
+    after->for_each([&](std::string_view metric, ComponentId comp,
+                        const RollupStat& stat) {
+      if (comp == topo.node(node) || up.count(core::raw(comp)) != 0) return;
+      EXPECT_EQ(stat, *before->find(comp, metric)) << reg.component(comp).name;
+    });
+
+    for (const int k : {2, 5, 9}) {
+      std::set<std::uint32_t> levels;
+      for (int i = 0; i < k; ++i) {
+        const int n = (i * 7) % topo.num_nodes();
+        live.observe(tree, temp[n], 3 + k, 1.0 * i);
+        const auto a = ancestors(reg, topo.node(n));
+        levels.insert(a.begin(), a.end());
+      }
+      const auto stats = tree.tick();
+      EXPECT_EQ(stats.recomputed, levels.size());
+      EXPECT_LE(stats.recomputed, static_cast<std::size_t>(k) * up.size());
+      expect_levels_match(reg, live, *tree.snapshot(), "node.temp_c");
+    }
+
+    // When half the series report, every level with children is an
+    // ancestor of a change: each is re-folded once, and still matches.
+    std::set<std::uint32_t> with_children;
+    for (int n = 0; n < topo.num_nodes(); ++n) {
+      if (n % 2 == 0) live.observe(tree, temp[n], 50, 0.5 * n);
+      const auto a = ancestors(reg, topo.node(n));
+      with_children.insert(a.begin(), a.end());
+    }
+    EXPECT_EQ(tree.tick().recomputed, with_children.size());
+    expect_levels_match(reg, live, *tree.snapshot(), "node.temp_c");
+  }
+}
+
+// A forget and a layout rebuild in the same tick, then the series returns.
+TEST(RollupTreeTest, ForgetAndReobserveAcrossALayoutRebuild) {
+  SmallFleet f;
+  RollupTree tree(f.reg);
+  LatestValues live;
+  for (int i = 0; i < 4; ++i) live.observe(tree, f.temp[i], 10 + i, 1.0 + i);
+  tree.tick();
+
+  live.forget(tree, f.temp[3]);
+  const auto n4 = f.reg.register_component(
+      {"c1-0c0s0n2", ComponentKind::kNode, f.cab1});
+  live.observe(tree, f.reg.series("node.temp_c", n4), 20, 9.0);
+  const auto stats = tree.tick();
+  EXPECT_EQ(stats.forgotten, 1u);
+  auto snap = tree.snapshot();
+  expect_levels_match(f.reg, live, *snap, "node.temp_c");
+  EXPECT_TRUE(snap->find(f.nodes[3], "node.temp_c")->empty());
+  EXPECT_EQ(snap->find(f.cab1, "node.temp_c")->count, 2u);
+
+  live.observe(tree, f.temp[3], 21, 4.5);
+  tree.tick();
+  snap = tree.snapshot();
+  expect_levels_match(f.reg, live, *snap, "node.temp_c");
+  EXPECT_EQ(snap->find(f.system, "node.temp_c")->count, 5u);
 }
 
 TEST(RollupTreeTest, ObsInstrumentsCountTheWork) {

@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <memory>
 
+#include "resilience/fault.hpp"
+
 namespace hpcmon::stack {
 namespace {
 
@@ -229,6 +231,48 @@ TEST(StackRecoveryTest, StatusSurfacesWalAndDeadLetters) {
   EXPECT_NE(line.find("dlq=0"), std::string::npos);
   EXPECT_TRUE(
       cluster.registry().find_metric("hpcmon.self.resilience.wal_records"));
+  fs::remove_all(wal_dir);
+}
+
+// One torn write poisons the WAL, and every later append fails until the
+// log rotates. The stack heals it on degradation_interval_s whether or not
+// storm mode is on: rotate, then redeliver the dead letters. Without the
+// heal, 2 simulated hours log 2 records and evict hundreds of dead letters.
+TEST(StackRecoveryTest, WalSelfHealsWithoutStormMode) {
+  const auto wal_dir = fresh_wal_dir("self_heal");
+  sim::ClusterParams p = cluster_params();
+  p.shape.cabinets = 2;
+  p.shape.chassis_per_cabinet = 1;
+  p.shape.blades_per_chassis = 1;
+  p.shape.nodes_per_blade = 4;  // 8 nodes
+  sim::Cluster cluster(p);
+  resilience::FaultSpec spec;
+  spec.fs_short_write_at = 3;
+  resilience::FaultPlan plan(17, spec);
+  MonitoringStack stack(cluster,
+                        parse("sample_interval_s = 30\n"
+                              "probe_interval_s = 0\n"
+                              "health_interval_s = 0\n"
+                              "wal_path = " +
+                              wal_dir + "\n"),
+                        &plan);
+  ASSERT_EQ(stack.degradation(), nullptr);
+  cluster.run_for(2 * core::kHour);
+
+  EXPECT_EQ(plan.injected().fs_short_writes, 1u);
+  EXPECT_FALSE(stack.wal()->poisoned());
+  EXPECT_EQ(stack.wal()->dead_letter_count(), 0u);
+  const auto snap = stack.obs_snapshot();
+  // Every frame that failed while the log was poisoned was parked, then
+  // logged by a redelivery pass; none was evicted.
+  EXPECT_GT(snap.counter("resilience.delivery_failures"), 0u);
+  EXPECT_EQ(snap.counter("resilience.dead_letter_evictions"), 0u);
+  EXPECT_EQ(snap.counter("resilience.redelivered"),
+            snap.counter("resilience.delivery_failures"));
+  EXPECT_EQ(snap.counter("resilience.wal_records"),
+            snap.counter("resilience.delivered_frames") +
+                snap.counter("resilience.redelivered"));
+  EXPECT_GT(snap.counter("resilience.wal_records"), 100u);
   fs::remove_all(wal_dir);
 }
 
