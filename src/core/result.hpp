@@ -19,6 +19,7 @@ enum class StatusCode : std::uint8_t {
   kOk = 0,
   kError = 1,       // generic expected failure
   kCorruption = 2,  // data failed an integrity check (CRC, framing)
+  kTooLarge = 3,    // over a hard size limit, refused before any write
 };
 
 class Status {
@@ -30,6 +31,9 @@ class Status {
   }
   static Status corruption(std::string message) {
     return make(StatusCode::kCorruption, std::move(message));
+  }
+  static Status too_large(std::string message) {
+    return make(StatusCode::kTooLarge, std::move(message));
   }
 
   bool is_ok() const { return code_ == StatusCode::kOk; }

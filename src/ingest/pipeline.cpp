@@ -1,5 +1,6 @@
 #include "ingest/pipeline.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "ingest/arena.hpp"
@@ -69,7 +70,8 @@ void IngestPipeline::start() {
   }
 }
 
-std::size_t IngestPipeline::submit(const core::SampleBatch& batch) {
+std::size_t IngestPipeline::submit(const core::SampleBatch& batch,
+                                   std::uint64_t wal_ticket) {
   metrics_.record_submit(batch.size());
   const auto mode = this->mode();
   // Partition by owning shard AND priority class, applying the degradation
@@ -128,6 +130,7 @@ std::size_t IngestPipeline::submit(const core::SampleBatch& batch) {
       part.batch.samples = std::move(samples);
       part.batch.sweep_time = batch.sweep_time;
       part.batch.origin = batch.origin;
+      part.wal_ticket = wal_ticket;
       if (config_.stages != nullptr) part.enqueue_time = steady_clock::now();
       const std::size_t n = part.batch.samples.size();
       auto& ch = *channels_[shard];
@@ -276,12 +279,22 @@ void IngestPipeline::worker(std::size_t shard) {
     arena.reset();
     arena.append(first->batch.samples);
     std::size_t sub_batches = 1;
+    std::uint64_t ticket = first->wal_ticket;
     while (sub_batches < config_.max_coalesce_batches) {
       auto more = ch.try_pop();
       if (!more) break;
       queue_wait(*more);
       arena.append(more->batch.samples);
+      ticket = std::max(ticket, more->wal_ticket);
       ++sub_batches;
+    }
+    // Write-ahead: append only once the log has decided every record the
+    // merged samples came from. Records the log abandoned died with it.
+    if (ticket != 0 && config_.wait_decided &&
+        !config_.wait_decided(ticket)) {
+      in_flight_.fetch_add(-static_cast<std::int64_t>(sub_batches),
+                           std::memory_order_acq_rel);
+      continue;
     }
     const auto t0 = steady_clock::now();
     const std::size_t accepted =

@@ -69,6 +69,9 @@ struct PrioritizedBatch {
   core::SampleBatch batch;
   /// When the producer enqueued it (feeds the queue_wait stage histogram).
   std::chrono::steady_clock::time_point enqueue_time{};
+  /// The write-ahead log's ticket for the record holding these samples; 0
+  /// when there is nothing to wait for.
+  std::uint64_t wal_ticket = 0;
 };
 
 struct IngestConfig {
@@ -85,6 +88,13 @@ struct IngestConfig {
   /// Stage timer for queue_wait / shard_worker / store_append spans; unset
   /// disables span recording.
   obs::StageTimer* stages = nullptr;
+  /// Write-ahead gate (typically WriteAheadLog::wait_decided via the owning
+  /// stack): blocks until the log has decided every record through a
+  /// ticket, false once the log abandoned it. A worker appends a sub-batch
+  /// only after its ticket passes, and drops it when the log abandoned its
+  /// record (a crash drill), so the store never holds a sample whose record
+  /// is still in flight.
+  std::function<bool(std::uint64_t)> wait_decided;
 };
 
 class IngestPipeline {
@@ -109,8 +119,11 @@ class IngestPipeline {
   /// under kDropOldest/kReject they fall back to eviction of lower-priority
   /// queued work and then to bounded blocking (backpressure). Returns the
   /// number of samples actually enqueued (the rest were shed, dropped, or
-  /// rejected and counted). Thread-safe; callable from many producers.
-  std::size_t submit(const core::SampleBatch& batch);
+  /// rejected and counted). Every sub-batch carries `wal_ticket`, the
+  /// ticket of the write-ahead record holding `batch` (0: none to wait
+  /// for). Thread-safe; callable from many producers.
+  std::size_t submit(const core::SampleBatch& batch,
+                     std::uint64_t wal_ticket = 0);
 
   /// Block until every enqueued sub-batch has been appended. Requires
   /// started(); returns immediately otherwise.

@@ -8,7 +8,8 @@
 //
 //   sampler_sweep    one sampler's sweep callback (collect tier)
 //   queue_wait       enqueue on a shard channel -> worker pop (ingest tier)
-//   shard_worker     worker pop -> append completed, incl. coalescing
+//   shard_worker     worker pop -> append completed, incl. coalescing and
+//                    the wait for the write-ahead log
 //   store_append     the store append_batch call inside the worker
 //   query_summary    read answered from seal-time summaries alone
 //   query_cursor     read that had to stream-decode boundary chunks

@@ -18,10 +18,6 @@ using core::TimePoint;
 namespace {
 constexpr std::uint32_t kWalMagic = 0x4C575048;  // "HPWL"
 constexpr std::uint32_t kWalVersion = 1;
-// A record longer than this is treated as a corrupt length header: no sane
-// sweep produces a 64 MiB batch, and bounding it keeps replay from trying
-// to allocate garbage lengths read from a damaged file.
-constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
 
 bool write_u32(std::FILE* f, std::uint32_t v) {
   return std::fwrite(&v, 4, 1, f) == 1;
@@ -55,9 +51,12 @@ TimePoint scan_segment(const std::string& path,
     std::uint32_t len = 0;
     std::uint32_t crc = 0;
     if (!read_u32(f, len)) break;  // clean end of segment
-    if (!read_u32(f, crc) || len > kMaxRecordBytes) {
-      // Header torn mid-write (or length garbage): everything before the
-      // tear is already applied; stop here.
+    if (!read_u32(f, crc) || len > WriteAheadLog::kMaxRecordBytes) {
+      // Header torn mid-write (or length garbage: no sane sweep produces a
+      // 64 MiB batch, and the bound keeps a damaged header from sizing an
+      // allocation): everything before the tear is already applied; stop
+      // here. Every way in refuses a longer record, so no acknowledged
+      // record is read as a tear.
       ++stats.torn_tails;
       break;
     }
@@ -80,7 +79,8 @@ TimePoint scan_segment(const std::string& path,
     }
     ++stats.records;
     stats.samples += batch.value().size();
-    max_time = std::max(max_time, transport::sample_frame_max_time(frame));
+    max_time = std::max(
+        max_time, transport::sample_frame_max_time(frame.payload.data()));
     if (apply) apply(std::move(batch).take());
   }
   std::fclose(f);
@@ -138,6 +138,13 @@ WriteAheadLog::WriteAheadLog(WalOptions opts) : opts_(std::move(opts)) {
 }
 
 WriteAheadLog::~WriteAheadLog() {
+  {
+    std::scoped_lock q(qmu_);
+    stopping_ = true;
+  }
+  posted_cv_.notify_one();
+  // The writer drains what is still posted unless abandon() dropped it.
+  if (writer_.joinable()) writer_.join();
   if (file_ != nullptr) std::fclose(file_);
 }
 
@@ -173,17 +180,32 @@ void WriteAheadLog::seal_active() {
   sealed_.push_back(std::move(s));
 }
 
-core::Status WriteAheadLog::append(const transport::Frame& frame) {
-  std::scoped_lock lock(mu_);
-  return append_locked(frame);
-}
-
-core::Status WriteAheadLog::append_locked(const transport::Frame& frame) {
+core::Result<std::size_t> WriteAheadLog::record_bytes(
+    const transport::Frame& frame) {
   // Validate in place; the record is the exact byte range decode_samples
   // reads, so nothing is decoded or re-encoded on the publish path.
-  const auto extent = transport::sample_frame_bytes(frame);
+  auto extent = transport::sample_frame_bytes(frame);
+  if (extent.is_ok() && extent.value() > kMaxRecordBytes) {
+    append_failures_.add();
+    return Status::too_large(core::strformat(
+        "wal: a %zu-byte record exceeds the %zu-byte limit", extent.value(),
+        kMaxRecordBytes));
+  }
+  return extent;
+}
+
+core::Status WriteAheadLog::append(const transport::Frame& frame) {
+  const auto extent = record_bytes(frame);
   if (!extent.is_ok()) return extent.status();
-  const std::size_t bytes = extent.value();
+  std::scoped_lock lock(mu_);
+  drain_posted_locked();
+  const auto st = write_locked(frame.payload.data(), extent.value());
+  if (!st.is_ok()) return st;
+  return flush_locked() ? Status::ok() : Status::error("wal: flush failed");
+}
+
+core::Status WriteAheadLog::write_locked(const std::uint8_t* payload,
+                                         std::size_t bytes) {
   const std::size_t samples =
       (bytes - transport::kSampleHeaderBytes) / transport::kSampleRecordBytes;
   if (samples == 0) return Status::ok();
@@ -211,12 +233,10 @@ core::Status WriteAheadLog::append_locked(const transport::Frame& frame) {
         return Status::error("wal: injected short write (torn tail)");
     }
   }
-  const auto* payload = frame.payload.data();
   const auto len = static_cast<std::uint32_t>(bytes);
   const std::uint32_t crc = core::crc32(payload, bytes);
   const bool ok = write_u32(file_, len) && write_u32(file_, crc) &&
-                  std::fwrite(payload, 1, bytes, file_) == bytes &&
-                  std::fflush(file_) == 0;
+                  std::fwrite(payload, 1, bytes, file_) == bytes;
   if (!ok) {
     // A real short write leaves an undefined tail; poison the log so the
     // damage is bounded to one record (replay tolerates the tear).
@@ -226,7 +246,7 @@ core::Status WriteAheadLog::append_locked(const transport::Frame& frame) {
   }
   file_bytes_ += 8 + bytes;
   active_max_time_ =
-      std::max(active_max_time_, transport::sample_frame_max_time(frame));
+      std::max(active_max_time_, transport::sample_frame_max_time(payload));
   appended_records_.add();
   appended_samples_.add(samples);
   appended_bytes_.add(8 + bytes);
@@ -237,29 +257,154 @@ core::Status WriteAheadLog::append_locked(const transport::Frame& frame) {
   return Status::ok();
 }
 
-bool WriteAheadLog::try_deliver(const transport::Frame& frame) {
-  if (opts_.faults != nullptr && opts_.faults->delivery_error()) return false;
-  return append_locked(frame).is_ok();
+bool WriteAheadLog::flush_locked() {
+  if (file_ == nullptr || std::fflush(file_) == 0) return true;
+  // What reached the file is undefined; poison the log as a short write
+  // does, so nothing is written past the damage.
+  dead_ = true;
+  append_failures_.add();
+  return false;
 }
 
-bool WriteAheadLog::deliver(const transport::Frame& frame,
-                            OnFailure on_failure) {
-  std::scoped_lock lock(mu_);
+bool WriteAheadLog::try_deliver(const std::uint8_t* payload,
+                                std::size_t bytes) {
+  if (opts_.faults != nullptr && opts_.faults->delivery_error()) return false;
+  return write_locked(payload, bytes).is_ok();
+}
+
+bool WriteAheadLog::deliver_locked(const std::uint8_t* payload,
+                                   std::size_t bytes, core::Priority priority,
+                                   OnFailure on_failure) {
   for (int n = 0; n < kDeliveryAttempts; ++n) {
     if (n > 0) retries_.add();
-    if (try_deliver(frame)) {
+    if (try_deliver(payload, bytes)) {
       delivered_.add();
       return true;
     }
   }
   failures_.add();
   if (on_failure == OnFailure::kDeadLetter && opts_.dead_letter_cap > 0) {
-    dead_letter(frame);
+    transport::Frame frame;
+    frame.type = transport::FrameType::kSamples;
+    frame.priority = priority;
+    frame.payload.assign(payload, payload + bytes);
+    dead_letter(std::move(frame));
   }
   return false;
 }
 
-void WriteAheadLog::dead_letter(const transport::Frame& frame) {
+bool WriteAheadLog::deliver(const transport::Frame& frame,
+                            OnFailure on_failure) {
+  // A frame no try can log (malformed, or past kMaxRecordBytes) is refused
+  // outright: retrying it or parking it would only hold its bytes.
+  const auto extent = record_bytes(frame);
+  if (!extent.is_ok()) return false;
+  std::scoped_lock lock(mu_);
+  drain_posted_locked();
+  return deliver_locked(frame.payload.data(), extent.value(), frame.priority,
+                        on_failure) &&
+         flush_locked();
+}
+
+core::Result<std::uint64_t> WriteAheadLog::post(
+    const transport::Frame& frame) {
+  const auto extent = record_bytes(frame);
+  if (!extent.is_ok()) return extent.status();
+  const std::size_t bytes = extent.value();
+  if (bytes == transport::kSampleHeaderBytes) return std::uint64_t{0};
+  std::unique_lock q(qmu_);
+  if (abandoned_) return Status::error("wal: abandoned");
+  if (!writer_.joinable()) {
+    for (auto& g : groups_) g.bytes.reserve(kGroupBytes);
+    writer_ = std::thread([this] { writer_loop(); });
+  }
+  // Both groups full: the open one cannot take the record while the writer
+  // still holds the other. An oversized record waits for an empty group.
+  room_cv_.wait(q, [&] {
+    const Group& g = groups_[open_];
+    return abandoned_ || g.records.empty() ||
+           g.bytes.size() + bytes <= kGroupBytes;
+  });
+  if (abandoned_) return Status::error("wal: abandoned");
+  Group& g = groups_[open_];
+  g.records.push_back({g.bytes.size(), bytes, frame.priority});
+  g.bytes.insert(g.bytes.end(), frame.payload.begin(),
+                 frame.payload.begin() + static_cast<std::ptrdiff_t>(bytes));
+  const std::uint64_t ticket = ++posted_;
+  q.unlock();
+  posted_cv_.notify_one();
+  return ticket;
+}
+
+bool WriteAheadLog::wait_decided(std::uint64_t ticket) const {
+  if (decided_.load(std::memory_order_acquire) >= ticket) return true;
+  std::unique_lock q(qmu_);
+  decided_cv_.wait(q, [&] {
+    return abandoned_ || decided_.load(std::memory_order_relaxed) >= ticket;
+  });
+  return decided_.load(std::memory_order_relaxed) >= ticket;
+}
+
+void WriteAheadLog::abandon() {
+  {
+    std::scoped_lock q(qmu_);
+    abandoned_ = true;
+    groups_[open_].bytes.clear();
+    groups_[open_].records.clear();
+  }
+  posted_cv_.notify_one();
+  room_cv_.notify_all();
+  decided_cv_.notify_all();
+  if (writer_.joinable()) writer_.join();
+}
+
+void WriteAheadLog::writer_loop() {
+  for (;;) {
+    {
+      std::unique_lock q(qmu_);
+      posted_cv_.wait(q, [&] {
+        return abandoned_ || stopping_ || !groups_[open_].records.empty();
+      });
+      if (abandoned_ || groups_[open_].records.empty()) return;
+    }
+    std::scoped_lock lock(mu_);
+    drain_posted_locked();
+  }
+}
+
+void WriteAheadLog::drain_posted_locked() {
+  Group* group = nullptr;
+  std::uint64_t last = 0;
+  {
+    std::scoped_lock q(qmu_);
+    // Drains run under mu_ one at a time, and each empties its group before
+    // it returns, so the group the router moves to is always empty.
+    if (abandoned_ || groups_[open_].records.empty()) return;
+    group = &groups_[open_];
+    open_ ^= 1;
+    last = posted_;
+  }
+  room_cv_.notify_all();
+  for (const auto& r : group->records) {
+    deliver_locked(group->bytes.data() + r.offset, r.bytes, r.priority,
+                   OnFailure::kDeadLetter);
+  }
+  flush_locked();
+  {
+    std::scoped_lock q(qmu_);
+    group->records.clear();
+    group->bytes.clear();
+    if (group->bytes.capacity() > kGroupBytes) {
+      // An oversized record had this group to itself; give the memory back.
+      group->bytes.shrink_to_fit();
+      group->bytes.reserve(kGroupBytes);
+    }
+    decided_.store(last, std::memory_order_release);
+  }
+  decided_cv_.notify_all();
+}
+
+void WriteAheadLog::dead_letter(transport::Frame frame) {
   if (dead_letters_.size() >= opts_.dead_letter_cap) {
     // Priority values order kCritical(0) < kStandard < kBulk, so the victim
     // is the first (oldest) frame of the largest value present.
@@ -274,25 +419,27 @@ void WriteAheadLog::dead_letter(const transport::Frame& frame) {
     }
     dead_letters_.erase(victim);
   }
-  dead_letters_.push_back(frame);
+  dead_letters_.push_back(std::move(frame));
   dead_lettered_.add();
   update_dlq_fill();
 }
 
 std::size_t WriteAheadLog::redeliver() {
   std::scoped_lock lock(mu_);
+  drain_posted_locked();
   std::size_t ok = 0;
   const std::size_t pending = dead_letters_.size();
   for (std::size_t i = 0; i < pending; ++i) {
     transport::Frame frame = std::move(dead_letters_.front());
     dead_letters_.pop_front();
-    if (try_deliver(frame)) {
+    if (try_deliver(frame.payload.data(), frame.payload.size())) {
       ++ok;
       redelivered_.add();
     } else {
       dead_letters_.push_back(std::move(frame));  // keep, retry later
     }
   }
+  flush_locked();
   update_dlq_fill();
   return ok;
 }
@@ -314,6 +461,7 @@ core::Status WriteAheadLog::rotate() {
 
 core::Status WriteAheadLog::sync() {
   std::scoped_lock lock(mu_);
+  drain_posted_locked();
   if (file_ == nullptr) return Status::error("wal: no active segment");
   return std::fflush(file_) == 0 ? Status::ok()
                                  : Status::error("wal: flush failed");

@@ -28,12 +28,33 @@
 //     counted (corrupt_skipped); scanning resumes at the next record;
 //   * bad segment header: the whole segment is skipped and counted.
 //
-// Appends fwrite+fflush each record so a crashed *process* loses nothing
-// already acknowledged (media-level fsync durability is out of scope for the
-// simulation substrate and called out in DESIGN.md). Rotation starts a new
-// segment once the active one exceeds segment_bytes; truncate_before()
-// deletes sealed segments whose newest sample is older than a durability
-// watermark (e.g. the hot-window cutoff once the archive has been spilled).
+// Two ways in, one record writer. append() and deliver() write on the
+// caller's thread and flush before they return. post() is the router's
+// way in when the stack has shard workers: it checks the frame, copies its
+// record bytes into the open group buffer and returns the record's ticket,
+// with no CRC and no syscall. One writer thread per log (started by the
+// first post()) takes each group in turn and runs the same per-record
+// logic deliver() runs (fault draws, retries, dead-lettering, CRC,
+// rotation at the same byte boundaries), flushes once per group (group
+// commit: DeWitt et al., SIGMOD 1984; Aether, Johnson et al., PVLDB 2010),
+// then publishes the ticket through which every record is *decided*:
+// logged or dead-lettered. A synchronous write first writes any posted
+// records still pending, so the log keeps call order, and a post()ed
+// sequence produces the same segment bytes deliver() would.
+//
+// The rule the ingest tier keeps with it: a shard worker appends a
+// sub-batch only once wait_decided() covers the ticket it carried, so the
+// store never holds a sample whose record is still in flight. Memory is
+// two fixed 1 MiB group buffers that the router and the writer swap;
+// post() waits only when both are full. Flushing hands each record to the
+// kernel, so a crashed *process* loses nothing already decided (media-
+// level fsync durability is out of scope for the simulation substrate and
+// called out in DESIGN.md). What a process crash does lose is posted
+// records not yet decided: the store never saw them either (abandon() is
+// the crash drill). Rotation starts a new segment once the active one
+// exceeds segment_bytes; truncate_before() deletes sealed segments whose
+// newest sample is older than a durability watermark (e.g. the hot-window
+// cutoff once the archive has been spilled).
 //
 // deliver() is the publish path's append. Sec. IV's transport war stories
 // (NERSC's RabbitMQ pipeline, ALCF's reverse-engineered ERD) converge on one
@@ -44,17 +65,23 @@
 // recovers. Every retry, failure, dead letter and eviction is counted (Table
 // I: the transport's impact "should be well-documented").
 //
-// Every method takes one mutex: an aggregator's serve reactor logs relayed
-// batches while its timeline thread logs its own sweeps, self-heals the log
-// (rotate, redeliver) and truncates it after a compaction pass.
+// Locks: mu_ guards the file and the dead-letter queue; every method that
+// touches them takes it (an aggregator's serve reactor logs relayed
+// batches while its timeline thread self-heals and truncates the log).
+// post() takes only the short queue lock, never mu_, so the router never
+// waits behind a group write. The order is mu_ -> queue lock, and the
+// writer never waits on the router.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/result.hpp"
@@ -95,6 +122,14 @@ class WriteAheadLog {
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
+  /// The longest record any way in accepts. Replay reads a longer length
+  /// header as a torn tail, so a longer record is refused (StatusCode
+  /// kTooLarge, counted as an append failure) and nothing is written.
+  static constexpr std::size_t kMaxRecordBytes = std::size_t{64} << 20;
+  /// Capacity of each of post()'s two group buffers. A record larger than
+  /// this waits for an empty buffer and has it to itself.
+  static constexpr std::size_t kGroupBytes = std::size_t{1} << 20;
+
   /// Append one sample frame as a CRC-framed record. The record's payload
   /// is the frame's own bytes, not a re-encoding: the 16 + 20·count bytes
   /// transport::decode_samples reads (trailing bytes are not logged). A
@@ -106,6 +141,21 @@ class WriteAheadLog {
   /// a crash mid-record.
   core::Status append(const transport::Frame& frame);
 
+  /// Hand a frame to the writer thread, checked as append() checks it, and
+  /// return its record's ticket (0 for a zero-sample frame, which logs
+  /// nothing). The writer delivers it as deliver() would, dead-lettering it
+  /// after kDeliveryAttempts. Waits only while both group buffers are full.
+  core::Result<std::uint64_t> post(const transport::Frame& frame);
+
+  /// Block until every record posted through `ticket` is decided (logged or
+  /// dead-lettered). Returns false instead once abandon() dropped it.
+  bool wait_decided(std::uint64_t ticket) const;
+
+  /// Crash drill: drop the posted records the writer has not taken and stop
+  /// it. They reach neither the log nor, through wait_decided(), the store.
+  /// Later posts are refused.
+  void abandon();
+
   /// Tries per frame before deliver() gives up on it.
   static constexpr int kDeliveryAttempts = 3;
 
@@ -115,7 +165,8 @@ class WriteAheadLog {
     kCallerKeeps,  // leave it: the caller still holds it and resends it
   };
 
-  /// append() with retries. Each try first draws faults->delivery_error()
+  /// append() with retries, on the caller's thread, after any posted
+  /// records still pending. Each try first draws faults->delivery_error()
   /// (when a plan is set), then appends. After kDeliveryAttempts failed
   /// tries the frame is dead-lettered, unless the caller keeps it. A full
   /// queue makes room by evicting the oldest frame of the lowest class
@@ -141,7 +192,8 @@ class WriteAheadLog {
     return dead_letters_;
   }
 
-  /// Flush the active segment's stdio buffer.
+  /// Write every posted record still pending, then flush the active
+  /// segment's stdio buffer.
   core::Status sync();
 
   /// Crash drill: write a deliberately torn record (length header promises
@@ -192,16 +244,43 @@ class WriteAheadLog {
     core::TimePoint max_time = INT64_MIN;
   };
 
+  /// A posted record's place in its group buffer.
+  struct Posted {
+    std::size_t offset = 0;
+    std::size_t bytes = 0;
+    core::Priority priority = core::Priority::kStandard;
+  };
+  /// One group: the posted records' bytes, back to back, and their places.
+  struct Group {
+    std::vector<std::uint8_t> bytes;
+    std::vector<Posted> records;
+  };
+
+  /// The frame's record length, or why it cannot be logged (an oversized
+  /// record is counted as an append failure).
+  core::Result<std::size_t> record_bytes(const transport::Frame& frame);
+
   // These helpers run with mu_ held (or in the constructor).
   std::string segment_path(std::uint64_t index) const;
   core::Status open_segment(std::uint64_t index);
   void seal_active();
-  core::Status append_locked(const transport::Frame& frame);
+  /// The one record writer: a checked record's fault draw, CRC, header and
+  /// payload, and rotation, without a flush.
+  core::Status write_locked(const std::uint8_t* payload, std::size_t bytes);
+  /// Flush the stdio buffer; a failure poisons the log.
+  bool flush_locked();
+  /// deliver()'s tries, then the dead-letter queue; no flush.
+  bool deliver_locked(const std::uint8_t* payload, std::size_t bytes,
+                      core::Priority priority, OnFailure on_failure);
+  /// One delivery try: the injected delivery fault, then the write.
+  bool try_deliver(const std::uint8_t* payload, std::size_t bytes);
+  /// Take the open group (the router moves to the other one), deliver its
+  /// records, flush once, and publish their tickets as decided.
+  void drain_posted_locked();
   void tear_locked();
-  /// One delivery try: the injected delivery fault, then the append.
-  bool try_deliver(const transport::Frame& frame);
-  void dead_letter(const transport::Frame& frame);
+  void dead_letter(transport::Frame frame);
   void update_dlq_fill();
+  void writer_loop();
 
   mutable std::mutex mu_;
   WalOptions opts_;
@@ -225,6 +304,20 @@ class WriteAheadLog {
   obs::Counter evicted_;
   obs::Counter redelivered_;
   obs::Gauge dlq_fill_;  // dead letters / cap, refreshed on every change
+
+  // The post() queue, under qmu_ (taken after mu_, never before it). The
+  // router fills groups_[open_]; a drain flips open_ and writes the other.
+  mutable std::mutex qmu_;
+  std::condition_variable posted_cv_;           // the writer: work or stop
+  std::condition_variable room_cv_;             // post(): the groups flipped
+  mutable std::condition_variable decided_cv_;  // wait_decided()
+  Group groups_[2];
+  int open_ = 0;
+  std::uint64_t posted_ = 0;               // the last ticket handed out
+  std::atomic<std::uint64_t> decided_{0};  // every ticket <= it is decided
+  bool stopping_ = false;
+  bool abandoned_ = false;
+  std::thread writer_;
 };
 
 }  // namespace hpcmon::resilience

@@ -171,11 +171,16 @@ ChaosReport run_chaos(
   // is destroyed the way a dead process dies (no drain, no flush — buffered
   // state abandoned) and a fresh stack recovers from the same WAL and tier
   // directories. Pre-crash obs counters are merged into the final snapshot
-  // so the shedding ledger spans both incarnations.
+  // so the shedding ledger spans both incarnations. The crash lands at a
+  // simulated instant seconds after the last publish, time in which the
+  // WAL's writer thread has decided every posted frame; the simulation
+  // reaches it in microseconds of real time, so the drill first lets the
+  // writer catch up (sync), as that much real time would have.
   obs::ObsSnapshot pre_crash;
   if (scenario.crash_restart_at > 0) {
     cluster.events().schedule_at(
         cluster.now() + scenario.crash_restart_at, [&](core::TimePoint) {
+          if (auto* wal = stack->wal_delivery()) wal->sync();
           pre_crash.merge(stack->obs_snapshot());
           plan.release_hangs();  // hung sampler threads must join
           stack->simulate_crash();

@@ -227,6 +227,11 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     ic.priority_of = [this](core::SeriesId id) {
       return cluster_.registry().series_priority(id);
     };
+    // Shard workers hold each routed sub-batch until the WAL has decided
+    // its record (tickets exist only once wal_ does; see the router below).
+    ic.wait_decided = [this](std::uint64_t ticket) {
+      return wal_->wait_decided(ticket);
+    };
     ingest_ = std::make_unique<ingest::IngestPipeline>(sharded_, ic);
     ingest_->attach_to(obs_);
     if (opts.ingest_autostart) ingest_->start();
@@ -584,8 +589,17 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
                       }
                       // Write-ahead: the frame is durable (or dead-lettered
                       // and counted) before the in-memory store sees it.
-                      if (wal_) wal_->deliver(f);
-                      store_batch(batch.value());
+                      // With shard workers the router only posts it; the
+                      // WAL's writer thread logs it, and the workers wait
+                      // for its ticket before they append.
+                      std::uint64_t ticket = 0;
+                      if (wal_ && ingest_) {
+                        const auto posted = wal_->post(f);
+                        if (posted.is_ok()) ticket = posted.value();
+                      } else if (wal_) {
+                        wal_->deliver(f);
+                      }
+                      store_batch(batch.value(), ticket);
                       // Live-subscription tap: fan the batch out to serve
                       // clients through bounded egress queues (never blocks
                       // on a slow client).
@@ -687,9 +701,15 @@ ShutdownReport MonitoringStack::shutdown(std::chrono::milliseconds deadline) {
   return report;
 }
 
-std::size_t MonitoringStack::store_batch(const core::SampleBatch& batch) {
+void MonitoringStack::simulate_crash() {
+  crashed_ = true;
+  if (wal_) wal_->abandon();
+}
+
+std::size_t MonitoringStack::store_batch(const core::SampleBatch& batch,
+                                         std::uint64_t wal_ticket) {
   if (ingest_) {
-    ingest_->submit(batch);
+    ingest_->submit(batch, wal_ticket);
     return batch.samples.size();
   }
   return sharded_.append_batch(batch.samples);

@@ -157,8 +157,10 @@ class MonitoringStack {
   /// Crash drill: make the destructor skip shutdown() — buffered/hot state
   /// is abandoned exactly as a real crash would abandon it (worker threads
   /// are still joined; a process can't leak threads into the next test).
-  /// Pair with a fresh MonitoringStack on the same wal_path to recover.
-  void simulate_crash() { crashed_ = true; }
+  /// Frames posted to the WAL and not yet decided are dropped at once:
+  /// they reach neither the log nor the store. Pair with a fresh
+  /// MonitoringStack on the same wal_path to recover.
+  void simulate_crash();
 
   ~MonitoringStack();
 
@@ -281,8 +283,10 @@ class MonitoringStack {
   void apply_degradation(core::DegradationMode mode);
   void refresh_live_gauges() const;
   /// Hand a numeric batch to the store: queued on the ingest tier when it
-  /// exists, appended inline otherwise. Returns the samples handed over.
-  std::size_t store_batch(const core::SampleBatch& batch);
+  /// exists (a worker appends it once the WAL has decided `wal_ticket`),
+  /// appended inline otherwise. Returns the samples handed over.
+  std::size_t store_batch(const core::SampleBatch& batch,
+                          std::uint64_t wal_ticket = 0);
 
   sim::Cluster& cluster_;
   // Parsed first: a rejected config throws before any tier is built.

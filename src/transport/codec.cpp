@@ -56,8 +56,8 @@ Result<std::size_t> sample_frame_bytes(const Frame& frame) {
   return bytes;
 }
 
-core::TimePoint sample_frame_max_time(const Frame& frame) {
-  const auto* p = frame.payload.data();
+core::TimePoint sample_frame_max_time(const std::uint8_t* payload) {
+  const auto* p = payload;
   core::TimePoint newest = 0;
   std::uint32_t count = 0;
   std::memcpy(&newest, p, 8);

@@ -127,9 +127,9 @@ core::Result<core::SampleBatch> decode_samples(const Frame& frame);
 /// trailing bytes past them are not part of the batch.
 core::Result<std::size_t> sample_frame_bytes(const Frame& frame);
 
-/// Newest time in a frame sample_frame_bytes accepted: the max of the sweep
-/// time and every sample time, read in place.
-core::TimePoint sample_frame_max_time(const Frame& frame);
+/// Newest time in the payload of a frame sample_frame_bytes accepted: the
+/// max of the sweep time and every sample time, read in place.
+core::TimePoint sample_frame_max_time(const std::uint8_t* payload);
 
 Frame encode_logs(const std::vector<core::LogEvent>& events);
 core::Result<std::vector<core::LogEvent>> decode_logs(const Frame& frame);

@@ -1,14 +1,21 @@
 // WriteAheadLog: append/replay round-trip, rotation, truncation, torn tails,
-// CRC-skipped corruption, injected file-layer faults, and deliver()'s
-// retries, priority-aware dead-letter queue and redelivery.
+// CRC-skipped corruption, injected file-layer faults, deliver()'s retries,
+// priority-aware dead-letter queue and redelivery, the record-length limit
+// every way in shares with replay, and post()'s group commit: the same
+// segment bytes as deliver(), the crash drill, and a threaded hammer of
+// post(), deliver() and maintenance.
 #include "resilience/wal.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <thread>
 
 #include "core/rng.hpp"
 #include "reference_crc32.hpp"
@@ -716,6 +723,224 @@ TEST(WalDeliveryTest, SeededFaultRunMatchesThePinnedLedger) {
   EXPECT_EQ(stats.samples, 353u);
   EXPECT_EQ(stats.torn_tails, 1u);
   EXPECT_EQ(stats.corrupt_skipped, 0u);
+  fs::remove_all(dir);
+}
+
+// -- The record-length limit replay reads ----------------------------------
+
+/// A valid sample frame of `count` zeroed records, built in place.
+transport::Frame zeroed_frame(std::uint32_t count) {
+  transport::Frame f;
+  f.type = transport::FrameType::kSamples;
+  f.payload.assign(transport::kSampleHeaderBytes +
+                       transport::kSampleRecordBytes * std::size_t{count},
+                   0);
+  std::memcpy(f.payload.data() + transport::kSampleCountOffset, &count, 4);
+  return f;
+}
+
+TEST(WalLimitTest, RecordPastTheReplayLimitIsRefusedAndWritesNothing) {
+  // 3,355,444 samples make a 67,108,896-byte record, 32 bytes past what
+  // replay reads. When append() took it, all three appends below returned
+  // ok, and replay stopped at the big record's length header as a torn
+  // tail, losing the acknowledged record after it too.
+  const auto dir = fresh_dir("too_large");
+  const auto big = zeroed_frame(3'355'444);
+  ASSERT_GT(big.payload.size(), WriteAheadLog::kMaxRecordBytes);
+  {
+    WriteAheadLog wal({.dir = dir});
+    ASSERT_TRUE(wal.append(frame(1)).is_ok());
+    const auto st = wal.append(big);
+    EXPECT_EQ(st.code(), core::StatusCode::kTooLarge) << st.message();
+    ASSERT_TRUE(wal.append(frame(2)).is_ok());
+    const auto posted = wal.post(big);
+    ASSERT_FALSE(posted.is_ok());
+    EXPECT_EQ(posted.status().code(), core::StatusCode::kTooLarge);
+    EXPECT_FALSE(wal.deliver(big));
+    EXPECT_EQ(wal.dead_letter_count(), 0u);  // a retry could never log it
+    EXPECT_FALSE(wal.poisoned());
+    const auto snap = obs::snapshot_of(wal);
+    EXPECT_EQ(snap.counter("resilience.wal_append_failures"), 3u);
+    EXPECT_EQ(snap.counter("resilience.wal_records"), 2u);
+  }
+  ReplayStats stats;
+  const auto batches = replay_all(dir, &stats);
+  EXPECT_EQ(stats.torn_tails, 0u);
+  EXPECT_EQ(stats.records, 2u);
+  ASSERT_EQ(batches.size(), 2u);
+  EXPECT_EQ(batches[1].sweep_time, 2 * core::kMinute);
+  fs::remove_all(dir);
+}
+
+// -- post(): group commit on the writer thread --------------------------------
+
+/// Every segment file in `dir`, by name.
+std::map<std::string, std::vector<std::uint8_t>> segment_files(
+    const std::string& dir) {
+  std::map<std::string, std::vector<std::uint8_t>> out;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    out[e.path().filename().string()] = read_file(e.path().string());
+  }
+  return out;
+}
+
+TEST(WalGroupTest, PostedFramesWriteTheBytesDeliverWrites) {
+  // One producer's frame sequence through deliver() and through post():
+  // every segment is byte-identical, rotation points included (16 KiB
+  // segments rotate every few records). Two frames larger than a group
+  // buffer and some zero-sample frames ride along.
+  core::Rng rng(77);
+  std::vector<transport::Frame> frames;
+  for (int i = 0; i < 240; ++i) {
+    auto batch = random_batch(rng);
+    if (i % 29 == 0) batch.samples.clear();
+    frames.push_back(transport::encode_samples(batch));
+    frames.back().priority = static_cast<core::Priority>(i % 3);
+    if (i == 100 || i == 101) frames.push_back(zeroed_frame(60'000));
+  }
+  ASSERT_GT(frames[101].payload.size(), WriteAheadLog::kGroupBytes);
+  constexpr std::size_t kSegmentBytes = 16u << 10;
+  const auto delivered_dir = fresh_dir("group_deliver");
+  const auto posted_dir = fresh_dir("group_post");
+  {
+    WriteAheadLog wal({.dir = delivered_dir, .segment_bytes = kSegmentBytes});
+    for (const auto& f : frames) ASSERT_TRUE(wal.deliver(f));
+  }
+  {
+    WriteAheadLog wal({.dir = posted_dir, .segment_bytes = kSegmentBytes});
+    std::uint64_t last = 0;
+    for (const auto& f : frames) {
+      const auto ticket = wal.post(f);
+      ASSERT_TRUE(ticket.is_ok()) << ticket.message();
+      if (ticket.value() == 0) continue;  // zero samples: nothing to log
+      EXPECT_EQ(ticket.value(), last + 1);
+      last = ticket.value();
+    }
+    EXPECT_TRUE(wal.wait_decided(last));
+    const auto snap = obs::snapshot_of(wal);
+    EXPECT_EQ(snap.counter("resilience.wal_records"), last);
+    EXPECT_EQ(snap.counter("resilience.delivered_frames"), last);
+  }
+  const auto want = segment_files(delivered_dir);
+  EXPECT_GT(want.size(), 20u);
+  EXPECT_EQ(segment_files(posted_dir), want);
+  fs::remove_all(delivered_dir);
+  fs::remove_all(posted_dir);
+}
+
+TEST(WalGroupTest, DeliverWritesPendingPostsFirst) {
+  const auto dir = fresh_dir("group_order");
+  {
+    WriteAheadLog wal({.dir = dir});
+    for (int m = 1; m <= 50; ++m) ASSERT_TRUE(wal.post(frame(m)).is_ok());
+    ASSERT_TRUE(wal.deliver(frame(51)));
+    // deliver() returned, so every earlier post is decided too.
+    EXPECT_TRUE(wal.wait_decided(50));
+  }
+  const auto batches = replay_all(dir);
+  ASSERT_EQ(batches.size(), 51u);
+  for (int m = 1; m <= 51; ++m) {
+    EXPECT_EQ(batches[m - 1].sweep_time, m * core::kMinute);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(WalGroupTest, AbandonKeepsExactlyTheDecidedRecords) {
+  // The crash drill: whatever the writer had not taken is gone from the
+  // log, and wait_decided() says so for exactly those tickets.
+  const auto dir = fresh_dir("group_abandon");
+  constexpr int kFrames = 400;
+  std::uint64_t decided = 0;
+  {
+    WriteAheadLog wal({.dir = dir});
+    for (int m = 1; m <= kFrames; ++m) {
+      ASSERT_EQ(wal.post(frame(m)).value(), static_cast<std::uint64_t>(m));
+    }
+    wal.abandon();
+    EXPECT_FALSE(wal.post(frame(kFrames + 1)).is_ok());
+    for (std::uint64_t t = 1; t <= kFrames; ++t) {
+      if (!wal.wait_decided(t)) break;
+      decided = t;
+    }
+    for (std::uint64_t t = decided + 1; t <= kFrames; ++t) {
+      EXPECT_FALSE(wal.wait_decided(t)) << t;
+    }
+    EXPECT_EQ(obs::snapshot_of(wal).counter("resilience.wal_records"),
+              decided);
+  }
+  const auto batches = replay_all(dir);
+  ASSERT_EQ(batches.size(), decided);
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    EXPECT_EQ(batches[i].sweep_time,
+              static_cast<core::TimePoint>(i + 1) * core::kMinute);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(WalThreadedTest, PostDeliverAndMaintenanceLogEveryRecordOnce) {
+  // The router posts, a relay apply delivers, and the timeline rotates,
+  // redelivers and truncates, all at once. Replay holds every record
+  // exactly once, each producer's in its call order.
+  const auto dir = fresh_dir("threaded_hammer");
+  constexpr int kPerProducer = 300;
+  const auto producer_frame = [](std::uint32_t origin, int i) {
+    SampleBatch b;
+    b.sweep_time = (i + 1) * core::kSecond;
+    b.origin = core::ComponentId{origin};
+    for (int s = 0; s < 1 + i % 40; ++s) {
+      b.samples.push_back({core::SeriesId{static_cast<std::uint32_t>(s)},
+                           b.sweep_time + s, i + 0.5 * s});
+    }
+    return transport::encode_samples(b);
+  };
+  std::atomic<int> producers_done{0};
+  {
+    WriteAheadLog wal({.dir = dir, .segment_bytes = 8u << 10});
+    std::thread router([&] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        const auto ticket = wal.post(producer_frame(1, i));
+        ASSERT_TRUE(ticket.is_ok());
+        if (i % 16 == 15) {
+          EXPECT_TRUE(wal.wait_decided(ticket.value()));
+        }
+      }
+      producers_done.fetch_add(1);
+    });
+    std::thread relay([&] {
+      constexpr auto keep = WriteAheadLog::OnFailure::kCallerKeeps;
+      for (int i = 0; i < kPerProducer; ++i) {
+        EXPECT_TRUE(wal.deliver(producer_frame(2, i), keep));
+      }
+      producers_done.fetch_add(1);
+    });
+    std::thread timeline([&] {
+      while (producers_done.load() < 2) {
+        EXPECT_TRUE(wal.rotate().is_ok());
+        EXPECT_EQ(wal.redeliver(), 0u);
+        // Below every sample time: only segments that logged nothing go.
+        wal.truncate_before(1);
+        std::this_thread::yield();
+      }
+    });
+    router.join();
+    relay.join();
+    timeline.join();
+    ASSERT_TRUE(wal.sync().is_ok());
+    EXPECT_EQ(obs::snapshot_of(wal).counter("resilience.wal_records"),
+              2u * kPerProducer);
+  }
+  std::map<std::uint32_t, std::vector<core::TimePoint>> order;
+  for (const auto& b : replay_all(dir)) {
+    order[core::raw(b.origin)].push_back(b.sweep_time);
+  }
+  ASSERT_EQ(order.size(), 2u);
+  for (const auto& [origin, sweeps] : order) {
+    ASSERT_EQ(sweeps.size(), static_cast<std::size_t>(kPerProducer))
+        << "origin " << origin;
+    for (int i = 0; i < kPerProducer; ++i) {
+      EXPECT_EQ(sweeps[i], (i + 1) * core::kSecond) << "origin " << origin;
+    }
+  }
   fs::remove_all(dir);
 }
 

@@ -1,15 +1,22 @@
 // End-to-end resilience: crash recovery from the WAL (hot tier restored
-// byte-identical to an uninterrupted run), shutdown draining the ingest
-// tier, WAL truncation behind the tier watermark, and the operator surface
-// for all of it.
+// byte-identical to an uninterrupted run), a kill at every WAL write of a
+// stack whose WAL writes on its own thread (no stored sample without its
+// record), shutdown draining the ingest tier, WAL truncation behind the
+// tier watermark, and the operator surface for all of it.
 #include "stack/stack.hpp"
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <filesystem>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <tuple>
 
 #include "resilience/fault.hpp"
+#include "resilience/wal.hpp"
+#include "transport/codec.hpp"
 
 namespace hpcmon::stack {
 namespace {
@@ -98,6 +105,138 @@ TEST(StackRecoveryTest, CrashRecoveryRestoresHotTierByteIdentical) {
   EXPECT_GT(compared, 100u);  // the sweep really covers the whole system
   EXPECT_GT(nonempty, 50u);
   fs::remove_all(wal_dir);
+}
+
+// A FaultPlan whose scripted crash holds the thread that drew it (the WAL's
+// writer) still until release(): the instant the process dies at that WAL
+// write, kept long enough for the test to read what the store holds then.
+class FreezeAtCrash : public resilience::FaultPlan {
+ public:
+  using FaultPlan::FaultPlan;
+
+  core::FsFault fs_fault(core::FsOp op) override {
+    const auto fault = FaultPlan::fs_fault(op);
+    if (fault == core::FsFault::kCrash) {
+      std::unique_lock lock(freeze_mu_);
+      frozen_ = true;
+      freeze_cv_.notify_all();
+      freeze_cv_.wait(lock, [&] { return released_; });
+    }
+    return fault;
+  }
+  void wait_frozen() {
+    std::unique_lock lock(freeze_mu_);
+    freeze_cv_.wait(lock, [&] { return frozen_; });
+  }
+  void release() {
+    std::scoped_lock lock(freeze_mu_);
+    released_ = true;
+    freeze_cv_.notify_all();
+  }
+
+ private:
+  std::mutex freeze_mu_;
+  std::condition_variable freeze_cv_;
+  bool frozen_ = false;
+  bool released_ = false;
+};
+
+using Point = std::tuple<std::uint32_t, core::TimePoint, double>;
+
+// Kill the process at every WAL write of a short run through the router of
+// a stack with shard workers, where the WAL writes on its own thread. At
+// the moment of death the store may hold only samples whose records were
+// already decided, so every sample it holds is in the WAL replay; and the
+// replay holds exactly the frames logged before the killed write.
+TEST(StackRecoveryTest, KillAtEveryWalWriteLeavesNoStoreSampleUnlogged) {
+  const auto wal_dir = fresh_wal_dir("kill_every_write");
+  const auto cfg = parse("ingest_shards = 2\nprobe_interval_s = 0\n"
+                         "health_interval_s = 0\nwal_path = " + wal_dir +
+                         "\n");
+  sim::Cluster cluster(cluster_params());
+  auto& reg = cluster.registry();
+  const auto component = reg.register_component(
+      {"killtest.harness", core::ComponentKind::kService,
+       cluster.topology().system()});
+  std::vector<core::SeriesId> series;
+  for (int i = 0; i < 16; ++i) {
+    series.push_back(reg.series(
+        reg.register_metric({"killtest.m" + std::to_string(i), "units",
+                             "kill-at-every-write probe", false,
+                             core::Priority::kStandard}),
+        component));
+  }
+  constexpr int kFrames = 12;
+  std::vector<transport::Frame> frames;
+  std::vector<std::set<Point>> frame_points;
+  for (int k = 0; k < kFrames; ++k) {
+    core::SampleBatch b;
+    b.sweep_time = (k + 1) * core::kMinute;
+    b.origin = component;
+    std::set<Point> points;
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      b.samples.push_back({series[i], b.sweep_time, k * 100.0 + i});
+      points.insert({core::raw(series[i]), b.sweep_time, k * 100.0 + i});
+    }
+    frames.push_back(transport::encode_samples(b));
+    frame_points.push_back(std::move(points));
+  }
+  const core::TimeRange all{0, core::kHour};
+
+  // A clean run counts the WAL's writes: one per frame.
+  std::uint64_t writes = 0;
+  {
+    resilience::FaultPlan plan(5);
+    MonitoringStack stack(cluster, cfg, &plan);
+    for (const auto& f : frames) stack.router().publish(f);
+    stack.shutdown();
+    writes = plan.fs_ops();
+  }
+  ASSERT_EQ(writes, static_cast<std::uint64_t>(kFrames));
+  fs::remove_all(wal_dir);
+
+  for (std::uint64_t k = 1; k <= writes; ++k) {
+    resilience::FaultSpec spec;
+    spec.fs_crash_at = k;
+    FreezeAtCrash plan(5, spec);
+    std::set<Point> held;
+    {
+      auto stack = std::make_unique<MonitoringStack>(cluster, cfg, &plan);
+      for (const auto& f : frames) stack->router().publish(f);
+      plan.wait_frozen();
+      // Give the shard workers every chance to append what they hold: one
+      // that did not wait for the WAL would store the frames posted after
+      // the killed write now.
+      stack->ingest_pipeline()->drain_for(std::chrono::milliseconds(50));
+      for (const auto id : series) {
+        for (const auto& p : stack->sharded_store()->query_range(id, all)) {
+          held.insert({core::raw(id), p.time, p.value});
+        }
+      }
+      plan.release();
+      stack->simulate_crash();
+    }
+    std::set<Point> replayed;
+    const auto stats = resilience::WriteAheadLog::replay(
+        wal_dir, [&](core::SampleBatch&& b) {
+          for (const auto& x : b.samples) {
+            replayed.insert({core::raw(x.series), x.time, x.value});
+          }
+        });
+    std::set<Point> logged;  // the frames before the killed write
+    for (std::uint64_t i = 0; i + 1 < k; ++i) {
+      logged.insert(frame_points[i].begin(), frame_points[i].end());
+    }
+    EXPECT_EQ(replayed, logged) << "killed at write " << k;
+    EXPECT_EQ(stats.torn_tails, 1u) << "killed at write " << k;
+    for (const auto& p : held) {
+      EXPECT_TRUE(replayed.contains(p))
+          << "killed at write " << k << ": the store held series "
+          << std::get<0>(p) << " t=" << std::get<1>(p)
+          << " without its record";
+    }
+    fs::remove_all(wal_dir);
+  }
 }
 
 // Crash vs. clean shutdown: without the WAL the hot tier dies with the
