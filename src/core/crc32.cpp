@@ -170,8 +170,4 @@ std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
   return kernel()(data, len, seed);
 }
 
-std::string_view crc32_kernel() {
-  return kernel() == crc32_portable ? "slicing-by-8" : "pclmul";
-}
-
 }  // namespace hpcmon::core

@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace hpcmon::core {
 
@@ -30,8 +29,5 @@ std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed = 0);
 /// crc32(), for tests and benches that must exercise it on any machine.
 std::uint32_t crc32_portable(const void* data, std::size_t len,
                              std::uint32_t seed = 0);
-
-/// Which kernel crc32() runs on this machine: "pclmul" or "slicing-by-8".
-std::string_view crc32_kernel();
 
 }  // namespace hpcmon::core

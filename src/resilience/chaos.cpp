@@ -30,6 +30,7 @@ FaultSpec ChaosSchedule::composed() const {
     out.sampler_hang_at = std::max(out.sampler_hang_at, s.sampler_hang_at);
     out.delivery_error_at =
         std::max(out.delivery_error_at, s.delivery_error_at);
+    out.flush_error_at = std::max(out.flush_error_at, s.flush_error_at);
     out.fs_error_at = std::max(out.fs_error_at, s.fs_error_at);
     out.fs_short_write_at =
         std::max(out.fs_short_write_at, s.fs_short_write_at);

@@ -55,6 +55,12 @@ struct ChaosScenario {
   /// WAL/tier directories — the recovery path runs mid-storm, and the
   /// zero-critical-loss invariant must hold across the restart.
   core::Duration crash_restart_at = 0;
+  /// With crash_restart_at: before the crash, let the WAL's writer thread
+  /// decide every frame posted so far (sync), as the simulated seconds
+  /// before the crash would in real time. Off, the crash lands on whatever
+  /// the writer still holds: only heartbeats decided before it must
+  /// survive, and the report carries the writer's lag.
+  bool crash_syncs_wal = true;
 };
 
 class ChaosSchedule {

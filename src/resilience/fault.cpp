@@ -124,6 +124,11 @@ bool FaultPlan::delivery_error() {
               injected_.delivery_errors);
 }
 
+bool FaultPlan::flush_error() {
+  std::scoped_lock lock(mu_);
+  return draw(0.0, flush_ops_, spec_.flush_error_at, injected_.flush_errors);
+}
+
 void FaultPlan::enter_hang() {
   std::unique_lock lock(mu_);
   if (released_) return;

@@ -24,7 +24,9 @@
 //     wire at exactly the Nth socket operation of a send/ack exchange and
 //     assert byte-exact recovery on the aggregator.
 //   * WriteAheadLog::deliver — draws delivery_error() before every try,
-//     redeliveries included, to drive the retry/dead-letter paths.
+//     redeliveries included, to drive the retry/dead-letter paths; and the
+//     WAL consults flush_error() at every flush of its stdio buffer, so a
+//     test can fail a flush that follows writes which all succeeded.
 //
 // Determinism: all probabilistic draws come from one seeded core::Rng behind
 // a mutex; given a fixed seed and a fixed sequence of queries the injected
@@ -76,6 +78,9 @@ struct FaultSpec {
   std::uint64_t sampler_error_at = 0;
   std::uint64_t sampler_hang_at = 0;
   std::uint64_t delivery_error_at = 0;
+  /// Counts the WAL's buffer flushes, a stream of its own (a flush is not
+  /// an fs op), so failing the Nth flush moves no fs_*_at index.
+  std::uint64_t flush_error_at = 0;
   std::uint64_t fs_error_at = 0;
   std::uint64_t fs_short_write_at = 0;
   std::uint64_t fs_enospc_at = 0;
@@ -99,6 +104,7 @@ struct InjectedFaults {
   std::uint64_t sampler_errors = 0;
   std::uint64_t sampler_hangs = 0;
   std::uint64_t delivery_errors = 0;
+  std::uint64_t flush_errors = 0;
   std::uint64_t fs_errors = 0;
   std::uint64_t fs_short_writes = 0;
   std::uint64_t fs_enospc = 0;
@@ -125,6 +131,8 @@ class FaultPlan : public core::FsFaultInjector, public core::SocketFaultInjector
   bool sampler_error();
   bool sampler_hang();
   bool delivery_error();
+  /// Scripted only (flush_error_at): the draw takes nothing from the RNG.
+  bool flush_error();
 
   /// Generic filesystem fault point (core::FsFaultInjector). Advances the
   /// shared fs-op counter; scripted one-shots take precedence over the
@@ -166,6 +174,7 @@ class FaultPlan : public core::FsFaultInjector, public core::SocketFaultInjector
   std::uint64_t fs_ops_ = 0;
   std::uint64_t sock_ops_ = 0;
   std::uint64_t delivery_ops_ = 0;
+  std::uint64_t flush_ops_ = 0;
   std::size_t hanging_ = 0;
   bool released_ = false;
   InjectedFaults injected_;

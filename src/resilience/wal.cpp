@@ -199,9 +199,8 @@ core::Status WriteAheadLog::append(const transport::Frame& frame) {
   if (!extent.is_ok()) return extent.status();
   std::scoped_lock lock(mu_);
   drain_posted_locked();
-  const auto st = write_locked(frame.payload.data(), extent.value());
-  if (!st.is_ok()) return st;
-  return flush_locked() ? Status::ok() : Status::error("wal: flush failed");
+  batch_.assign(1, {frame.payload.data(), extent.value(), frame.priority});
+  return write_batch_locked(1, /*draw_faults=*/false);
 }
 
 core::Status WriteAheadLog::write_locked(const std::uint8_t* payload,
@@ -247,18 +246,73 @@ core::Status WriteAheadLog::write_locked(const std::uint8_t* payload,
   file_bytes_ += 8 + bytes;
   active_max_time_ =
       std::max(active_max_time_, transport::sample_frame_max_time(payload));
-  appended_records_.add();
-  appended_samples_.add(samples);
-  appended_bytes_.add(8 + bytes);
-  if (file_bytes_ >= opts_.segment_bytes) {
-    seal_active();
-    if (!open_segment(active_index_ + 1).is_ok()) dead_ = true;
-  }
   return Status::ok();
 }
 
+core::Status WriteAheadLog::write_batch_locked(int tries, bool draw_faults) {
+  Status last = Status::ok();
+  std::size_t run = 0;  // the first record no flush has covered yet
+  const auto samples = [](const Record& r) {
+    return (r.bytes - transport::kSampleHeaderBytes) /
+           transport::kSampleRecordBytes;
+  };
+  // Flush what records [run, end) wrote. A failed flush leaves every byte
+  // since the last good one undefined, so none of them counts as logged.
+  const auto flush_run = [&](std::size_t end) {
+    bool wrote = false;
+    for (std::size_t i = run; i < end; ++i) {
+      wrote = wrote || (batch_[i].written && samples(batch_[i]) > 0);
+    }
+    const bool flushed = !wrote || flush_locked();
+    if (!flushed) last = Status::error("wal: flush failed");
+    for (; run < end; ++run) {
+      Record& r = batch_[run];
+      r.logged = r.written && flushed;
+      if (r.logged && samples(r) > 0) {
+        appended_records_.add();
+        appended_samples_.add(samples(r));
+        appended_bytes_.add(8 + r.bytes);
+      }
+    }
+  };
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    Record& r = batch_[i];
+    for (int n = 0; n < tries && !r.written; ++n) {
+      if (n > 0) retries_.add();
+      if (draw_faults && opts_.faults != nullptr &&
+          opts_.faults->delivery_error()) {
+        last = Status::error("wal: injected delivery error");
+        continue;
+      }
+      const auto st = write_locked(r.payload, r.bytes);
+      if (st.is_ok()) {
+        r.written = true;
+      } else {
+        last = st;
+      }
+    }
+    if (r.written && file_bytes_ >= opts_.segment_bytes) {
+      // Seal after the record that fills the segment, as a writer that
+      // flushed every record would; the sealed file must hold its bytes.
+      flush_run(i + 1);
+      if (!dead_) {
+        seal_active();
+        if (!open_segment(active_index_ + 1).is_ok()) dead_ = true;
+      }
+    }
+  }
+  flush_run(batch_.size());
+  return last;
+}
+
 bool WriteAheadLog::flush_locked() {
-  if (file_ == nullptr || std::fflush(file_) == 0) return true;
+  if (file_ == nullptr) return true;
+  // An injected failure still flushes: the bytes may or may not have
+  // reached the file after a real error too, and the writer cannot tell.
+  const bool flushed = std::fflush(file_) == 0;
+  const bool injected =
+      opts_.faults != nullptr && opts_.faults->flush_error();
+  if (flushed && !injected) return true;
   // What reached the file is undefined; poison the log as a short write
   // does, so nothing is written past the damage.
   dead_ = true;
@@ -266,31 +320,21 @@ bool WriteAheadLog::flush_locked() {
   return false;
 }
 
-bool WriteAheadLog::try_deliver(const std::uint8_t* payload,
-                                std::size_t bytes) {
-  if (opts_.faults != nullptr && opts_.faults->delivery_error()) return false;
-  return write_locked(payload, bytes).is_ok();
-}
-
-bool WriteAheadLog::deliver_locked(const std::uint8_t* payload,
-                                   std::size_t bytes, core::Priority priority,
-                                   OnFailure on_failure) {
-  for (int n = 0; n < kDeliveryAttempts; ++n) {
-    if (n > 0) retries_.add();
-    if (try_deliver(payload, bytes)) {
+void WriteAheadLog::settle_locked(OnFailure on_failure) {
+  for (const Record& r : batch_) {
+    if (r.logged) {
       delivered_.add();
-      return true;
+      continue;
+    }
+    failures_.add();
+    if (on_failure == OnFailure::kDeadLetter && opts_.dead_letter_cap > 0) {
+      transport::Frame frame;
+      frame.type = transport::FrameType::kSamples;
+      frame.priority = r.priority;
+      frame.payload.assign(r.payload, r.payload + r.bytes);
+      dead_letter(std::move(frame));
     }
   }
-  failures_.add();
-  if (on_failure == OnFailure::kDeadLetter && opts_.dead_letter_cap > 0) {
-    transport::Frame frame;
-    frame.type = transport::FrameType::kSamples;
-    frame.priority = priority;
-    frame.payload.assign(payload, payload + bytes);
-    dead_letter(std::move(frame));
-  }
-  return false;
 }
 
 bool WriteAheadLog::deliver(const transport::Frame& frame,
@@ -301,9 +345,10 @@ bool WriteAheadLog::deliver(const transport::Frame& frame,
   if (!extent.is_ok()) return false;
   std::scoped_lock lock(mu_);
   drain_posted_locked();
-  return deliver_locked(frame.payload.data(), extent.value(), frame.priority,
-                        on_failure) &&
-         flush_locked();
+  batch_.assign(1, {frame.payload.data(), extent.value(), frame.priority});
+  write_batch_locked(kDeliveryAttempts, /*draw_faults=*/true);
+  settle_locked(on_failure);
+  return batch_.front().logged;
 }
 
 core::Result<std::uint64_t> WriteAheadLog::post(
@@ -385,11 +430,14 @@ void WriteAheadLog::drain_posted_locked() {
     last = posted_;
   }
   room_cv_.notify_all();
+  batch_.clear();
   for (const auto& r : group->records) {
-    deliver_locked(group->bytes.data() + r.offset, r.bytes, r.priority,
-                   OnFailure::kDeadLetter);
+    batch_.push_back({group->bytes.data() + r.offset, r.bytes, r.priority});
   }
-  flush_locked();
+  write_batch_locked(kDeliveryAttempts, /*draw_faults=*/true);
+  // A record the log could not take is parked before its ticket counts as
+  // decided, so the store never holds a sample that is in neither.
+  settle_locked(OnFailure::kDeadLetter);
   {
     std::scoped_lock q(qmu_);
     group->records.clear();
@@ -426,20 +474,25 @@ void WriteAheadLog::dead_letter(transport::Frame frame) {
 
 std::size_t WriteAheadLog::redeliver() {
   std::scoped_lock lock(mu_);
-  drain_posted_locked();
+  // Posted records still pending are newer than every letter, so they are
+  // left to the writer: logging them first would put them ahead of older
+  // samples of the same series, which replay then skips.
+  batch_.clear();
+  for (const auto& f : dead_letters_) {
+    batch_.push_back({f.payload.data(), f.payload.size(), f.priority});
+  }
+  write_batch_locked(1, /*draw_faults=*/true);
   std::size_t ok = 0;
-  const std::size_t pending = dead_letters_.size();
-  for (std::size_t i = 0; i < pending; ++i) {
-    transport::Frame frame = std::move(dead_letters_.front());
-    dead_letters_.pop_front();
-    if (try_deliver(frame.payload.data(), frame.payload.size())) {
+  std::deque<transport::Frame> kept;  // the rest, in their order
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    if (batch_[i].logged) {
       ++ok;
       redelivered_.add();
     } else {
-      dead_letters_.push_back(std::move(frame));  // keep, retry later
+      kept.push_back(std::move(dead_letters_[i]));
     }
   }
-  flush_locked();
+  dead_letters_ = std::move(kept);
   update_dlq_fill();
   return ok;
 }
@@ -453,6 +506,10 @@ void WriteAheadLog::update_dlq_fill() {
 
 core::Status WriteAheadLog::rotate() {
   std::scoped_lock lock(mu_);
+  // Posted records pending now are decided against the log as it stands:
+  // on a poisoned log they are dead-lettered behind the older letters, so
+  // the heal's redeliver() logs everything in the order it was published.
+  drain_posted_locked();
   if (file_ != nullptr) seal_active();
   const auto st = open_segment(active_index_ + 1);
   dead_ = !st.is_ok();

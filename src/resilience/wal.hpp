@@ -38,23 +38,35 @@
 // rotation at the same byte boundaries), flushes once per group (group
 // commit: DeWitt et al., SIGMOD 1984; Aether, Johnson et al., PVLDB 2010),
 // then publishes the ticket through which every record is *decided*:
-// logged or dead-lettered. A synchronous write first writes any posted
-// records still pending, so the log keeps call order, and a post()ed
-// sequence produces the same segment bytes deliver() would.
+// logged or dead-lettered. A record counts as logged only once a flush
+// that succeeded covers it. A failed flush (which poisons the log) fails
+// every record written since the last good one, and each is dead-lettered
+// from the group buffer before its ticket is published. A synchronous
+// write first writes any posted records still pending, so the log keeps
+// call order, and a post()ed sequence produces the same segment bytes
+// deliver() would. Dead letters are older than anything still posted, so
+// the heal keeps time order the other way: rotate() first decides the
+// pending posts against the log as it stands (on a poisoned log they are
+// dead-lettered behind the older letters), and redeliver() leaves posts to
+// the writer. Replay skips a sample older than its series' last, so a
+// letter logged after a newer sample of its series would be lost.
 //
 // The rule the ingest tier keeps with it: a shard worker appends a
 // sub-batch only once wait_decided() covers the ticket it carried, so the
-// store never holds a sample whose record is still in flight. Memory is
-// two fixed 1 MiB group buffers that the router and the writer swap;
-// post() waits only when both are full. Flushing hands each record to the
-// kernel, so a crashed *process* loses nothing already decided (media-
-// level fsync durability is out of scope for the simulation substrate and
-// called out in DESIGN.md). What a process crash does lose is posted
-// records not yet decided: the store never saw them either (abandon() is
-// the crash drill). Rotation starts a new segment once the active one
-// exceeds segment_bytes; truncate_before() deletes sealed segments whose
-// newest sample is older than a durability watermark (e.g. the hot-window
-// cutoff once the archive has been spilled).
+// store never holds a sample whose record is still in flight. The router's
+// other taps do not wait: live subscribers and the relay see a posted
+// frame at once, so after a crash they may hold samples the node's replay
+// lacks. Memory is two fixed 1 MiB group buffers that the router and the
+// writer swap; post() waits only when both are full. Flushing hands each
+// record to the kernel, so a crashed *process* loses nothing already
+// logged (media-level fsync durability is out of scope for the simulation
+// substrate and called out in DESIGN.md). What a process crash does lose
+// is posted records not yet decided, which the store never saw either
+// (abandon() is the crash drill), and dead letters, as before. Rotation
+// starts a new segment once the active one exceeds segment_bytes;
+// truncate_before() deletes sealed segments whose newest sample is older
+// than a durability watermark (e.g. the hot-window cutoff once the archive
+// has been spilled).
 //
 // deliver() is the publish path's append. Sec. IV's transport war stories
 // (NERSC's RabbitMQ pipeline, ALCF's reverse-engineered ERD) converge on one
@@ -96,8 +108,9 @@ struct WalOptions {
   std::string dir;                       // segment directory (created if absent)
   std::size_t segment_bytes = 1u << 20;  // rotate past this size
   std::size_t dead_letter_cap = 64;      // frames deliver() may park (0: none)
-  /// Optional fault injection: the file layer (append's record write) and
-  /// the delivery faults deliver() and redeliver() draw before each try.
+  /// Optional fault injection: the file layer (append's record write), the
+  /// delivery faults deliver() and redeliver() draw before each try, and
+  /// the buffer flushes.
   FaultPlan* faults = nullptr;
 };
 
@@ -151,6 +164,16 @@ class WriteAheadLog {
   /// dead-lettered). Returns false instead once abandon() dropped it.
   bool wait_decided(std::uint64_t ticket) const;
 
+  /// The newest ticket post() handed out, and the newest through which
+  /// every record is decided: the writer's lag is the difference.
+  std::uint64_t last_ticket() const {
+    std::scoped_lock q(qmu_);
+    return posted_;
+  }
+  std::uint64_t decided_ticket() const {
+    return decided_.load(std::memory_order_acquire);
+  }
+
   /// Crash drill: drop the posted records the writer has not taken and stop
   /// it. They reach neither the log nor, through wait_decided(), the store.
   /// Later posts are refused.
@@ -172,14 +195,16 @@ class WriteAheadLog {
   /// queue makes room by evicting the oldest frame of the lowest class
   /// present (bulk before standard before critical), so a bulk flood never
   /// pushes out a critical frame; when everything parked outranks the
-  /// newcomer, the newcomer is turned away. Returns true if the frame was
-  /// logged.
+  /// newcomer, the newcomer is turned away. A write whose flush fails is
+  /// not logged (the flush poisons the log, so later tries fail too).
+  /// Returns true if the frame was logged.
   bool deliver(const transport::Frame& frame,
                OnFailure on_failure = OnFailure::kDeadLetter);
 
   /// One try per dead letter, drawing faults the way deliver() does;
-  /// logged frames leave the queue, the rest keep their order. Returns the
-  /// number logged.
+  /// logged frames leave the queue, the rest keep their order. Posted
+  /// records still pending are newer than every letter and stay with the
+  /// writer, to be logged after the letters. Returns the number logged.
   std::size_t redeliver();
 
   std::size_t dead_letter_count() const {
@@ -201,9 +226,11 @@ class WriteAheadLog {
   /// the tear.
   void simulate_torn_tail();
 
-  /// Recover a poisoned log: seal the damaged active segment (replay already
-  /// tolerates its torn tail) and open a fresh one, clearing the poison on
-  /// success. Appending after a tear must go to a NEW segment — anything
+  /// Recover a poisoned log: decide the posted records still pending
+  /// against the log as it stands (a poisoned one dead-letters them behind
+  /// the older letters), then seal the damaged active segment (replay
+  /// already tolerates its torn tail) and open a fresh one, clearing the
+  /// poison on success. Appending after a tear must go to a NEW segment — anything
   /// written after a torn record in the same file would be unreachable to
   /// replay. No-op-ish on a healthy log: the active segment just rotates.
   /// The stack's self-heal tick calls this; sites can too, after an
@@ -255,6 +282,16 @@ class WriteAheadLog {
     std::vector<std::uint8_t> bytes;
     std::vector<Posted> records;
   };
+  /// A record handed to write_batch_locked(). Its bytes stay where they
+  /// are (the caller's frame, a group buffer, a dead letter) until the
+  /// batch is settled.
+  struct Record {
+    const std::uint8_t* payload = nullptr;
+    std::size_t bytes = 0;
+    core::Priority priority = core::Priority::kStandard;
+    bool written = false;  // in the stdio buffer
+    bool logged = false;   // and a flush that succeeded covered it
+  };
 
   /// The frame's record length, or why it cannot be logged (an oversized
   /// record is counted as an append failure).
@@ -264,18 +301,22 @@ class WriteAheadLog {
   std::string segment_path(std::uint64_t index) const;
   core::Status open_segment(std::uint64_t index);
   void seal_active();
-  /// The one record writer: a checked record's fault draw, CRC, header and
-  /// payload, and rotation, without a flush.
+  /// One record write: the poison check, the fs fault draw, CRC, header
+  /// and payload into the stdio buffer. No flush, no rotation.
   core::Status write_locked(const std::uint8_t* payload, std::size_t bytes);
-  /// Flush the stdio buffer; a failure poisons the log.
+  /// The one record writer every way in uses. Writes batch_ in order, each
+  /// record with up to `tries` tries (each drawing delivery_error() first
+  /// when `draw_faults`); flushes before each segment seal and once at the
+  /// end. Only a successful flush logs a record: a failed one fails every
+  /// record written since the last good one. Returns the last failure.
+  core::Status write_batch_locked(int tries, bool draw_faults);
+  /// Flush the stdio buffer; a failure (real or injected) poisons the log.
   bool flush_locked();
-  /// deliver()'s tries, then the dead-letter queue; no flush.
-  bool deliver_locked(const std::uint8_t* payload, std::size_t bytes,
-                      core::Priority priority, OnFailure on_failure);
-  /// One delivery try: the injected delivery fault, then the write.
-  bool try_deliver(const std::uint8_t* payload, std::size_t bytes);
+  /// Count batch_'s outcomes as deliveries; a record not logged is
+  /// dead-lettered from the bytes it still points at, unless kCallerKeeps.
+  void settle_locked(OnFailure on_failure);
   /// Take the open group (the router moves to the other one), deliver its
-  /// records, flush once, and publish their tickets as decided.
+  /// records, settle them, and publish their tickets as decided.
   void drain_posted_locked();
   void tear_locked();
   void dead_letter(transport::Frame frame);
@@ -297,6 +338,7 @@ class WriteAheadLog {
   obs::Counter segments_truncated_;
   bool dead_ = false;
   std::deque<transport::Frame> dead_letters_;
+  std::vector<Record> batch_;  // write_batch_locked()'s input, reused
   obs::Counter delivered_;
   obs::Counter retries_;
   obs::Counter failures_;

@@ -75,9 +75,12 @@ struct StormLoad {
 
   /// One tick at `t` through the full stack path: heartbeat number `beat`,
   /// then `flood` bulk batches, each striding every bulk series so queue
-  /// pressure lands on both shards.
-  void publish(transport::EventRouter& router, core::TimePoint t,
-               std::uint64_t beat, std::uint32_t flood) const {
+  /// pressure lands on both shards. Returns the heartbeat's ticket in the
+  /// stack's `wal` (0 when nothing was posted).
+  std::uint64_t publish(transport::EventRouter& router,
+                        const resilience::WriteAheadLog* wal,
+                        core::TimePoint t, std::uint64_t beat,
+                        std::uint32_t flood) const {
     core::SampleBatch hb;
     hb.sweep_time = t;
     hb.origin = component;
@@ -85,6 +88,8 @@ struct StormLoad {
     auto frame = transport::encode_samples(hb);
     frame.priority = core::Priority::kCritical;
     router.publish(frame);
+    // The router posts on this thread, so the newest ticket is the beat's.
+    const std::uint64_t ticket = wal != nullptr ? wal->last_ticket() : 0;
     for (std::uint32_t b = 0; b < flood; ++b) {
       core::SampleBatch batch;
       batch.sweep_time = t;
@@ -98,6 +103,7 @@ struct StormLoad {
       bulk_frame.priority = core::Priority::kBulk;
       router.publish(bulk_frame);
     }
+    return ticket;
   }
 };
 
@@ -107,7 +113,7 @@ std::string ChaosReport::to_string() const {
   return core::strformat(
       "chaos[%s] survived=%d hb=%llu/%llu crit_lost=%llu bulk_shed=%llu "
       "std_shed=%llu lost=%llu max_mode=%d transitions=%llu normal=%d "
-      "dlq=%zu/%zu clean=%d%s%s",
+      "dlq=%zu/%zu clean=%d%s%s%s",
       scenario.c_str(), survived ? 1 : 0,
       static_cast<unsigned long long>(heartbeats_stored),
       static_cast<unsigned long long>(heartbeats_sent),
@@ -117,6 +123,13 @@ std::string ChaosReport::to_string() const {
       static_cast<unsigned long long>(involuntary_lost), max_mode,
       static_cast<unsigned long long>(transitions), returned_to_normal ? 1 : 0,
       dead_letters, dead_letter_cap, shutdown_clean ? 1 : 0,
+      crash_undecided_records == 0
+          ? ""
+          : core::strformat(
+                " crash_lag=%llu/%llu",
+                static_cast<unsigned long long>(crash_undecided_records),
+                static_cast<unsigned long long>(crash_undecided_heartbeats))
+                .c_str(),
       failure.empty() ? "" : " FAIL: ", failure.c_str());
 }
 
@@ -175,15 +188,28 @@ ChaosReport run_chaos(
   // simulated instant seconds after the last publish, time in which the
   // WAL's writer thread has decided every posted frame; the simulation
   // reaches it in microseconds of real time, so the drill first lets the
-  // writer catch up (sync), as that much real time would have.
+  // writer catch up (sync), as that much real time would have, unless the
+  // scenario asks it not to. Then the heartbeats the writer still held die
+  // with the stack, and they are counted.
   obs::ObsSnapshot pre_crash;
+  std::vector<std::uint64_t> beat_tickets;  // this incarnation's heartbeats
   if (scenario.crash_restart_at > 0) {
     cluster.events().schedule_at(
         cluster.now() + scenario.crash_restart_at, [&](core::TimePoint) {
-          if (auto* wal = stack->wal_delivery()) wal->sync();
+          auto* wal = stack->wal_delivery();
+          if (wal != nullptr && scenario.crash_syncs_wal) wal->sync();
+          stack->simulate_crash();
+          if (wal != nullptr) {
+            // The writer has stopped: what it had not decided is gone.
+            const auto decided = wal->decided_ticket();
+            report.crash_undecided_records = wal->last_ticket() - decided;
+            report.crash_undecided_heartbeats = static_cast<std::uint64_t>(
+                std::count_if(beat_tickets.begin(), beat_tickets.end(),
+                              [&](std::uint64_t t) { return t > decided; }));
+          }
+          beat_tickets.clear();
           pre_crash.merge(stack->obs_snapshot());
           plan.release_hangs();  // hung sampler threads must join
-          stack->simulate_crash();
           stack.reset();
           stack = std::make_unique<MonitoringStack>(cluster, config, &plan);
         });
@@ -192,8 +218,10 @@ ChaosReport run_chaos(
   const auto tick = 10 * core::kSecond;
   cluster.events().schedule_every(
       cluster.now() + tick, tick, [&](core::TimePoint t) {
-        load.publish(stack->router(), t, report.heartbeats_sent++,
-                     schedule.active_bulk_batches_per_tick());
+        beat_tickets.push_back(
+            load.publish(stack->router(), stack->wal(), t,
+                         report.heartbeats_sent++,
+                         schedule.active_bulk_batches_per_tick()));
         // Track the controller's trajectory.
         if (const auto* d = stack->degradation()) {
           report.max_mode =
@@ -244,11 +272,13 @@ ChaosReport run_chaos(
     report.failure = "shutdown abandoned in-flight work";
   } else if (report.critical_lost != 0) {
     report.failure = "critical-class samples were dropped or rejected";
-  } else if (report.heartbeats_stored != report.heartbeats_sent) {
+  } else if (report.heartbeats_stored !=
+             report.heartbeats_sent - report.crash_undecided_heartbeats) {
     report.failure = core::strformat(
         "heartbeat gap: stored %llu of %llu",
         static_cast<unsigned long long>(report.heartbeats_stored),
-        static_cast<unsigned long long>(report.heartbeats_sent));
+        static_cast<unsigned long long>(report.heartbeats_sent -
+                                        report.crash_undecided_heartbeats));
   } else if (report.dead_letters > report.dead_letter_cap) {
     report.failure = "dead-letter queue exceeded its bound";
   } else if (!report.returned_to_normal) {
@@ -333,7 +363,7 @@ NetworkStormReport run_network_storm(
   const auto tick = 10 * core::kSecond;
   cluster.events().schedule_every(
       cluster.now() + tick, tick, [&](core::TimePoint t) {
-        load.publish(node.router(), t, report.heartbeats_sent++,
+        load.publish(node.router(), node.wal(), t, report.heartbeats_sent++,
                      schedule.active_bulk_batches_per_tick());
       });
 

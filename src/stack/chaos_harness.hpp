@@ -33,6 +33,11 @@ struct ChaosReport {
   std::uint64_t heartbeats_sent = 0;
   std::uint64_t heartbeats_stored = 0;
   std::uint64_t critical_lost = 0;  // ingest dropped+rejected, critical class
+  // The crash drill's WAL writer lag: records, and heartbeats among them,
+  // posted but not yet decided when the stack died (lost with it). Zero
+  // when the drill syncs the WAL first.
+  std::uint64_t crash_undecided_records = 0;
+  std::uint64_t crash_undecided_heartbeats = 0;
   // Shedding ledger.
   std::uint64_t bulk_shed = 0;
   std::uint64_t standard_shed = 0;

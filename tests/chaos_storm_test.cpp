@@ -3,10 +3,13 @@
 // kitchen-sink compound) runs end to end through a full chaos-wired
 // MonitoringStack, and every one must satisfy the survival invariants — no
 // wedge, zero critical samples lost, bounded queues, controller back to
-// NORMAL. Labeled `chaos` (select with ctest -L chaos) and `threaded` (the
-// ThreadSanitizer preset runs the whole battery under tsan).
+// NORMAL. A disk_storm variant crashes without letting the WAL's writer
+// catch up first. Labeled `chaos` (select with ctest -L chaos) and
+// `threaded` (the ThreadSanitizer preset runs the whole battery under tsan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <set>
 
 #include "resilience/chaos.hpp"
@@ -55,6 +58,34 @@ TEST(ChaosStormTest, EveryStandardScenarioSurvives) {
   // push the controller off NORMAL and force actual load shedding.
   EXPECT_TRUE(controller_engaged);
   EXPECT_TRUE(shed_observed);
+}
+
+TEST(ChaosStormTest, DiskStormCrashWithoutWalSyncKeepsEveryDecidedBeat) {
+  // disk_storm's drill lets the WAL's writer thread catch up before the
+  // crash. This variant does not: the crash lands on whatever the writer
+  // still holds. Every heartbeat decided before the crash must survive it;
+  // the ones still posted die with the process, and the writer's lag at
+  // the crash is reported.
+  const auto scenarios = resilience::standard_storm_scenarios();
+  const auto it = std::find_if(
+      scenarios.begin(), scenarios.end(),
+      [](const resilience::ChaosScenario& s) { return s.name == "disk_storm"; });
+  ASSERT_NE(it, scenarios.end());
+  auto scenario = *it;
+  ASSERT_GT(scenario.crash_restart_at, 0);
+  scenario.name = "disk_storm_unsynced";
+  scenario.crash_syncs_wal = false;
+  const auto report = run_chaos(scenario);
+  std::printf("%s; WAL writer lag at the crash: %llu records, %llu beats\n",
+              report.to_string().c_str(),
+              static_cast<unsigned long long>(report.crash_undecided_records),
+              static_cast<unsigned long long>(
+                  report.crash_undecided_heartbeats));
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_EQ(report.heartbeats_stored + report.crash_undecided_heartbeats,
+            report.heartbeats_sent)
+      << report.to_string();
+  EXPECT_LE(report.crash_undecided_heartbeats, report.crash_undecided_records);
 }
 
 TEST(ChaosStormTest, RerunningAScenarioReproducesTheTimeline) {

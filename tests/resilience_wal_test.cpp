@@ -1,9 +1,9 @@
 // WriteAheadLog: append/replay round-trip, rotation, truncation, torn tails,
 // CRC-skipped corruption, injected file-layer faults, deliver()'s retries,
-// priority-aware dead-letter queue and redelivery, the record-length limit
-// every way in shares with replay, and post()'s group commit: the same
-// segment bytes as deliver(), the crash drill, and a threaded hammer of
-// post(), deliver() and maintenance.
+// priority-aware dead-letter queue and redelivery, failed flushes, the
+// record-length limit every way in shares with replay, and post()'s group
+// commit: the same segment bytes as deliver(), a failed group flush, the
+// crash drill, and a threaded hammer of post(), deliver() and maintenance.
 #include "resilience/wal.hpp"
 
 #include <gtest/gtest.h>
@@ -621,6 +621,43 @@ TEST(WalDeliveryTest, RedeliverFlushesQueueAfterRotate) {
   fs::remove_all(dir);
 }
 
+TEST(WalDeliveryTest, FailedFlushLogsNothingAndParksTheFrame) {
+  // Every write succeeds; the flush after it fails (the first flush is
+  // scripted to). The record is not logged, so append() reports it,
+  // deliver() parks the frame unless its caller keeps it, and the heal
+  // logs it again.
+  const auto dir = fresh_dir("deliver_flush");
+  FaultSpec spec;
+  spec.flush_error_at = 1;
+  FaultPlan plan(1, spec);
+  {
+    WriteAheadLog wal({.dir = dir, .faults = &plan});
+    EXPECT_FALSE(wal.deliver(frame(1)));
+    EXPECT_TRUE(wal.poisoned());
+    EXPECT_EQ(parked_minutes(wal), std::vector<int>{1});
+    EXPECT_FALSE(
+        wal.deliver(frame(2), WriteAheadLog::OnFailure::kCallerKeeps));
+    EXPECT_FALSE(wal.append(frame(3)).is_ok());
+    EXPECT_EQ(parked_minutes(wal), std::vector<int>{1});
+    auto snap = obs::snapshot_of(wal);
+    EXPECT_EQ(snap.counter("resilience.wal_records"), 0u);
+    EXPECT_EQ(snap.counter("resilience.delivered_frames"), 0u);
+    EXPECT_EQ(snap.counter("resilience.delivery_failures"), 2u);
+    EXPECT_EQ(plan.injected().flush_errors, 1u);
+    ASSERT_TRUE(wal.rotate().is_ok());
+    EXPECT_EQ(wal.redeliver(), 1u);
+    snap = obs::snapshot_of(wal);
+    EXPECT_EQ(snap.counter("resilience.wal_records"), 1u);
+    EXPECT_EQ(snap.counter("resilience.redelivered"), 1u);
+  }
+  // The failed flush's bytes reached the first segment after all, as they
+  // may after a real error; the store skips the replayed duplicate.
+  const auto batches = replay_all(dir);
+  ASSERT_EQ(batches.size(), 2u);
+  for (const auto& b : batches) EXPECT_EQ(b.sweep_time, core::kMinute);
+  fs::remove_all(dir);
+}
+
 TEST(WalDeliveryTest, FaultPlanDrivesInjectedFailures) {
   const auto dir = fresh_dir("deliver_faultplan");
   FaultSpec spec;
@@ -873,6 +910,43 @@ TEST(WalGroupTest, AbandonKeepsExactlyTheDecidedRecords) {
   for (std::size_t i = 0; i < batches.size(); ++i) {
     EXPECT_EQ(batches[i].sweep_time,
               static_cast<core::TimePoint>(i + 1) * core::kMinute);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(WalGroupTest, FailedGroupFlushParksTheGroupBeforeDecidingIt) {
+  // The first flush fails after every write of its group succeeded. How
+  // the writer grouped the posts does not matter: that group's records
+  // are parked before their tickets count as decided, and the poisoned log
+  // parks every later one, so all of them wait in order for the heal.
+  const auto dir = fresh_dir("group_flush");
+  constexpr int kFrames = 6;
+  FaultSpec spec;
+  spec.flush_error_at = 1;
+  FaultPlan plan(1, spec);
+  {
+    WriteAheadLog wal({.dir = dir, .faults = &plan});
+    std::uint64_t last = 0;
+    for (int m = 1; m <= kFrames; ++m) last = wal.post(frame(m)).value();
+    ASSERT_TRUE(wal.wait_decided(last));
+    EXPECT_EQ(parked_minutes(wal), (std::vector<int>{1, 2, 3, 4, 5, 6}));
+    const auto snap = obs::snapshot_of(wal);
+    EXPECT_EQ(snap.counter("resilience.wal_records"), 0u);
+    EXPECT_EQ(snap.counter("resilience.delivered_frames"), 0u);
+    EXPECT_EQ(snap.counter("resilience.delivery_failures"),
+              static_cast<std::uint64_t>(kFrames));
+    ASSERT_TRUE(wal.rotate().is_ok());
+    EXPECT_EQ(wal.redeliver(), static_cast<std::size_t>(kFrames));
+  }
+  // The healed segment holds the group in order. Ahead of it, the first
+  // segment may hold whatever the failed flush wrote after all.
+  const auto batches = replay_all(dir);
+  ASSERT_GE(batches.size(), static_cast<std::size_t>(kFrames));
+  const std::size_t healed = batches.size() - kFrames;
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    const auto m = static_cast<core::TimePoint>(
+        i < healed ? i + 1 : i - healed + 1);
+    EXPECT_EQ(batches[i].sweep_time, m * core::kMinute) << i;
   }
   fs::remove_all(dir);
 }

@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <tuple>
 
 #include "resilience/fault.hpp"
@@ -143,6 +144,61 @@ class FreezeAtCrash : public resilience::FaultPlan {
 
 using Point = std::tuple<std::uint32_t, core::TimePoint, double>;
 
+// One probe component's 16 series and `count` frames of them, a minute
+// apart, published straight into a stack's router.
+struct ProbeFrames {
+  std::vector<core::SeriesId> series;
+  std::vector<transport::Frame> frames;
+  std::vector<std::set<Point>> points;  // each frame's
+
+  ProbeFrames(sim::Cluster& cluster, const std::string& prefix, int count) {
+    auto& reg = cluster.registry();
+    const auto component = reg.register_component(
+        {prefix + ".harness", core::ComponentKind::kService,
+         cluster.topology().system()});
+    for (int i = 0; i < 16; ++i) {
+      series.push_back(reg.series(
+          reg.register_metric({prefix + ".m" + std::to_string(i), "units",
+                               "WAL crash probe", false,
+                               core::Priority::kStandard}),
+          component));
+    }
+    for (int k = 0; k < count; ++k) {
+      core::SampleBatch b;
+      b.sweep_time = (k + 1) * core::kMinute;
+      b.origin = component;
+      std::set<Point> p;
+      for (std::size_t i = 0; i < series.size(); ++i) {
+        b.samples.push_back({series[i], b.sweep_time, k * 100.0 + i});
+        p.insert({core::raw(series[i]), b.sweep_time, k * 100.0 + i});
+      }
+      frames.push_back(transport::encode_samples(b));
+      points.push_back(std::move(p));
+    }
+  }
+
+  /// The points of frames [0, n).
+  std::set<Point> first(std::size_t n) const {
+    std::set<Point> out;
+    for (std::size_t k = 0; k < n; ++k) {
+      out.insert(points[k].begin(), points[k].end());
+    }
+    return out;
+  }
+
+  /// The probe points `stack`'s hot store holds.
+  std::set<Point> held_by(const MonitoringStack& stack) const {
+    std::set<Point> out;
+    for (const auto id : series) {
+      for (const auto& p :
+           stack.sharded_store()->query_range(id, {0, core::kDay})) {
+        out.insert({core::raw(id), p.time, p.value});
+      }
+    }
+    return out;
+  }
+};
+
 // Kill the process at every WAL write of a short run through the router of
 // a stack with shard workers, where the WAL writes on its own thread. At
 // the moment of death the store may hold only samples whose records were
@@ -154,34 +210,9 @@ TEST(StackRecoveryTest, KillAtEveryWalWriteLeavesNoStoreSampleUnlogged) {
                          "health_interval_s = 0\nwal_path = " + wal_dir +
                          "\n");
   sim::Cluster cluster(cluster_params());
-  auto& reg = cluster.registry();
-  const auto component = reg.register_component(
-      {"killtest.harness", core::ComponentKind::kService,
-       cluster.topology().system()});
-  std::vector<core::SeriesId> series;
-  for (int i = 0; i < 16; ++i) {
-    series.push_back(reg.series(
-        reg.register_metric({"killtest.m" + std::to_string(i), "units",
-                             "kill-at-every-write probe", false,
-                             core::Priority::kStandard}),
-        component));
-  }
   constexpr int kFrames = 12;
-  std::vector<transport::Frame> frames;
-  std::vector<std::set<Point>> frame_points;
-  for (int k = 0; k < kFrames; ++k) {
-    core::SampleBatch b;
-    b.sweep_time = (k + 1) * core::kMinute;
-    b.origin = component;
-    std::set<Point> points;
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      b.samples.push_back({series[i], b.sweep_time, k * 100.0 + i});
-      points.insert({core::raw(series[i]), b.sweep_time, k * 100.0 + i});
-    }
-    frames.push_back(transport::encode_samples(b));
-    frame_points.push_back(std::move(points));
-  }
-  const core::TimeRange all{0, core::kHour};
+  const ProbeFrames probe(cluster, "killtest", kFrames);
+  const auto& frames = probe.frames;
 
   // A clean run counts the WAL's writes: one per frame.
   std::uint64_t writes = 0;
@@ -208,11 +239,7 @@ TEST(StackRecoveryTest, KillAtEveryWalWriteLeavesNoStoreSampleUnlogged) {
       // that did not wait for the WAL would store the frames posted after
       // the killed write now.
       stack->ingest_pipeline()->drain_for(std::chrono::milliseconds(50));
-      for (const auto id : series) {
-        for (const auto& p : stack->sharded_store()->query_range(id, all)) {
-          held.insert({core::raw(id), p.time, p.value});
-        }
-      }
+      held = probe.held_by(*stack);
       plan.release();
       stack->simulate_crash();
     }
@@ -223,11 +250,8 @@ TEST(StackRecoveryTest, KillAtEveryWalWriteLeavesNoStoreSampleUnlogged) {
             replayed.insert({core::raw(x.series), x.time, x.value});
           }
         });
-    std::set<Point> logged;  // the frames before the killed write
-    for (std::uint64_t i = 0; i + 1 < k; ++i) {
-      logged.insert(frame_points[i].begin(), frame_points[i].end());
-    }
-    EXPECT_EQ(replayed, logged) << "killed at write " << k;
+    // The frames before the killed write.
+    EXPECT_EQ(replayed, probe.first(k - 1)) << "killed at write " << k;
     EXPECT_EQ(stats.torn_tails, 1u) << "killed at write " << k;
     for (const auto& p : held) {
       EXPECT_TRUE(replayed.contains(p))
@@ -237,6 +261,58 @@ TEST(StackRecoveryTest, KillAtEveryWalWriteLeavesNoStoreSampleUnlogged) {
     }
     fs::remove_all(wal_dir);
   }
+}
+
+// The self-heal of a poisoned WAL while frames are still posted. Dead
+// letters are older than anything posted, and replay skips a sample older
+// than its series' last, so the heal must log the letters first: a crash
+// after it must restore every sample the live store held. Each round posts
+// two frames and heals at once, as the stack's heal tick runs right after
+// a sweep on the same thread, so the writer has most likely not taken them
+// yet; either way they must land behind the letters.
+TEST(StackRecoveryTest, HealWithPostsPendingReplaysEveryRedeliveredSample) {
+  const auto wal_dir = fresh_wal_dir("heal_pending");
+  const auto cfg = parse("ingest_shards = 2\nprobe_interval_s = 0\n"
+                         "health_interval_s = 0\nwal_path = " + wal_dir +
+                         "\n");
+  sim::Cluster cluster(cluster_params());
+  constexpr int kRounds = 4;
+  constexpr int kPerRound = 6;
+  const ProbeFrames probe(cluster, "healtest", kRounds * kPerRound);
+  std::set<Point> held;
+  {
+    MonitoringStack stack(cluster, cfg);
+    auto* wal = stack.wal_delivery();
+    std::size_t next = 0;
+    const auto publish = [&](int n) {
+      for (int i = 0; i < n; ++i) stack.router().publish(probe.frames[next++]);
+    };
+    for (int round = 0; round < kRounds; ++round) {
+      publish(2);  // logged
+      ASSERT_TRUE(wal->sync().is_ok());
+      wal->simulate_torn_tail();
+      publish(2);  // the writer dead-letters them
+      ASSERT_TRUE(wal->sync().is_ok());
+      ASSERT_EQ(wal->dead_letter_count(), 2u) << "round " << round;
+      // An idle writer wakes slower than this thread reaches the heal.
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      publish(2);
+      // What the stack's heal tick runs.
+      ASSERT_TRUE(wal->rotate().is_ok());
+      EXPECT_EQ(wal->redeliver(), 4u) << "round " << round;
+      ASSERT_TRUE(wal->sync().is_ok());
+      EXPECT_EQ(wal->dead_letter_count(), 0u) << "round " << round;
+    }
+    stack.drain_ingest();
+    held = probe.held_by(stack);
+    stack.simulate_crash();
+  }
+  EXPECT_EQ(held, probe.first(kRounds * kPerRound));
+  MonitoringStack recovered(cluster, cfg);
+  EXPECT_EQ(recovered.replay_stats().torn_tails,
+            static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(probe.held_by(recovered), held);
+  fs::remove_all(wal_dir);
 }
 
 // Crash vs. clean shutdown: without the WAL the hot tier dies with the
