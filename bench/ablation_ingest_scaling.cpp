@@ -270,47 +270,6 @@ int main(int argc, char** argv) {
                                 s4_all_sps_core / 1e6));
   }
 
-  // -- append_run: one lock per series-run vs one lock per sample ------------
-  {
-    // Series-major runs (the replay/backfill shape): each series' 1500
-    // samples arrive as one time-ordered run.
-    std::vector<std::vector<Sample>> runs(kSeries);
-    for (std::uint32_t s = 0; s < kSeries; ++s) runs[s].reserve(kSweeps);
-    for (const auto& b : sweeps) {
-      for (const auto& smp : b.samples) {
-        runs[core::raw(smp.series)].push_back(smp);
-      }
-    }
-    store::TimeSeriesStore per_sample(kChunkPoints);
-    auto t0 = steady_clock::now();
-    std::size_t acc_one = 0;
-    for (std::uint32_t s = 0; s < kSeries; ++s) {
-      for (const auto& smp : runs[s]) {
-        acc_one += per_sample.append(smp.series, smp.time, smp.value);
-      }
-    }
-    const double t_one = seconds_since(t0);
-    store::TimeSeriesStore per_run(kChunkPoints);
-    t0 = steady_clock::now();
-    std::size_t acc_run = 0;
-    for (std::uint32_t s = 0; s < kSeries; ++s) {
-      acc_run += per_run.append_run(SeriesId{s}, runs[s]);
-    }
-    const double t_run = seconds_since(t0);
-    const double run_x = t_one / t_run;
-    std::printf("\nappend_run (%u series x %d samples): per-sample %6.1f ms, "
-                "per-run %6.1f ms (%.2fx), accepted %zu/%zu\n",
-                kSeries, kSweeps, t_one * 1e3, t_run * 1e3, run_x, acc_run,
-                acc_one);
-    json_metric("ingest.append_run_speedup_x", run_x);
-    shape_check(acc_run == acc_one && acc_run == total,
-                "append_run accepts exactly the per-sample append set");
-    shape_check(run_x >= 1.2,
-                core::strformat("one stripe-lock per run beats one per sample "
-                                "(%.2fx)",
-                                run_x));
-  }
-
   // -- Real-threaded reference run -------------------------------------------
   {
     ingest::ShardedTimeSeriesStore store(4, kChunkPoints);

@@ -43,7 +43,6 @@ void RuleEngine::note_fired(RuleState& rs, ComponentId c, TimePoint t) {
 }
 
 std::vector<RuleMatch> RuleEngine::process(const LogEvent& e) {
-  ++processed_;
   std::vector<RuleMatch> fired = advance_time(e.time);
 
   for (auto& rs : rules_) {

@@ -68,8 +68,6 @@ class RuleEngine {
   /// when a later event arrives).
   std::vector<RuleMatch> advance_time(core::TimePoint now);
 
-  std::uint64_t events_processed() const { return processed_; }
-
  private:
   struct PendingPair {      // waiting for B (kPair) or expecting B (kAbsence)
     core::TimePoint deadline = 0;
@@ -91,7 +89,6 @@ class RuleEngine {
   void note_fired(RuleState& rs, core::ComponentId c, core::TimePoint t);
 
   std::vector<RuleState> rules_;
-  std::uint64_t processed_ = 0;
 };
 
 /// A starter rule set covering the events the simulated platform emits

@@ -26,14 +26,16 @@ void CollectionService::add_sampler(std::unique_ptr<Sampler> sampler,
         core::SampleBatch batch;
         batch.sweep_time = now;
         {
-          obs::StageTimer::Scoped span(stage_timer_,
-                                       obs::Stage::kSamplerSweep);
+          obs::Span span(sweep_us_);
           shared->sample(now, batch);
         }
         ++sweeps_;
-        samples_ += batch.size();
         sink(std::move(batch));
       });
+}
+
+void CollectionService::attach_to(obs::ObsRegistry& registry) const {
+  registry.attach(obs::stage_info("sampler_sweep"), &sweep_us_);
 }
 
 void CollectionService::add_log_collector(Duration interval, LogSink sink) {

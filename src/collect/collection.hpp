@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "collect/sampler.hpp"
-#include "obs/stage.hpp"
+#include "obs/registry.hpp"
 #include "sim/cluster.hpp"
 #include "store/tsdb.hpp"
 #include "transport/event_router.hpp"
@@ -41,22 +41,18 @@ class CollectionService {
   void add_log_collector(core::Duration interval, LogSink sink);
 
   std::size_t sweeps_completed() const { return sweeps_; }
-  std::size_t samples_collected() const { return samples_; }
 
-  /// Time every sampler's sweep callback into the sampler_sweep stage
-  /// histogram; nullptr disables (the default). Takes effect on the next
-  /// sweep, including for samplers already registered.
-  void set_stage_timer(obs::StageTimer* timer) { stage_timer_ = timer; }
+  /// Catalog stage.sampler_sweep_us, every sampler's sweep callback timed.
+  void attach_to(obs::ObsRegistry& registry) const;
 
  private:
   sim::Cluster& cluster_;
-  obs::StageTimer* stage_timer_ = nullptr;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   // Samplers are owned via shared_ptr because the event-queue closures that
   // reference them must remain valid for the simulation's lifetime.
   std::vector<std::shared_ptr<Sampler>> samplers_;
   std::size_t sweeps_ = 0;
-  std::size_t samples_ = 0;
+  obs::Histogram sweep_us_;
 };
 
 /// Sink adapters.

@@ -25,7 +25,6 @@ HealthCheckSuite::HealthCheckSuite(sim::Cluster& cluster,
 }
 
 HealthResult HealthCheckSuite::check_node(int node) const {
-  ++checks_run_;
   HealthResult r;
   r.node = node;
   const auto& ns = cluster_.node_state(node);

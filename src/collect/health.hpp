@@ -47,14 +47,11 @@ class HealthCheckSuite : public Sampler {
   /// Check one node immediately (used by gates and dashboards).
   HealthResult check_node(int node) const;
 
-  std::size_t checks_run() const { return checks_run_; }
-
  private:
   sim::Cluster& cluster_;
   HealthConfig config_;
   std::vector<core::SeriesId> ok_;
   core::SeriesId failing_nodes_{0};
-  mutable std::size_t checks_run_ = 0;
 };
 
 /// Pre/post-job gate: GPU diagnostic (CSCS). Non-GPU nodes always pass.

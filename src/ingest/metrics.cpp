@@ -17,6 +17,7 @@ void IngestMetrics::record_append(std::size_t merged_batches,
   out_of_order_samples_.add(out_of_order);
   append_us_.add(duration_us);
   batch_samples_.record(accepted + out_of_order);
+  store_append_us_.record(duration_us);
 }
 
 void IngestMetrics::attach_to(obs::ObsRegistry& registry) const {
@@ -72,6 +73,9 @@ void IngestMetrics::attach_to(obs::ObsRegistry& registry) const {
   registry.attach({"ingest.batch_samples", "samples",
                    "coalesced samples per shard append"},
                   &batch_samples_);
+  registry.attach(obs::stage_info("queue_wait"), &queue_wait_us_);
+  registry.attach(obs::stage_info("shard_worker"), &shard_worker_us_);
+  registry.attach(obs::stage_info("store_append"), &store_append_us_);
   // Per-priority-class counters: named ingest.<verb>_<class>_samples so one
   // glance at a dashboard shows which class is absorbing the storm. The
   // critical drop/reject series exist precisely so operators can alert on

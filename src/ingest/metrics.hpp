@@ -4,8 +4,8 @@
 // Table I demands that transport impact "should be well-documented"; here it
 // is measured. Every overload-policy decision (block, drop, reject), every
 // out-of-order point the store refuses, queue-depth high-water marks, a
-// batch-size histogram, and per-stage latency (producer enqueue wait, worker
-// append time) are counted with lock-free obs instruments so the hot path
+// batch-size histogram, and per-stage latency (queue wait, shard worker,
+// store append) are counted with lock-free obs instruments so the hot path
 // stays cheap. The instruments are the single source of truth: attach_to()
 // catalogs them in the shared ObsRegistry, where the degradation control
 // loop, the hpcmon.self.* export, and the operator report all read the same
@@ -65,15 +65,21 @@ class IngestMetrics {
   }
 
   // -- Worker side -----------------------------------------------------------
+  /// One sub-batch's wait from its enqueue to its worker's pop.
+  void record_queue_wait(std::uint64_t us) { queue_wait_us_.record(us); }
   void record_append(std::size_t merged_batches, std::size_t accepted,
                      std::size_t out_of_order, std::uint64_t duration_us);
+  /// A worker's time from its pop to its append's end, coalescing and the
+  /// write-ahead wait included.
+  void record_shard_worker(std::uint64_t us) { shard_worker_us_.record(us); }
   /// Current retained allocation of a shard worker's sample arena.
   void record_arena(std::size_t shard, std::size_t bytes) {
     arena_bytes_[shard].set(static_cast<double>(bytes));
   }
 
-  /// Catalog every instrument as ingest.* in `registry` (critical priority:
-  /// the ingest tier's vitals must survive the storms they report on).
+  /// Catalog every instrument as ingest.*, and the tier's three stage
+  /// histograms as stage.*, in `registry` (critical priority: the ingest
+  /// tier's vitals must survive the storms they report on).
   void attach_to(obs::ObsRegistry& registry) const;
 
  private:
@@ -94,6 +100,9 @@ class IngestMetrics {
   std::vector<obs::Gauge> queue_hwm_;  // per shard; merged via GaugeAgg::kMax
   std::vector<obs::Gauge> arena_bytes_;  // per shard; merged via GaugeAgg::kSum
   obs::Histogram batch_samples_;
+  obs::Histogram queue_wait_us_;
+  obs::Histogram shard_worker_us_;
+  obs::Histogram store_append_us_;
   // Per-class accounting (indexed by core::Priority). "Shed" is voluntary —
   // turned away at the door by degradation mode — as opposed to the
   // involuntary dropped/rejected losses. The storm-mode invariant is that

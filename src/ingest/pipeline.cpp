@@ -131,7 +131,7 @@ std::size_t IngestPipeline::submit(const core::SampleBatch& batch,
       part.batch.sweep_time = batch.sweep_time;
       part.batch.origin = batch.origin;
       part.wal_ticket = wal_ticket;
-      if (config_.stages != nullptr) part.enqueue_time = steady_clock::now();
+      part.enqueue_time = steady_clock::now();
       const std::size_t n = part.batch.samples.size();
       auto& ch = *channels_[shard];
       const bool critical = pri == core::Priority::kCritical;
@@ -266,9 +266,7 @@ void IngestPipeline::worker(std::size_t shard) {
     // coalesced one against work_t0 would go negative (and wrap) whenever
     // it was enqueued after the first pop.
     const auto queue_wait = [&](const PrioritizedBatch& item) {
-      if (config_.stages == nullptr) return;
-      config_.stages->record(obs::Stage::kQueueWait,
-                             elapsed_us(item.enqueue_time));
+      metrics_.record_queue_wait(elapsed_us(item.enqueue_time));
     };
     queue_wait(*first);
     // Coalesce whatever else is already queued (bounded) into one append:
@@ -303,10 +301,7 @@ void IngestPipeline::worker(std::size_t shard) {
     metrics_.record_append(sub_batches, accepted, arena.size() - accepted,
                            append_us);
     metrics_.record_arena(shard, arena.capacity_bytes());
-    if (config_.stages != nullptr) {
-      config_.stages->record(obs::Stage::kStoreAppend, append_us);
-      config_.stages->record(obs::Stage::kShardWorker, elapsed_us(work_t0));
-    }
+    metrics_.record_shard_worker(elapsed_us(work_t0));
     in_flight_.fetch_add(-static_cast<std::int64_t>(sub_batches),
                          std::memory_order_acq_rel);
   }

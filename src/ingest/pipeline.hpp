@@ -50,7 +50,6 @@
 #include "ingest/metrics.hpp"
 #include "ingest/sharded_store.hpp"
 #include "obs/registry.hpp"
-#include "obs/stage.hpp"
 #include "transport/channel.hpp"
 
 namespace hpcmon::ingest {
@@ -85,9 +84,6 @@ struct IngestConfig {
   /// sample. Unset => every sample is kStandard and the priority machinery
   /// is inert (seed behavior).
   std::function<core::Priority(core::SeriesId)> priority_of;
-  /// Stage timer for queue_wait / shard_worker / store_append spans; unset
-  /// disables span recording.
-  obs::StageTimer* stages = nullptr;
   /// Write-ahead gate (typically WriteAheadLog::wait_decided via the owning
   /// stack): blocks until the log has decided every record through a
   /// ticket, false once the log abandoned it. A worker appends a sub-batch
@@ -155,7 +151,8 @@ class IngestPipeline {
     return in_flight_.load(std::memory_order_acquire);
   }
 
-  /// Catalog the tier's ingest.* instruments in `registry`.
+  /// Catalog the tier's ingest.* instruments and its queue_wait,
+  /// shard_worker and store_append stage histograms in `registry`.
   void attach_to(obs::ObsRegistry& registry) const {
     metrics_.attach_to(registry);
   }

@@ -25,23 +25,6 @@ void ShardedTimeSeriesStore::attach_rollup(rollup::RollupTree* tree) {
   }
 }
 
-std::size_t ShardedTimeSeriesStore::append_run(
-    core::SeriesId series, std::span<const core::Sample> run) {
-  const auto k = shard_of(series);
-  const auto accepted = shards_[k]->append_run(series, run);
-  if (rollup_ != nullptr && !run.empty()) {
-    // Only the max-time sample of a window can win the tree's pending-latest
-    // cell, so one observe per run suffices (runs carry the caller's series
-    // field, which append_run ignores — rebuild the sample with ours).
-    const core::Sample* best = &run.front();
-    for (const auto& s : run) {
-      if (s.time > best->time) best = &s;
-    }
-    rollup_->observe(k, core::Sample{series, best->time, best->value});
-  }
-  return accepted;
-}
-
 std::size_t ShardedTimeSeriesStore::append_batch(
     std::span<const core::Sample> samples) {
   if (samples.empty()) return 0;

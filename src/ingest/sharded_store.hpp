@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "obs/registry.hpp"
-#include "obs/stage.hpp"
 #include "rollup/tree.hpp"
 #include "store/tsdb.hpp"
 
@@ -55,10 +54,6 @@ class ShardedTimeSeriesStore
   /// sort into a recycled scratch buffer) and each shard gets one
   /// stripe-grouped append_batch call instead of a per-sample route+lock.
   std::size_t append_batch(std::span<const core::Sample> samples);
-  /// One series' time-ordered run, encoded under a single stripe-lock
-  /// acquisition of the owning shard.
-  std::size_t append_run(core::SeriesId series,
-                         std::span<const core::Sample> run);
   /// Pre-routed batch append for the ingest workers: every sample already
   /// belongs to shard `k` (the pipeline partitioned by shard_of), so this
   /// skips re-routing and keeps the rollup observe on the worker's own
@@ -118,13 +113,9 @@ class ShardedTimeSeriesStore
   }
 
   /// Attach every shard's read-path instruments under the shared store.*
-  /// names; the registry merges them at snapshot time.
+  /// and stage.query_* names; the registry merges them at snapshot time.
   void attach_to(obs::ObsRegistry& registry) const {
     for (const auto& shard : shards_) shard->attach_to(registry);
-  }
-  /// Route every shard's query spans into `timer`.
-  void set_stage_timer(obs::StageTimer* timer) {
-    for (auto& shard : shards_) shard->set_stage_timer(timer);
   }
 
  private:

@@ -9,12 +9,6 @@ namespace {
 /// Compact numeric rendering for gauges ("0.75", "12", "3.2e+06").
 std::string gauge_str(double v) { return core::strformat("%.4g", v); }
 
-std::string_view tier_of(const std::string& name) {
-  const auto dot = name.find('.');
-  return dot == std::string::npos ? std::string_view(name)
-                                  : std::string_view(name).substr(0, dot);
-}
-
 }  // namespace
 
 std::vector<core::Sample> ObsExporter::to_samples(
@@ -79,39 +73,6 @@ std::string ObsExporter::report_line(const ObsSnapshot& snap) const {
     }
   }
   return line;
-}
-
-std::string ObsExporter::report(const ObsSnapshot& snap) const {
-  std::string out;
-  std::string_view tier;
-  for (const auto& v : snap.values) {
-    if (const auto t = tier_of(v.info.name); t != tier) {
-      tier = t;
-      out += core::strformat("[%.*s]\n", static_cast<int>(tier.size()),
-                             tier.data());
-    }
-    switch (v.kind) {
-      case InstrumentKind::kCounter:
-        out += core::strformat("  %-40s %12llu %s\n", v.info.name.c_str(),
-                               static_cast<unsigned long long>(v.counter),
-                               v.info.unit.c_str());
-        break;
-      case InstrumentKind::kGauge:
-        out += core::strformat("  %-40s %12s %s\n", v.info.name.c_str(),
-                               gauge_str(v.gauge).c_str(),
-                               v.info.unit.c_str());
-        break;
-      case InstrumentKind::kHistogram:
-        out += core::strformat(
-            "  %-40s p50=%-8.0f p95=%-8.0f p99=%-8.0f max=%-8llu n=%llu\n",
-            v.info.name.c_str(), v.histogram.quantile(0.50),
-            v.histogram.quantile(0.95), v.histogram.quantile(0.99),
-            static_cast<unsigned long long>(v.histogram.max),
-            static_cast<unsigned long long>(v.histogram.count));
-        break;
-    }
-  }
-  return out;
 }
 
 }  // namespace hpcmon::obs

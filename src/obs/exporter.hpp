@@ -14,8 +14,6 @@
 //
 //   report_line() one-line operator summary (name=value per instrument;
 //                 empty histograms elided) for MonitoringStack::status().
-//   report()      multi-line rendering grouped by tier prefix, with a
-//                 per-stage latency table for histograms.
 //
 // The paper's §III-IV lesson is that analyses must be runnable "at a variety
 // of locations within the monitoring infrastructure": because snapshots
@@ -47,10 +45,6 @@ class ObsExporter {
 
   /// One-line "k=v k=v ..." summary of every instrument.
   std::string report_line(const ObsSnapshot& snap) const;
-
-  /// Multi-line report grouped by tier prefix; histograms render as a
-  /// p50/p95/p99 table.
-  std::string report(const ObsSnapshot& snap) const;
 
   const std::string& prefix() const { return prefix_; }
 

@@ -11,6 +11,8 @@
 //
 // Instruments are standalone values — a tier holds them as members and the
 // owner attaches them to an ObsRegistry (registry.hpp) under a stable name.
+// A tier times its own stages the same way: one Histogram per stage, filled
+// by Span.
 // Several instruments attached under one name (per-shard stores, per-sampler
 // supervisors) merge at snapshot time: counters sum, gauges combine per
 // their declared aggregation, histograms add bucket-wise.
@@ -23,6 +25,7 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -120,6 +123,36 @@ class Histogram {
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> max_{0};
+};
+
+/// RAII latency span: real (steady_clock) microseconds from construction to
+/// finish(), or to destruction if never finished, recorded once into a
+/// histogram the timing tier owns. The library's telemetry runs on the
+/// simulated timeline, but the tiers it times are real threads doing real
+/// work. A read that learns mid-flight which stage it was (summary, cursor
+/// or cache) re-points the span before it records.
+class Span {
+ public:
+  explicit Span(Histogram& hist)
+      : hist_(&hist), t0_(std::chrono::steady_clock::now()) {}
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+  ~Span() { finish(); }
+
+  void set(Histogram& hist) { hist_ = &hist; }
+
+  void finish() {
+    if (hist_ == nullptr) return;
+    hist_->record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0_)
+            .count()));
+    hist_ = nullptr;
+  }
+
+ private:
+  Histogram* hist_;
+  std::chrono::steady_clock::time_point t0_;
 };
 
 /// API-compatible no-op instruments: instantiate a hot path template with

@@ -115,6 +115,13 @@ class ObsRegistry {
   std::deque<Histogram> owned_histograms_;
 };
 
+/// The catalog entry of a tier's stage histogram, "stage.<stage>_us": the
+/// real microseconds one pipeline stage took, timed with Span.
+inline InstrumentInfo stage_info(const std::string& stage) {
+  return {"stage." + stage + "_us", "us",
+          "real-time latency distribution of pipeline stage " + stage};
+}
+
 /// One component's instruments, read on their own: a fresh registry, the
 /// component's attach_to, one snapshot. The read path for a tier held
 /// outside a MonitoringStack (tests, benches); inside one, read

@@ -45,11 +45,16 @@
 // write first writes any posted records still pending, so the log keeps
 // call order, and a post()ed sequence produces the same segment bytes
 // deliver() would. Dead letters are older than anything still posted, so
-// the heal keeps time order the other way: rotate() first decides the
-// pending posts against the log as it stands (on a poisoned log they are
-// dead-lettered behind the older letters), and redeliver() leaves posts to
-// the writer. Replay skips a sample older than its series' last, so a
-// letter logged after a newer sample of its series would be lost.
+// the heal keeps time order against the posts pending at the heal:
+// rotate() first decides them against the log as it stands (on a poisoned
+// log they are dead-lettered behind the older letters), and redeliver()
+// leaves posts to the writer. It does not keep time order against records
+// logged before the heal. A frame that exhausts its tries on a healthy log
+// (delivery faults, no poison) is parked while newer frames are still
+// logged, and redeliver() then logs it after newer records of its series.
+// Replay skips a sample older than its series' last, so that letter's
+// samples are lost on replay although resilience.redelivered counts them
+// as logged (a known gap, ROADMAP).
 //
 // The rule the ingest tier keeps with it: a shard worker appends a
 // sub-batch only once wait_decided() covers the ticket it carried, so the

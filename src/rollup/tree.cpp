@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 
 namespace hpcmon::rollup {
 
@@ -306,7 +305,7 @@ void RollupTree::refold_marked(Plane& plane, RollupTickStats& out) {
 }
 
 RollupTickStats RollupTree::tick() {
-  const auto t0 = std::chrono::steady_clock::now();
+  obs::Span span(tick_us_);
   RollupTickStats out;
   // Ticks must not overlap: a second flip would hand writers a retired
   // buffer this tick is still draining.
@@ -385,10 +384,7 @@ RollupTickStats RollupTree::tick() {
   entries_.set(static_cast<double>(total_levels_));
 
   ticks_.add();
-  tick_us_.record(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count()));
+  span.finish();
   return out;
 }
 

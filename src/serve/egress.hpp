@@ -6,8 +6,9 @@
 // how wedged the reader is. The queue applies the storm-mode priority door
 // (core/priority.hpp) to delta frames:
 //
-//   * bulk is evicted first, then standard (oldest first within a class) —
-//     the order the WAL's dead-letter queue evicts in, per network client;
+//   * only deltas of a strictly lower class than the arrival are evicted,
+//     bulk first, then standard (oldest first within a class). The WAL's
+//     dead-letter queue differs: it also evicts the newcomer's own class;
 //   * critical is NEVER dropped: when the queue is full of critical frames,
 //     further critical deltas COALESCE — the queue keeps the latest value
 //     per (subscription, series), so memory is bounded by the subscriber's

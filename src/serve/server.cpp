@@ -33,32 +33,6 @@ std::int64_t steady_ms() {
 
 }  // namespace
 
-/// StageTimer-style span into a serve histogram (the serve tier has its own
-/// request/fanout stages rather than widening the pipeline enum). Records
-/// once: at finish(), or at destruction if never finished.
-class ServeServer::Span {
- public:
-  explicit Span(obs::Histogram& hist)
-      : hist_(hist), t0_(std::chrono::steady_clock::now()) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  ~Span() { finish(); }
-
-  void finish() {
-    if (done_) return;
-    done_ = true;
-    hist_.record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0_)
-            .count()));
-  }
-
- private:
-  obs::Histogram& hist_;
-  std::chrono::steady_clock::time_point t0_;
-  bool done_ = false;
-};
-
 ServeServer::Connection::~Connection() {
   if (fd >= 0) ::close(fd);
 }
@@ -446,7 +420,7 @@ void ServeServer::reply_error(const std::shared_ptr<Connection>& conn,
 
 void ServeServer::handle_frame(const std::shared_ptr<Connection>& conn,
                                const WireFrame& frame) {
-  Span span(request_us_);
+  obs::Span span(request_us_);
   request_span_ = &span;
   dispatch_frame(conn, frame);
   request_span_ = nullptr;
@@ -838,7 +812,7 @@ std::size_t ServeServer::publish_batch(const core::SampleBatch& batch) {
   if (batch.samples.empty() || hooks_.registry == nullptr) return 0;
   std::lock_guard<std::mutex> lock(subs_mu_);
   if (subs_.empty()) return 0;
-  Span span(delta_fanout_us_);
+  obs::Span span(delta_fanout_us_);
   std::size_t enqueued = 0;
   for (auto& sub : subs_) {
     if (sub.conn->closed) continue;

@@ -267,8 +267,6 @@ class ServeServer {
     rollup::RollupStat last;
   };
 
-  class Span;
-
   void reactor_loop();
   void writer_loop(std::size_t writer_index);
   void accept_ready();
@@ -332,7 +330,7 @@ class ServeServer {
   std::uint32_t next_sub_id_ = 1;
   /// The request handle_frame() is timing (reactor thread only); reply()
   /// finishes it before queuing the response.
-  Span* request_span_ = nullptr;
+  obs::Span* request_span_ = nullptr;
 
   // serve.* instruments (server-owned; see attach_to).
   obs::Counter connections_total_;

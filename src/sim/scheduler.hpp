@@ -126,7 +126,6 @@ class Scheduler {
   bool try_start(core::TimePoint now, core::JobId id,
                  std::vector<core::LogEvent>& log_out);
   std::vector<int> place(const std::vector<int>& free, int count);
-  void install_flows(JobRecord& rec);
   void finish(core::TimePoint now, JobRecord& rec, JobState final_state,
               std::vector<core::LogEvent>& log_out);
 

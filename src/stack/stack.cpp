@@ -204,23 +204,20 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
       chaos_(chaos) {
   const StackOptions& opts = options_;
 
-  // Self-observability plane: every tier catalogs its instruments in obs_,
-  // and the per-stage latency histograms live in stages_. One snapshot of
-  // this registry feeds the degradation control loop, the hpcmon.self.*
-  // re-ingest, status(), and the chaos assertions.
-  stages_.attach_to(obs_);
+  // Self-observability plane: every tier catalogs its instruments, its
+  // stage histograms included, in obs_. One snapshot of this registry feeds
+  // the degradation control loop, the hpcmon.self.* re-ingest, status(),
+  // and the chaos assertions.
+  collection_.attach_to(obs_);
   router_.attach_to(obs_);
-  collection_.set_stage_timer(&stages_);
   // The numeric store's read-path counters are the store.* instruments.
   sharded_.attach_to(obs_);
-  sharded_.set_stage_timer(&stages_);
 
   // Optional threaded ingest tier (ingest_shards > 0). Without it every
   // numeric batch is appended inline (store_batch), so the default stack
   // stays thread-free, deterministic and reproducible.
   if (opts.ingest_shards > 0) {
     ingest::IngestConfig ic = opts.ingest;
-    ic.stages = &stages_;
     // Priority-aware shedding: the pipeline reads each series' class from
     // the registry (a lock-free read), so bulk drops first and critical is
     // never dropped.

@@ -25,7 +25,6 @@
 #include "ingest/sharded_store.hpp"
 #include "obs/exporter.hpp"
 #include "obs/registry.hpp"
-#include "obs/stage.hpp"
 #include "relay/client.hpp"
 #include "resilience/breaker.hpp"
 #include "resilience/degradation.hpp"
@@ -271,10 +270,6 @@ class MonitoringStack {
   /// degradation control loop, the hpcmon.self.* re-ingest, status(), and
   /// the chaos assertions — identical numbers, by construction.
   obs::ObsSnapshot obs_snapshot() const;
-  /// Multi-line operator report over obs_snapshot() (per-tier sections,
-  /// per-stage latency table).
-  std::string obs_report() const { return exporter_.report(obs_snapshot()); }
-
   /// One-line status summary for operator consoles.
   std::string status() const;
 
@@ -295,7 +290,6 @@ class MonitoringStack {
   // construction and the registry must outlive their detachment-free
   // teardown (nobody snapshots during destruction).
   obs::ObsRegistry obs_;
-  obs::StageTimer stages_;
   obs::ObsExporter exporter_;
   mutable resilience::HealthSignalAssembler health_assembler_;
   transport::EventRouter router_;

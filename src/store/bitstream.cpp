@@ -34,7 +34,6 @@ std::uint64_t BitReader::read_split(int bits) {
 
 std::uint64_t BitReader::underrun() {
   eof_ = true;
-  consumed_ = size_ * 8;
   pos_ = size_;
   acc_ = 0;
   avail_ = 0;

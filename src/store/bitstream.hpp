@@ -128,7 +128,6 @@ class BitReader {
   void skip(int bits) { (void)read(bits); }
 
   bool eof() const { return eof_; }
-  std::size_t bits_consumed() const { return consumed_; }
 
  private:
   void refill() {
@@ -147,7 +146,6 @@ class BitReader {
     const std::uint64_t v = acc_ >> (64 - bits);
     acc_ = bits == 64 ? 0 : acc_ << bits;
     avail_ -= bits;
-    consumed_ += static_cast<std::size_t>(bits);
     return v;
   }
   std::uint64_t read_split(int bits);  // word-boundary straddle or underrun
@@ -158,7 +156,6 @@ class BitReader {
   std::uint64_t acc_ = 0;  // unread bits at the top; low bits are zero
   int avail_ = 0;          // valid bits in acc_
   std::size_t pos_ = 0;    // bytes loaded into acc_ so far
-  std::size_t consumed_ = 0;  // bits handed out
   bool eof_ = false;
 };
 

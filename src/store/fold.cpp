@@ -41,10 +41,10 @@ TimePoint bucket_start(TimePoint origin, TimePoint t, core::Duration width) {
 
 }  // namespace
 
-void SliceFold::set_hot(const TimeSeriesStore* store,
-                        obs::StageTimer* stages) {
+void SliceFold::set_hot(const TimeSeriesStore* store, ReadStages& stages) {
   hot_ = store;
-  if (stages != nullptr) span_.emplace(stages, obs::Stage::kQueryCache);
+  stages_ = &stages;
+  span_.emplace(stages.cache);
 }
 
 void SliceFold::add_chunks(
@@ -84,7 +84,7 @@ void SliceFold::decode(const Slice& s, std::vector<TimedValue>& out) {
     decode_all(head_, out);
     return;
   }
-  stage(obs::Stage::kQueryCursor);
+  stage(&ReadStages::cursor);
   if (s.chunk != nullptr) {
     hot_->cursor_chunks_.add();
     decode_all(*s.chunk, out);
@@ -111,7 +111,7 @@ bool SliceFold::walk(const Slice& s, Visit&& visit) {
   }
   if (sealed(s)) {
     hot_->cursor_chunks_.add();
-    stage(obs::Stage::kQueryCursor);
+    stage(&ReadStages::cursor);
   }
   ChunkCursor cursor(*s.chunk);
   TimedValue block[Block];
@@ -183,7 +183,7 @@ void SliceFold::fold(One&& one, Visit&& visit) {
 }
 
 std::vector<TimedValue> SliceFold::query_range() {
-  stage(obs::Stage::kQueryCache);
+  stage(&ReadStages::cache);
   std::size_t n = head_.count();
   for (const auto& c : chunks_) n += c->count();
   for (const auto& e : entries_) n += e.entry->summary.count;
@@ -198,7 +198,7 @@ std::vector<TimedValue> SliceFold::query_range() {
         if (!sealed(s)) return walk<kBlock>(s, keep);
         bool hit = false;  // `pts` owns the points when the cache is off
         const auto pts = hot_->decoded(*s.chunk, hit);
-        if (!hit) stage(obs::Stage::kQueryCursor);  // a decode dominates
+        if (!hit) stage(&ReadStages::cursor);  // a decode dominates
         const auto lo = std::lower_bound(pts->begin(), pts->end(),
                                          TimedValue{range_.begin, 0}, by_time);
         const auto hi = std::lower_bound(lo, pts->end(),
@@ -226,7 +226,7 @@ std::optional<TimedValue> SliceFold::latest() const {
 }
 
 std::optional<double> SliceFold::aggregate(Agg agg) {
-  stage(obs::Stage::kQuerySummary);
+  stage(&ReadStages::summary);
   ChunkSummary acc;
   const auto add = [&](const TimedValue& p) {
     acc.add(p);
@@ -244,7 +244,7 @@ std::optional<double> SliceFold::aggregate(Agg agg) {
 }
 
 std::vector<TimedValue> SliceFold::downsample(core::Duration bucket, Agg agg) {
-  stage(obs::Stage::kQuerySummary);
+  stage(&ReadStages::summary);
   std::vector<TimedValue> out;
   if (bucket <= 0) return out;
   // Points arrive in time order, so the open bucket is the back of the list
@@ -285,7 +285,7 @@ std::vector<TimedValue> SliceFold::downsample(core::Duration bucket, Agg agg) {
 
 std::size_t SliceFold::scan(
     const std::function<bool(const TimedValue&)>& visit) {
-  stage(obs::Stage::kQueryCursor);
+  stage(&ReadStages::cursor);
   std::size_t visited = 0;
   const auto counted = [&](const TimedValue& p) {
     ++visited;

@@ -32,7 +32,7 @@
 
 #include "core/ids.hpp"
 #include "core/time.hpp"
-#include "obs/stage.hpp"
+#include "obs/instruments.hpp"
 #include "store/chunk.hpp"
 #include "store/summary.hpp"
 
@@ -54,6 +54,14 @@ struct Slice {
   const TierEntry* entry = nullptr;       // and the entry in it
 };
 
+/// The stage histograms a store times its reads into. A read's span starts
+/// in `cache` and moves as the fold learns how the read was answered.
+struct ReadStages {
+  obs::Histogram summary;  // from seal-time summaries alone
+  obs::Histogram cursor;   // a boundary or uncached chunk was decoded
+  obs::Histogram cache;    // materialized from the decode cache
+};
+
 /// One read of one series over `range`: filled by snapshots, hot side
 /// first, then answered by one of the reads.
 class SliceFold {
@@ -63,8 +71,8 @@ class SliceFold {
   const core::TimeRange& range() const { return range_; }
 
   /// `store` owns the chunks added next (its decode cache, its store.*
-  /// counters); the read is timed into `stages`, if set, until destruction.
-  void set_hot(const TimeSeriesStore* store, obs::StageTimer* stages);
+  /// counters); the read is timed into `stages` until destruction.
+  void set_hot(const TimeSeriesStore* store, ReadStages& stages);
   /// The sealed chunks overlapping the range, time-ordered.
   void add_chunks(std::span<const std::shared_ptr<const Chunk>> chunks);
   /// A copy of the head's open stream (it follows the sealed chunks).
@@ -81,8 +89,8 @@ class SliceFold {
   std::size_t scan(const std::function<bool(const core::TimedValue&)>& visit);
 
  private:
-  void stage(obs::Stage s) {
-    if (span_) span_->set_stage(s);
+  void stage(obs::Histogram ReadStages::*h) {
+    if (span_) span_->set(stages_->*h);
   }
   std::size_t size() const {
     return chunks_.size() + (head_.empty() ? 0 : 1) + entries_.size();
@@ -121,7 +129,8 @@ class SliceFold {
   std::vector<std::uint32_t> order_;
   const TimeSeriesStore* hot_ = nullptr;
   const TierStore* tiers_ = nullptr;
-  std::optional<obs::StageTimer::Scoped> span_;
+  ReadStages* stages_ = nullptr;
+  std::optional<obs::Span> span_;
 };
 
 /// The read surface, defined once for every store: `Store` supplies

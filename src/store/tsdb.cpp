@@ -112,28 +112,6 @@ std::size_t TimeSeriesStore::append_batch(
   return accepted;
 }
 
-std::size_t TimeSeriesStore::append_run(SeriesId id,
-                                        std::span<const core::Sample> run) {
-  if (run.empty()) return 0;
-  const auto i = static_cast<std::size_t>(core::raw(id));
-  std::shared_lock map_lock(map_mu_);
-  if (i >= series_.size()) {
-    map_lock.unlock();
-    {
-      std::unique_lock grow(map_mu_);
-      if (i >= series_.size()) series_.resize(i + 1);
-    }
-    map_lock.lock();
-  }
-  std::scoped_lock lock(stripe(i));
-  auto& s = series_[i];
-  std::size_t accepted = 0;
-  for (const auto& smp : run) {
-    if (append_locked(s, smp.time, smp.value)) ++accepted;
-  }
-  return accepted;
-}
-
 void TimeSeriesStore::seal_locked(Series& s) {
   if (s.head.empty()) return;
   s.sealed.push_back(std::make_shared<const Chunk>(s.head.seal()));
@@ -141,7 +119,7 @@ void TimeSeriesStore::seal_locked(Series& s) {
 
 void TimeSeriesStore::snapshot(SeriesId id, SliceFold& fold) const {
   queries_.add();
-  fold.set_hot(this, stages_);
+  fold.set_hot(this, read_stages_);
   const auto& range = fold.range();
   if (range.empty()) return;
   const auto i = core::raw(id);
@@ -289,6 +267,9 @@ void TimeSeriesStore::attach_to(obs::ObsRegistry& registry) const {
                    "boundary chunks streamed point-by-point"},
                   &cursor_chunks_);
   cache_.attach_to(registry);
+  registry.attach(obs::stage_info("query_summary"), &read_stages_.summary);
+  registry.attach(obs::stage_info("query_cursor"), &read_stages_.cursor);
+  registry.attach(obs::stage_info("query_cache"), &read_stages_.cache);
 }
 
 }  // namespace hpcmon::store

@@ -39,7 +39,6 @@
 #include "core/sample.hpp"
 #include "core/time.hpp"
 #include "obs/registry.hpp"
-#include "obs/stage.hpp"
 #include "store/chunk.hpp"
 #include "store/chunk_cache.hpp"
 #include "store/fold.hpp"
@@ -76,13 +75,6 @@ class TimeSeriesStore : public SliceReads<TimeSeriesStore> {
   /// batch instead of once per sample. Supersedes the old
   /// `const std::vector<Sample>&` overload: vectors convert implicitly.
   std::size_t append_batch(std::span<const core::Sample> samples);
-  /// Append a time-ordered run of samples for ONE series under a single
-  /// stripe-lock acquisition (the samples' own `series` fields are ignored).
-  /// Returns the number accepted; out-of-order points are skipped with the
-  /// same strict-ordering rule as append(), so the resulting head/sealed
-  /// state is byte-identical to N individual append() calls.
-  std::size_t append_run(core::SeriesId series,
-                         std::span<const core::Sample> run);
 
   // query_range / aggregate / downsample / scan: SliceReads (fold.hpp).
 
@@ -122,14 +114,11 @@ class TimeSeriesStore : public SliceReads<TimeSeriesStore> {
   bool has_series(core::SeriesId series) const;
   StoreStats stats() const;
 
-  /// Catalog the read-path instruments (store.* counters, cache gauges) in
-  /// `registry`. Attaching several stores (shards) under the same names
-  /// merges them at snapshot time.
+  /// Catalog the read-path instruments (store.* counters, cache gauges,
+  /// and the stage.query_summary/cursor/cache_us histograms every read is
+  /// timed into) in `registry`. Attaching several stores (shards) under the
+  /// same names merges them at snapshot time.
   void attach_to(obs::ObsRegistry& registry) const;
-
-  /// Route query-path spans (query_summary/query_cursor/query_cache) into
-  /// `timer`; nullptr (the default) disables span recording.
-  void set_stage_timer(obs::StageTimer* timer) { stages_ = timer; }
 
   /// Called (outside all store locks) for every series whose LAST data just
   /// left the store — evict_chunks removed its final sealed chunk while the
@@ -159,7 +148,7 @@ class TimeSeriesStore : public SliceReads<TimeSeriesStore> {
   bool append_locked(Series& s, core::TimePoint t, double value);
   void seal_locked(Series& s);
   /// Decode a sealed chunk through the LRU cache; `hit` reports whether the
-  /// cache served it (feeds the query_cache stage classification).
+  /// cache served it (a miss moves the read to the query_cursor stage).
   DecodedChunk decoded(const Chunk& chunk, bool& hit) const;
 
   // Lock order: map_mu_ before stripe; never take a stripe while holding
@@ -172,7 +161,7 @@ class TimeSeriesStore : public SliceReads<TimeSeriesStore> {
   mutable obs::Counter queries_;
   mutable obs::Counter summary_chunks_;
   mutable obs::Counter cursor_chunks_;
-  obs::StageTimer* stages_ = nullptr;
+  mutable ReadStages read_stages_;
   std::function<void(core::SeriesId)> gone_;
 };
 

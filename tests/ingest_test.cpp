@@ -310,12 +310,10 @@ TEST(IngestPipelineTest, QueueWaitNeverExceedsWallTime) {
   constexpr std::uint32_t kProducers = 4;
   const auto sweeps = make_sweeps(256, 400);
   ShardedTimeSeriesStore sharded(1, 64);
-  obs::StageTimer stages;
   IngestConfig cfg;
   cfg.queue_capacity = 8;
   cfg.policy = OverloadPolicy::kBlock;
   cfg.max_coalesce_batches = 64;
-  cfg.stages = &stages;
   IngestPipeline pipe(sharded, cfg);
   pipe.start();
   std::vector<std::thread> producers;
@@ -338,9 +336,11 @@ TEST(IngestPipelineTest, QueueWaitNeverExceedsWallTime) {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
-  const auto waits = stages.histogram(obs::Stage::kQueueWait).snapshot();
-  EXPECT_EQ(waits.count, kProducers * sweeps.size());
-  EXPECT_LE(waits.max, elapsed_us);
+  const auto m = obs::snapshot_of(pipe);
+  const auto* waits = m.histogram("stage.queue_wait_us");
+  ASSERT_NE(waits, nullptr);
+  EXPECT_EQ(waits->count, kProducers * sweeps.size());
+  EXPECT_LE(waits->max, elapsed_us);
 }
 
 TEST(IngestMetricsTest, SelfMetricsBecomeSeries) {

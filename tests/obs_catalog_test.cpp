@@ -76,6 +76,18 @@ constexpr Reading kBenchmark[] = {
     {"relay.ack_rtt_us", kHistogram},
 };
 
+// The stage histograms each tier times itself into, read from hpcmon.self.*
+// by operators.
+constexpr Reading kStages[] = {
+    {"stage.sampler_sweep_us", kHistogram},
+    {"stage.shard_worker_us", kHistogram},
+    {"stage.query_summary_us", kHistogram},
+    {"stage.query_cursor_us", kHistogram},
+    {"stage.query_cache_us", kHistogram},
+    {"serve.fanout_us", kHistogram},
+    {"rollup.tick_us", kHistogram},
+};
+
 sim::ClusterParams cluster_params(std::uint64_t seed) {
   sim::ClusterParams p;
   p.shape.cabinets = 1;
@@ -134,6 +146,7 @@ TEST(ObsCatalogTest, NodeStackExportsEveryNameItsReadersUse) {
   for (const auto& r : kHealthSignals) expect_cataloged(snap, r);
   for (const auto& r : kChaosLedger) expect_cataloged(snap, r);
   for (const auto& r : kBenchmark) expect_cataloged(snap, r);
+  for (const auto& r : kStages) expect_cataloged(snap, r);
   // The readings are live, not merely registered: the node's sweeps went
   // through the WAL, the shard workers and the relay.
   EXPECT_GT(snap.counter("resilience.wal_records"), 0u);

@@ -146,7 +146,7 @@ TEST(RollupProperty, RandomWorkloadsMatchScatterGatherAtEveryLevel) {
           for (const auto& s : batch) store.append(s);
           break;
         default: {
-          // Per-series sorted runs through the run path.
+          // Series-major sorted runs, the shape WAL replay appends.
           std::stable_sort(batch.begin(), batch.end(),
                            [](const Sample& a, const Sample& b) {
                              return core::raw(a.series) < core::raw(b.series);
@@ -160,7 +160,7 @@ TEST(RollupProperty, RandomWorkloadsMatchScatterGatherAtEveryLevel) {
                       [](const Sample& a, const Sample& b) {
                         return a.time < b.time;
                       });
-            store.append_run(batch[i].series, run);
+            store.append_batch(run);
             i = j;
           }
         }

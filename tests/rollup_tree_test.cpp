@@ -348,14 +348,6 @@ TEST(RollupTreeTest, ShardedRollupAggregateAnswersFromTree) {
             30.0);
   EXPECT_EQ(store.rollup_aggregate(f.cab1, "nope", store::Agg::kMin),
             std::nullopt);
-  // append_run feeds the tree its max-time sample too.
-  std::vector<core::Sample> run = {{f.temp[0], 200, 41.0},
-                                   {f.temp[0], 201, 43.0}};
-  EXPECT_EQ(store.append_run(f.temp[0], run), 2u);
-  tree.tick();
-  EXPECT_EQ(store.rollup_aggregate(f.nodes[0], "node.temp_c",
-                                   store::Agg::kLast),
-            43.0);
   store.attach_rollup(nullptr);
 }
 

@@ -7,8 +7,8 @@
 //     next() vs scan_batch() are interchangeable at any block size;
 //   * raw bitstream: BitWriter/BitReader match the reference bit-for-bit on
 //     random write/read schedules, including resumed writes after bytes();
-//   * append-many: append_run and the span append_batch produce sealed
-//     chunks byte-identical to N individual append() calls;
+//   * append-many: the span append_batch produces sealed chunks
+//     byte-identical to N individual append() calls;
 //   * open head: every chunk the store seals from its encode-on-arrival
 //     head equals Chunk::compress (and the reference encoding) of the
 //     accepted points, and after every append each read over the open head
@@ -198,13 +198,6 @@ TEST(CodecProperty, BitstreamReaderMatchesReferenceOnRandomSchedules) {
   }
 }
 
-std::vector<Sample> run_of(SeriesId id, const std::vector<TimedValue>& pts) {
-  std::vector<Sample> out;
-  out.reserve(pts.size());
-  for (const auto& p : pts) out.push_back({id, p.time, p.value});
-  return out;
-}
-
 // Sealed state fingerprint: serialize() bytes of every sealed chunk (the
 // framing covers count/min/max/payload) in (series, position) order.
 std::vector<std::vector<std::uint8_t>> sealed_bytes(
@@ -213,29 +206,6 @@ std::vector<std::vector<std::uint8_t>> sealed_bytes(
   const auto set = s.sealed_chunks_before(INT64_MAX);
   for (const auto& [id, chunk] : set.chunks) out.push_back(chunk->serialize());
   return out;
-}
-
-TEST(CodecProperty, AppendRunByteIdenticalToPerSampleAppends) {
-  const SeriesId id{3};
-  auto pts = make_points(11, 1, 1300);  // > 2 chunk seals at 512
-  // Inject out-of-order and duplicate timestamps: both paths must reject
-  // the same samples.
-  pts[100].time = pts[99].time;
-  pts[200].time = pts[150].time - 5;
-  const auto run = run_of(id, pts);
-
-  store::TimeSeriesStore one(512, 0);
-  std::size_t accepted_one = 0;
-  for (const auto& s : run) {
-    if (one.append(s.series, s.time, s.value)) ++accepted_one;
-  }
-  store::TimeSeriesStore many(512, 0);
-  const auto accepted_many = many.append_run(id, run);
-
-  EXPECT_EQ(accepted_one, accepted_many);
-  EXPECT_EQ(sealed_bytes(one), sealed_bytes(many));
-  const core::TimeRange all{INT64_MIN + 1, INT64_MAX};
-  EXPECT_EQ(one.query_range(id, all), many.query_range(id, all));
 }
 
 TEST(CodecProperty, AppendBatchSpanByteIdenticalToPerSampleAppends) {

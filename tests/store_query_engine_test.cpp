@@ -314,5 +314,41 @@ TEST(QueryEngineTest, ReadPathCountersMove) {
   EXPECT_GT(warm.gauge("store.cache_entries"), 0.0);
 }
 
+TEST(QueryEngineTest, EachReadLandsInItsStage) {
+  // Series 0 and 1 hash to different shards; each seals four chunks.
+  ingest::ShardedTimeSeriesStore store(2, 64);
+  const SeriesId ids[] = {SeriesId{0}, SeriesId{1}};
+  ASSERT_NE(store.shard_of(ids[0]), store.shard_of(ids[1]));
+  for (const auto id : ids) {
+    for (int i = 1; i <= 300; ++i) store.append(id, i * core::kSecond, i);
+  }
+  ASSERT_EQ(store.stats().sealed_chunks, 8u);
+  const auto count = [&](const char* stage) {
+    return obs::snapshot_of(store).histogram(stage)->count;
+  };
+  const TimeRange all{0, 301 * core::kSecond};
+  const TimeRange sealed{0, 257 * core::kSecond};  // chunks 1-4, no head
+
+  for (const auto id : ids) {
+    (void)store.aggregate(id, all, Agg::kSum);
+    (void)store.downsample(id, all, core::kHour, Agg::kMean);
+  }
+  EXPECT_EQ(count("stage.query_summary_us"), 4u);
+  EXPECT_EQ(count("stage.query_cursor_us"), 0u);
+
+  for (const auto id : ids) (void)store.query_range(id, sealed);
+  EXPECT_EQ(count("stage.query_cursor_us"), 2u);
+  EXPECT_EQ(count("stage.query_cache_us"), 0u);
+  for (const auto id : ids) (void)store.query_range(id, sealed);
+  EXPECT_EQ(count("stage.query_cache_us"), 2u);
+
+  for (const auto id : ids) {
+    (void)store.scan(id, all, [](const TimedValue&) { return true; });
+  }
+  EXPECT_EQ(count("stage.query_cursor_us"), 4u);
+  EXPECT_EQ(count("stage.query_summary_us"), 4u);
+  EXPECT_EQ(count("stage.query_cache_us"), 2u);
+}
+
 }  // namespace
 }  // namespace hpcmon::store
