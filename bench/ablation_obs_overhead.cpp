@@ -154,7 +154,9 @@ int main(int argc, char** argv) {
   // times each shard append and the store times each read, into stage
   // histograms of their own; the table reads them from the catalog.
   hpcmon::ingest::ShardedTimeSeriesStore store(1, kChunkPoints);
-  hpcmon::ingest::IngestPipeline pipe(store, {.max_coalesce_batches = 1});
+  hpcmon::ingest::IngestConfig ic;
+  ic.max_coalesce_batches = 1;  // one append per sweep
+  hpcmon::ingest::IngestPipeline pipe(store, ic);
   obs::ObsRegistry reg;
   pipe.attach_to(reg);
   store.attach_to(reg);
