@@ -17,13 +17,31 @@ using core::TimePoint;
 
 namespace {
 constexpr std::uint32_t kWalMagic = 0x4C575048;  // "HPWL"
-constexpr std::uint32_t kWalVersion = 1;
+/// The version written: compact records. Version 1 (fixed-width frame
+/// payloads) is only read, to recover a log an older binary left.
+constexpr std::uint32_t kWalVersion = 2;
+constexpr std::uint32_t kWalVersionFrames = 1;
 
 bool write_u32(std::FILE* f, std::uint32_t v) {
   return std::fwrite(&v, 4, 1, f) == 1;
 }
 bool read_u32(std::FILE* f, std::uint32_t& v) {
   return std::fread(&v, 4, 1, f) == 1;
+}
+
+/// The sample count in a frame or record header.
+std::uint32_t sample_count(const std::uint8_t* payload) {
+  std::uint32_t count = 0;
+  std::memcpy(&count, payload + transport::kSampleCountOffset, 4);
+  return count;
+}
+
+core::Result<SampleBatch> decode_record(
+    std::uint32_t version, const std::vector<std::uint8_t>& payload) {
+  if (version == kWalVersion) return transport::decode_compact_samples(payload);
+  transport::Frame frame;
+  frame.payload = payload;
+  return transport::decode_samples(frame);
 }
 
 /// Scan one segment; `apply` may be empty (header-validation / max-time
@@ -40,7 +58,7 @@ TimePoint scan_segment(const std::string& path,
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
   if (!read_u32(f, magic) || magic != kWalMagic || !read_u32(f, version) ||
-      version != kWalVersion) {
+      (version != kWalVersion && version != kWalVersionFrames)) {
     ++stats.bad_segments;
     std::fclose(f);
     return max_time;
@@ -55,8 +73,8 @@ TimePoint scan_segment(const std::string& path,
       // Header torn mid-write (or length garbage: no sane sweep produces a
       // 64 MiB batch, and the bound keeps a damaged header from sizing an
       // allocation): everything before the tear is already applied; stop
-      // here. Every way in refuses a longer record, so no acknowledged
-      // record is read as a tear.
+      // here. Every way in refuses a record that could be longer, so no
+      // acknowledged record is read as a tear.
       ++stats.torn_tails;
       break;
     }
@@ -69,18 +87,17 @@ TimePoint scan_segment(const std::string& path,
       ++stats.corrupt_skipped;  // bit rot: skip this record, keep scanning
       continue;
     }
-    transport::Frame frame;
-    frame.type = transport::FrameType::kSamples;
-    frame.payload = payload;
-    auto batch = transport::decode_samples(frame);
+    auto batch = decode_record(version, payload);
     if (!batch.is_ok()) {
       ++stats.corrupt_skipped;
       continue;
     }
     ++stats.records;
     stats.samples += batch.value().size();
-    max_time = std::max(
-        max_time, transport::sample_frame_max_time(frame.payload.data()));
+    max_time = std::max(max_time, batch.value().sweep_time);
+    for (const auto& s : batch.value().samples) {
+      max_time = std::max(max_time, s.time);
+    }
     if (apply) apply(std::move(batch).take());
   }
   std::fclose(f);
@@ -182,14 +199,20 @@ void WriteAheadLog::seal_active() {
 
 core::Result<std::size_t> WriteAheadLog::record_bytes(
     const transport::Frame& frame) {
-  // Validate in place; the record is the exact byte range decode_samples
-  // reads, so nothing is decoded or re-encoded on the publish path.
+  // Validate in place: the frame's bytes are the exact range decode_samples
+  // reads. The limit goes by the record's worst-case compact length, which
+  // can exceed the frame's.
   auto extent = transport::sample_frame_bytes(frame);
-  if (extent.is_ok() && extent.value() > kMaxRecordBytes) {
-    append_failures_.add();
-    return Status::too_large(core::strformat(
-        "wal: a %zu-byte record exceeds the %zu-byte limit", extent.value(),
-        kMaxRecordBytes));
+  if (extent.is_ok()) {
+    const std::size_t worst = transport::kSampleHeaderBytes +
+                              transport::kCompactSampleMaxBytes *
+                                  sample_count(frame.payload.data());
+    if (worst > kMaxRecordBytes) {
+      append_failures_.add();
+      return Status::too_large(core::strformat(
+          "wal: a record of up to %zu bytes exceeds the %zu-byte limit",
+          worst, kMaxRecordBytes));
+    }
   }
   return extent;
 }
@@ -203,11 +226,12 @@ core::Status WriteAheadLog::append(const transport::Frame& frame) {
   return write_batch_locked(1, /*draw_faults=*/false);
 }
 
-core::Status WriteAheadLog::write_locked(const std::uint8_t* payload,
-                                         std::size_t bytes) {
-  const std::size_t samples =
-      (bytes - transport::kSampleHeaderBytes) / transport::kSampleRecordBytes;
-  if (samples == 0) return Status::ok();
+core::Status WriteAheadLog::write_locked(Record& r) {
+  const std::uint32_t samples = sample_count(r.payload);
+  if (samples == 0) {
+    r.written = true;  // nothing to log; nothing stored
+    return Status::ok();
+  }
   if (dead_ || file_ == nullptr) {
     append_failures_.add();
     return Status::error("wal: log is poisoned");
@@ -232,10 +256,19 @@ core::Status WriteAheadLog::write_locked(const std::uint8_t* payload,
         return Status::error("wal: injected short write (torn tail)");
     }
   }
+  // The record is the frame transcoded to the compact layout, in a reused
+  // buffer (record_bytes() bounds it).
+  const std::size_t bound = transport::compact_samples_bound(samples);
+  if (record_.size() < bound) record_.resize(bound);
+  TimePoint newest = INT64_MIN;
+  const std::size_t bytes =
+      transport::compact_samples(r.payload, record_.data(), newest);
   const auto len = static_cast<std::uint32_t>(bytes);
-  const std::uint32_t crc = core::crc32(payload, bytes);
+  const std::uint32_t crc = core::crc32(record_.data(), bytes);
   const bool ok = write_u32(file_, len) && write_u32(file_, crc) &&
-                  std::fwrite(payload, 1, bytes, file_) == bytes;
+                  std::fwrite(record_.data(), 1, bytes, file_) == bytes;
+  // A buffer sized for a record larger than a group buffer is given back.
+  if (record_.size() > kGroupBytes) record_ = {};
   if (!ok) {
     // A real short write leaves an undefined tail; poison the log so the
     // damage is bounded to one record (replay tolerates the tear).
@@ -243,35 +276,32 @@ core::Status WriteAheadLog::write_locked(const std::uint8_t* payload,
     append_failures_.add();
     return Status::error("wal: short write");
   }
-  file_bytes_ += 8 + bytes;
-  active_max_time_ =
-      std::max(active_max_time_, transport::sample_frame_max_time(payload));
+  r.written = true;
+  r.stored = 8 + bytes;
+  file_bytes_ += r.stored;
+  active_max_time_ = std::max(active_max_time_, newest);
   return Status::ok();
 }
 
 core::Status WriteAheadLog::write_batch_locked(int tries, bool draw_faults) {
   Status last = Status::ok();
   std::size_t run = 0;  // the first record no flush has covered yet
-  const auto samples = [](const Record& r) {
-    return (r.bytes - transport::kSampleHeaderBytes) /
-           transport::kSampleRecordBytes;
-  };
   // Flush what records [run, end) wrote. A failed flush leaves every byte
   // since the last good one undefined, so none of them counts as logged.
   const auto flush_run = [&](std::size_t end) {
     bool wrote = false;
     for (std::size_t i = run; i < end; ++i) {
-      wrote = wrote || (batch_[i].written && samples(batch_[i]) > 0);
+      wrote = wrote || batch_[i].stored > 0;
     }
     const bool flushed = !wrote || flush_locked();
     if (!flushed) last = Status::error("wal: flush failed");
     for (; run < end; ++run) {
       Record& r = batch_[run];
       r.logged = r.written && flushed;
-      if (r.logged && samples(r) > 0) {
+      if (r.logged && r.stored > 0) {
         appended_records_.add();
-        appended_samples_.add(samples(r));
-        appended_bytes_.add(8 + r.bytes);
+        appended_samples_.add(sample_count(r.payload));
+        appended_bytes_.add(r.stored);
       }
     }
   };
@@ -284,12 +314,8 @@ core::Status WriteAheadLog::write_batch_locked(int tries, bool draw_faults) {
         last = Status::error("wal: injected delivery error");
         continue;
       }
-      const auto st = write_locked(r.payload, r.bytes);
-      if (st.is_ok()) {
-        r.written = true;
-      } else {
-        last = st;
-      }
+      const auto st = write_locked(r);
+      if (!st.is_ok()) last = st;
     }
     if (r.written && file_bytes_ >= opts_.segment_bytes) {
       // Seal after the record that fills the segment, as a writer that

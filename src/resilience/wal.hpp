@@ -12,13 +12,17 @@
 //
 // On-disk format (host-endian, like the archive files):
 //   segment file "wal-%08llu.seg":
-//     [u32 magic 'HPWL'][u32 version]
+//     [u32 magic 'HPWL'][u32 version = 2]
 //     record*: [u32 payload_len][u32 crc32(payload)][payload]
-//   payload = the binary transport codec's SampleBatch encoding
-//             (transport::encode_samples), so the WAL reuses the documented
-//             wire format instead of inventing a second one. append() logs
-//             the bytes of the frame it is handed as they are; it never
-//             decodes or re-encodes them.
+//   payload = the frame's batch in the compact sample layout documented in
+//             transport/codec.hpp (id and time deltas, XOR'd values; 1.9
+//             bytes a sample on e2ebench's fleet, against the 20 a frame
+//             carries). The one record writer transcodes the fixed-width
+//             frame it is handed into a reused buffer, then checksums and
+//             writes that buffer. Version 1 segments, whose payloads are the
+//             fixed-width frame bytes (transport::encode_samples), are still
+//             replayed; no version-1 segment is written, and any other
+//             version is a bad segment.
 //
 // Failure semantics on replay:
 //   * torn tail (partial trailing record, e.g. crash mid-write): tolerated —
@@ -31,15 +35,15 @@
 // Two ways in, one record writer. append() and deliver() write on the
 // caller's thread and flush before they return. post() is the router's
 // way in when the stack has shard workers: it checks the frame, copies its
-// record bytes into the open group buffer and returns the record's ticket,
-// with no CRC and no syscall. One writer thread per log (started by the
-// first post()) takes each group in turn and runs the same per-record
-// logic deliver() runs (fault draws, retries, dead-lettering, CRC,
-// rotation at the same byte boundaries), flushes once per group (group
-// commit: DeWitt et al., SIGMOD 1984; Aether, Johnson et al., PVLDB 2010),
-// then publishes the ticket through which every record is *decided*:
-// logged or dead-lettered. A record counts as logged only once a flush
-// that succeeded covers it. A failed flush (which poisons the log) fails
+// fixed-width bytes into the open group buffer and returns the record's
+// ticket, with no transcode, CRC or syscall. One writer thread per log
+// (started by the first post()) takes each group in turn and runs the same
+// per-record logic deliver() runs (fault draws, retries, dead-lettering,
+// transcode, CRC, rotation at the same byte boundaries), flushes once per
+// group (group commit: DeWitt et al., SIGMOD 1984; Aether, Johnson et al.,
+// PVLDB 2010), then publishes the ticket through which every record is
+// *decided*: logged or dead-lettered. A record counts as logged only once
+// a flush that succeeded covers it. A failed flush (which poisons the log) fails
 // every record written since the last good one, and each is dead-lettered
 // from the group buffer before its ticket is published. A synchronous
 // write first writes any posted records still pending, so the log keeps
@@ -141,7 +145,8 @@ class WriteAheadLog {
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
   /// The longest record any way in accepts. Replay reads a longer length
-  /// header as a torn tail, so a longer record is refused (StatusCode
+  /// header as a torn tail, so a frame whose record could be longer (16 +
+  /// 24·count bytes, the compact worst case) is refused (StatusCode
   /// kTooLarge, counted as an append failure) and nothing is written.
   static constexpr std::size_t kMaxRecordBytes = std::size_t{64} << 20;
   /// Capacity of each of post()'s two group buffers. A record larger than
@@ -149,11 +154,12 @@ class WriteAheadLog {
   static constexpr std::size_t kGroupBytes = std::size_t{1} << 20;
 
   /// Append one sample frame as a CRC-framed record. The record's payload
-  /// is the frame's own bytes, not a re-encoding: the 16 + 20·count bytes
-  /// transport::decode_samples reads (trailing bytes are not logged). A
-  /// frame that is not kSamples, lacks its 16-byte header, or holds fewer
-  /// records than its count returns an error and writes nothing; a
-  /// zero-sample frame is a no-op. The record is flushed before returning.
+  /// is the batch transport::decode_samples reads from the frame's first
+  /// 16 + 20·count bytes (trailing bytes are not logged), in the compact
+  /// layout. A frame that is not kSamples, lacks its 16-byte header, or
+  /// holds fewer records than its count returns an error and writes
+  /// nothing; a zero-sample frame is a no-op. The record is flushed before
+  /// returning.
   /// Errors (real or injected) are counted; an injected short write leaves
   /// a torn tail and poisons the log (subsequent appends fail), simulating
   /// a crash mid-record.
@@ -291,11 +297,12 @@ class WriteAheadLog {
   /// are (the caller's frame, a group buffer, a dead letter) until the
   /// batch is settled.
   struct Record {
-    const std::uint8_t* payload = nullptr;
+    const std::uint8_t* payload = nullptr;  // the frame's fixed-width bytes
     std::size_t bytes = 0;
     core::Priority priority = core::Priority::kStandard;
-    bool written = false;  // in the stdio buffer
-    bool logged = false;   // and a flush that succeeded covered it
+    bool written = false;    // in the stdio buffer
+    bool logged = false;     // and a flush that succeeded covered it
+    std::size_t stored = 0;  // on-disk bytes, length header and CRC included
   };
 
   /// The frame's record length, or why it cannot be logged (an oversized
@@ -306,9 +313,10 @@ class WriteAheadLog {
   std::string segment_path(std::uint64_t index) const;
   core::Status open_segment(std::uint64_t index);
   void seal_active();
-  /// One record write: the poison check, the fs fault draw, CRC, header
-  /// and payload into the stdio buffer. No flush, no rotation.
-  core::Status write_locked(const std::uint8_t* payload, std::size_t bytes);
+  /// One record write: the poison check, the fs fault draw, the transcode
+  /// to the compact layout, CRC, header and payload into the stdio buffer.
+  /// Marks `r` written and sets its stored size. No flush, no rotation.
+  core::Status write_locked(Record& r);
   /// The one record writer every way in uses. Writes batch_ in order, each
   /// record with up to `tries` tries (each drawing delivery_error() first
   /// when `draw_faults`); flushes before each segment seal and once at the
@@ -344,6 +352,7 @@ class WriteAheadLog {
   bool dead_ = false;
   std::deque<transport::Frame> dead_letters_;
   std::vector<Record> batch_;  // write_batch_locked()'s input, reused
+  std::vector<std::uint8_t> record_;  // write_locked()'s compact record
   obs::Counter delivered_;
   obs::Counter retries_;
   obs::Counter failures_;

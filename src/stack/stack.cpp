@@ -495,10 +495,11 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     // Aggregator ingest for relayed batches: the server dedupes by
     // (source, seq) before calling this, so the hook applies each novel
     // batch through the SAME pathway local samples take — WAL first (the
-    // wire payload as received, never re-encoded), then the numeric store,
-    // then the live-subscription fan-out. A batch the WAL cannot log is
-    // refused, neither applied nor dead-lettered: the ack would tell the
-    // client to forget it, and the client still holds it to resend.
+    // wire payload, which the WAL's record writer stores compact like any
+    // frame), then the numeric store, then the live-subscription fan-out.
+    // A batch the WAL cannot log is refused, neither applied nor
+    // dead-lettered: the ack would tell the client to forget it, and the
+    // client still holds it to resend.
     // Detector/rule analysis stays node-side (it already ran there).
     hooks.relay_apply =
         [this](const transport::Frame& frame,

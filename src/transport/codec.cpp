@@ -1,5 +1,6 @@
 #include "transport/codec.hpp"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -56,22 +57,6 @@ Result<std::size_t> sample_frame_bytes(const Frame& frame) {
   return bytes;
 }
 
-core::TimePoint sample_frame_max_time(const std::uint8_t* payload) {
-  const auto* p = payload;
-  core::TimePoint newest = 0;
-  std::uint32_t count = 0;
-  std::memcpy(&newest, p, 8);
-  std::memcpy(&count, p + kSampleCountOffset, 4);
-  // Strided read of each record's time field (series u32, then time i64).
-  for (const auto* t = p + kSampleHeaderBytes + 4;
-       count > 0; --count, t += kSampleRecordBytes) {
-    core::TimePoint time = 0;
-    std::memcpy(&time, t, 8);
-    newest = std::max(newest, time);
-  }
-  return newest;
-}
-
 Result<SampleBatch> decode_samples(const Frame& frame) {
   // Validate first: a header's count sizes the batch only once the body is
   // known to hold every record it counts (the payload may come off a socket).
@@ -98,6 +83,154 @@ Result<SampleBatch> decode_samples(const Frame& frame) {
     get(s.value);
     s.series = core::SeriesId{series};
     batch.samples.push_back(s);
+  }
+  return batch;
+}
+
+namespace {
+
+// The compact layout's bytes are defined least significant first; the
+// encoder and decoder move them with memcpy.
+static_assert(std::endian::native == std::endian::little);
+
+std::uint64_t zigzag(std::uint64_t v) {
+  return (v << 1) ^ (0 - (v >> 63));
+}
+std::uint64_t unzigzag(std::uint64_t v) { return (v >> 1) ^ (0 - (v & 1)); }
+
+std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(v | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
+/// Reads one varint of at most 10 bytes that fits in 64 bits.
+bool get_varint(const std::uint8_t*& p, const std::uint8_t* end,
+                std::uint64_t& v) {
+  v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (p == end) return false;
+    const std::uint8_t b = *p++;
+    if (shift == 63 && b > 1) return false;  // past 64 bits
+    v |= std::uint64_t{b & 0x7Fu} << shift;
+    if (b < 0x80) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+std::size_t compact_samples(const std::uint8_t* payload, std::uint8_t* out,
+                            core::TimePoint& newest) {
+  std::uint64_t sweep = 0;
+  std::uint32_t count = 0;
+  std::memcpy(&sweep, payload, 8);
+  std::memcpy(&count, payload + kSampleCountOffset, 4);
+  std::memcpy(out, payload, kSampleHeaderBytes);
+  auto* p = out + kSampleHeaderBytes;
+  auto max_time = static_cast<core::TimePoint>(sweep);
+  std::uint64_t prev_id = 0;
+  std::uint64_t prev_bits = 0;
+  for (const auto* r = payload + kSampleHeaderBytes; count > 0;
+       --count, r += kSampleRecordBytes) {
+    std::uint32_t id = 0;
+    std::uint64_t time = 0;
+    std::uint64_t bits = 0;
+    std::memcpy(&id, r, 4);
+    std::memcpy(&time, r + 4, 8);
+    std::memcpy(&bits, r + 12, 8);
+    max_time = std::max(max_time, static_cast<core::TimePoint>(time));
+    const std::uint64_t x = bits ^ prev_bits;
+    std::uint64_t low = 0;
+    std::uint8_t control = 0;
+    int n = 0;
+    if (x != 0) {
+      const int t = std::countr_zero(x) >> 3;
+      low = x >> (8 * t);
+      n = 8 - (std::countl_zero(low) >> 3);
+      control = static_cast<std::uint8_t>(n << 3 | t);
+    }
+    const std::uint64_t id_delta = id - prev_id;
+    if (id_delta == 1 && time == sweep) {
+      *p++ = control | kCompactDense;
+    } else {
+      *p++ = control;
+      p = put_varint(p, zigzag(id_delta));
+      p = put_varint(p, zigzag(time - sweep));
+    }
+    std::memcpy(p, &low, 8);  // the n low bytes; the rest is slack
+    p += n;
+    prev_id = id;
+    prev_bits = bits;
+  }
+  newest = max_time;
+  return static_cast<std::size_t>(p - out);
+}
+
+Result<SampleBatch> decode_compact_samples(
+    std::span<const std::uint8_t> payload) {
+  if (payload.size() < kSampleHeaderBytes) {
+    return Result<SampleBatch>::error("truncated compact sample header");
+  }
+  SampleBatch batch;
+  std::uint64_t sweep = 0;
+  std::uint32_t origin = 0;
+  std::uint32_t count = 0;
+  std::memcpy(&sweep, payload.data(), 8);
+  std::memcpy(&origin, payload.data() + 8, 4);
+  std::memcpy(&count, payload.data() + kSampleCountOffset, 4);
+  // The count sizes the batch only once the bytes could hold that many.
+  if (count > (payload.size() - kSampleHeaderBytes) / kCompactSampleMinBytes) {
+    return Result<SampleBatch>::error("compact sample count exceeds body");
+  }
+  batch.sweep_time = static_cast<core::TimePoint>(sweep);
+  batch.origin = core::ComponentId{origin};
+  batch.samples.reserve(count);
+  const auto* p = payload.data() + kSampleHeaderBytes;
+  const auto* end = payload.data() + payload.size();
+  std::uint64_t id = 0;
+  std::uint64_t bits = 0;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (p == end) return Result<SampleBatch>::error("truncated compact sample");
+    const std::uint8_t control = *p++;
+    const int n = (control >> 3) & 0x0F;
+    const int t = control & 0x07;
+    if ((n == 0 && t != 0) || n + t > 8) {
+      return Result<SampleBatch>::error("invalid compact control byte");
+    }
+    std::uint64_t time = sweep;
+    if ((control & kCompactDense) != 0) {
+      ++id;
+    } else {
+      std::uint64_t id_delta = 0;
+      std::uint64_t time_delta = 0;
+      if (!get_varint(p, end, id_delta) || !get_varint(p, end, time_delta)) {
+        return Result<SampleBatch>::error("truncated compact sample");
+      }
+      id += unzigzag(id_delta);
+      time += unzigzag(time_delta);
+    }
+    if (id > UINT32_MAX) {
+      return Result<SampleBatch>::error("compact series id out of range");
+    }
+    if (end - p < n) {
+      return Result<SampleBatch>::error("truncated compact value");
+    }
+    std::uint64_t low = 0;
+    std::memcpy(&low, p, static_cast<std::size_t>(n));
+    p += n;
+    bits ^= low << (8 * t);
+    Sample s;
+    s.series = core::SeriesId{static_cast<std::uint32_t>(id)};
+    s.time = static_cast<core::TimePoint>(time);
+    std::memcpy(&s.value, &bits, 8);
+    batch.samples.push_back(s);
+  }
+  if (p != end) {
+    return Result<SampleBatch>::error("trailing bytes after compact samples");
   }
   return batch;
 }

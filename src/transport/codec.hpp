@@ -110,6 +110,7 @@ class ByteReader {
 
 // Sample frame layout: a 16-byte header [i64 sweep_time][u32 origin]
 // [u32 count], then `count` 20-byte records [u32 series][i64 time][f64 value].
+// Frames and relay bodies carry it; the WAL stores the compact layout below.
 inline constexpr std::size_t kSampleHeaderBytes = 16;
 inline constexpr std::size_t kSampleCountOffset = 12;
 inline constexpr std::size_t kSampleRecordBytes = 20;
@@ -127,9 +128,51 @@ core::Result<core::SampleBatch> decode_samples(const Frame& frame);
 /// trailing bytes past them are not part of the batch.
 core::Result<std::size_t> sample_frame_bytes(const Frame& frame);
 
-/// Newest time in the payload of a frame sample_frame_bytes accepted: the
-/// max of the sweep time and every sample time, read in place.
-core::TimePoint sample_frame_max_time(const std::uint8_t* payload);
+// -- Compact sample layout (WAL records, segment version 2) --------------------
+// The same 16-byte header, then per sample, in order:
+//   * a control byte `d << 7 | n << 3 | t`;
+//   * unless d is set: the zigzag varint of the series-id delta from the
+//     previous sample (the first sample's delta is from 0), 1..5 bytes,
+//     then the zigzag varint of time - sweep_time (two's-complement wrap),
+//     1..10 bytes. d is set exactly when the id delta is 1 and the time is
+//     the sweep time, the common case of a sweep over contiguous series;
+//   * the value's IEEE-754 bits XOR'd with the previous sample's bits (the
+//     first with 0), as the n low bytes of x >> 8t, least significant first.
+//     n (1..8) counts x's significant bytes and t (0..8-n) its trailing zero
+//     bytes; x == 0 has n = t = 0 and no bytes. Every other (n, t) is
+//     invalid.
+// A varint is 7 bits per byte, least significant group first, the high bit
+// set on every byte but the last. Byte-aligned, so each record decodes on
+// its own (Gorilla's XOR idea, Pelkonen et al., VLDB 2015, without its bit
+// packing).
+
+/// The control byte's flag for a sample with no id or time varints.
+inline constexpr std::uint8_t kCompactDense = 0x80;
+/// The most bytes one compact sample can take: 1 + 5 + 10 + 8.
+inline constexpr std::size_t kCompactSampleMaxBytes = 24;
+/// The fewest: a dense control byte whose value repeats the previous one.
+inline constexpr std::size_t kCompactSampleMinBytes = 1;
+
+/// The buffer compact_samples() needs for a `count`-sample payload: the
+/// worst case plus the 8 bytes of slack the encoder writes past its end.
+constexpr std::size_t compact_samples_bound(std::uint32_t count) {
+  return kSampleHeaderBytes + kCompactSampleMaxBytes * std::size_t{count} + 8;
+}
+
+/// Transcode the fixed-width payload of a frame sample_frame_bytes accepted
+/// into the compact layout at `out` (compact_samples_bound(count) bytes).
+/// Returns the compact length; `newest` gets the max of the sweep time and
+/// every sample time.
+std::size_t compact_samples(const std::uint8_t* payload, std::uint8_t* out,
+                            core::TimePoint& newest);
+
+/// Decode a compact payload. Fails, without sizing anything by the header
+/// count first, on a short header, a count the bytes cannot hold, a
+/// truncated field, a varint past 10 bytes or 64 bits, an id outside u32,
+/// an invalid control byte, or trailing bytes. A field the encoder would
+/// have written shorter is read by its value.
+core::Result<core::SampleBatch> decode_compact_samples(
+    std::span<const std::uint8_t> payload);
 
 Frame encode_logs(const std::vector<core::LogEvent>& events);
 core::Result<std::vector<core::LogEvent>> decode_logs(const Frame& frame);

@@ -19,6 +19,7 @@
 
 #include "core/rng.hpp"
 #include "reference_crc32.hpp"
+#include "reference_sample_codec.hpp"
 #include "resilience/fault.hpp"
 #include "transport/codec.hpp"
 
@@ -347,7 +348,7 @@ TEST(WalTest, InjectedCrashLooksLikeATornTail) {
   fs::remove_all(dir);
 }
 
-// -- The frame path: append() logs the bytes it is handed ---------------------
+// -- The frame path: append() logs the batch of the frame it is handed --------
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -359,20 +360,48 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.insert(out.end(), b, b + 4);
 }
 
-/// What a segment holding `payloads` must contain, byte for byte: the
-/// segment header, then [len][crc][payload] per record, with the CRC from
-/// the byte-at-a-time oracle.
-std::vector<std::uint8_t> expected_segment(
+/// A segment of `version` holding `payloads`, byte for byte: the segment
+/// header, then [len][crc][payload] per record, with the CRC from the
+/// byte-at-a-time oracle.
+std::vector<std::uint8_t> segment_of(
+    std::uint32_t version,
     const std::vector<std::vector<std::uint8_t>>& payloads) {
   std::vector<std::uint8_t> out;
   put_u32(out, 0x4C575048);  // "HPWL"
-  put_u32(out, 1);
+  put_u32(out, version);
   for (const auto& p : payloads) {
     put_u32(out, static_cast<std::uint32_t>(p.size()));
     put_u32(out, refcrc::crc32(p.data(), p.size()));
     out.insert(out.end(), p.begin(), p.end());
   }
   return out;
+}
+
+/// What a segment logging `batches` must contain: version 2, each record
+/// the oracle's compact encoding of its batch.
+std::vector<std::uint8_t> expected_segment(
+    const std::vector<SampleBatch>& batches) {
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (const auto& b : batches) payloads.push_back(refsample::encode(b));
+  return segment_of(2, payloads);
+}
+
+void write_file(const std::string& path,
+                const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// A version-1 segment, as an older binary wrote it: each record is the
+/// batch's fixed-width frame payload.
+void write_v1_segment(const std::string& path,
+                      const std::vector<SampleBatch>& batches) {
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (const auto& b : batches) {
+    payloads.push_back(transport::encode_samples(b).payload);
+  }
+  write_file(path, segment_of(1, payloads));
 }
 
 SampleBatch random_batch(core::Rng& rng) {
@@ -392,22 +421,19 @@ SampleBatch random_batch(core::Rng& rng) {
 TEST(WalFrameTest, SegmentIsExactlyTheEncodedPayloads) {
   const auto dir = fresh_dir("frame_exact");
   core::Rng rng(2024);
-  std::vector<std::vector<std::uint8_t>> logged;
   std::vector<SampleBatch> batches;
   {
     WriteAheadLog wal({.dir = dir});
     for (int i = 0; i < 64; ++i) {
       auto batch = random_batch(rng);
       if (i % 16 == 0) batch.samples.clear();  // zero-sample: writes nothing
-      const auto frame = transport::encode_samples(batch);
-      ASSERT_TRUE(wal.append(frame).is_ok());
+      ASSERT_TRUE(wal.append(transport::encode_samples(batch)).is_ok());
       if (batch.empty()) continue;
-      logged.push_back(frame.payload);
       batches.push_back(std::move(batch));
     }
     EXPECT_EQ(wal.sealed_segments(), 0u);
   }
-  EXPECT_EQ(read_file(dir + "/wal-00000001.seg"), expected_segment(logged));
+  EXPECT_EQ(read_file(dir + "/wal-00000001.seg"), expected_segment(batches));
   const auto replayed = replay_all(dir);
   ASSERT_EQ(replayed.size(), batches.size());
   for (std::size_t i = 0; i < batches.size(); ++i) {
@@ -421,7 +447,8 @@ TEST(WalFrameTest, SegmentIsExactlyTheEncodedPayloads) {
 TEST(WalFrameTest, MalformedFramesFailAndWriteNothing) {
   const auto dir = fresh_dir("frame_malformed");
   const auto segment = dir + "/wal-00000001.seg";
-  const auto good = transport::encode_samples(make_batch(core::kMinute));
+  const auto batch = make_batch(core::kMinute);
+  const auto good = transport::encode_samples(batch);
 
   auto logs = good;
   logs.type = transport::FrameType::kLogs;
@@ -431,14 +458,14 @@ TEST(WalFrameTest, MalformedFramesFailAndWriteNothing) {
   short_body.payload.pop_back();  // one byte short of 20 * count
 
   WriteAheadLog wal({.dir = dir});
-  std::vector<std::vector<std::uint8_t>> logged;
+  std::vector<SampleBatch> logged;
   for (const auto* bad : {&logs, &short_header, &short_body}) {
     const auto before = read_file(segment);
     EXPECT_FALSE(wal.append(*bad).is_ok());
     EXPECT_EQ(read_file(segment), before);
     EXPECT_FALSE(wal.poisoned());
     ASSERT_TRUE(wal.append(good).is_ok());
-    logged.push_back(good.payload);
+    logged.push_back(batch);
   }
   EXPECT_EQ(read_file(segment), expected_segment(logged));
   const auto snap = obs::snapshot_of(wal);
@@ -457,27 +484,27 @@ TEST(WalFrameTest, TrailingBytesAreNotLogged) {
     WriteAheadLog wal({.dir = dir});
     ASSERT_TRUE(wal.append(padded).is_ok());
     EXPECT_EQ(obs::snapshot_of(wal).counter("resilience.wal_bytes"),
-              8u + exact.payload.size());
+              8u + refsample::encode(batch).size());
   }
-  EXPECT_EQ(read_file(dir + "/wal-00000001.seg"),
-            expected_segment({exact.payload}));
+  EXPECT_EQ(read_file(dir + "/wal-00000001.seg"), expected_segment({batch}));
   const auto replayed = replay_all(dir);
   ASSERT_EQ(replayed.size(), 1u);
   EXPECT_EQ(replayed[0].samples, batch.samples);
   fs::remove_all(dir);
 }
 
-TEST(WalFrameTest, TruncateKeepsSegmentWhoseNewestTimeIsASample) {
-  const auto dir = fresh_dir("frame_sample_time");
-  WriteAheadLog wal({.dir = dir, .segment_bytes = 64});
-  ASSERT_TRUE(
-      wal.append(transport::encode_samples(make_batch(core::kMinute)))
-          .is_ok());
-  // Swept at 2 min, but one sample is stamped 10 min: that sample, not the
-  // sweep time, is the segment's newest time.
+/// Swept at 2 min, but one sample is stamped 10 min: that sample, not the
+/// sweep time, is the newest time of the segment that logs it.
+SampleBatch late_batch() {
   auto late = make_batch(2 * core::kMinute);
   late.samples.back().time = 10 * core::kMinute;
-  ASSERT_TRUE(wal.append(transport::encode_samples(late)).is_ok());
+  return late;
+}
+
+/// `wal` has sealed a segment logging make_batch(1 min), then one logging
+/// late_batch(): truncation goes by each one's newest sample time.
+void expect_truncate_goes_by_newest_sample(WriteAheadLog& wal,
+                                           const std::string& dir) {
   ASSERT_EQ(wal.sealed_segments(), 2u);
   EXPECT_EQ(wal.truncate_before(5 * core::kMinute), 1u);
   EXPECT_EQ(wal.sealed_segments(), 1u);
@@ -486,7 +513,83 @@ TEST(WalFrameTest, TruncateKeepsSegmentWhoseNewestTimeIsASample) {
   EXPECT_EQ(kept[0].sweep_time, 2 * core::kMinute);
   EXPECT_EQ(wal.truncate_before(10 * core::kMinute + 1), 1u);
   EXPECT_EQ(wal.sealed_segments(), 0u);
+}
+
+TEST(WalFrameTest, TruncateKeepsSegmentWhoseNewestTimeIsASample) {
+  const auto dir = fresh_dir("frame_sample_time");
+  WriteAheadLog wal({.dir = dir, .segment_bytes = 64});
+  ASSERT_TRUE(
+      wal.append(transport::encode_samples(make_batch(core::kMinute)))
+          .is_ok());
+  ASSERT_TRUE(wal.append(transport::encode_samples(late_batch())).is_ok());
+  expect_truncate_goes_by_newest_sample(wal, dir);
   fs::remove_all(dir);
+}
+
+TEST(WalFrameTest, TruncateKeepsVersion1SegmentWhoseNewestTimeIsASample) {
+  // The same two segments as an older binary left them: reopening takes
+  // each one's newest time from its fixed-width records.
+  const auto dir = fresh_dir("frame_sample_time_v1");
+  fs::create_directories(dir);
+  write_v1_segment(dir + "/wal-00000001.seg", {make_batch(core::kMinute)});
+  write_v1_segment(dir + "/wal-00000002.seg", {late_batch()});
+  WriteAheadLog wal({.dir = dir});
+  expect_truncate_goes_by_newest_sample(wal, dir);
+  fs::remove_all(dir);
+}
+
+// -- Segment versions: version 1 is still read --------------------------------
+
+TEST(WalVersionTest, Version1SegmentsReplayAheadOfVersion2InIndexOrder) {
+  const auto dir = fresh_dir("mixed_versions");
+  fs::create_directories(dir);
+  std::vector<SampleBatch> want;
+  for (int m = 1; m <= 5; ++m) want.push_back(make_batch(m * core::kMinute));
+  write_v1_segment(dir + "/wal-00000001.seg", {want[0], want[1]});
+  write_v1_segment(dir + "/wal-00000002.seg", {want[2]});
+  {
+    WriteAheadLog wal({.dir = dir});
+    EXPECT_EQ(wal.sealed_segments(), 2u);
+    EXPECT_EQ(wal.active_segment_index(), 3u);
+    ASSERT_TRUE(wal.append(transport::encode_samples(want[3])).is_ok());
+    ASSERT_TRUE(wal.rotate().is_ok());
+    ASSERT_TRUE(wal.append(transport::encode_samples(want[4])).is_ok());
+  }
+  EXPECT_EQ(read_file(dir + "/wal-00000003.seg"), expected_segment({want[3]}));
+  EXPECT_EQ(read_file(dir + "/wal-00000004.seg"), expected_segment({want[4]}));
+  ReplayStats stats;
+  const auto batches = replay_all(dir, &stats);
+  EXPECT_EQ(stats.segments, 4u);
+  EXPECT_EQ(stats.records, 5u);
+  EXPECT_EQ(stats.samples, 40u);
+  EXPECT_EQ(stats.bad_segments, 0u);
+  EXPECT_EQ(stats.corrupt_skipped, 0u);
+  ASSERT_EQ(batches.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(batches[i].sweep_time, want[i].sweep_time) << i;
+    EXPECT_EQ(batches[i].origin, want[i].origin) << i;
+    EXPECT_EQ(batches[i].samples, want[i].samples) << i;
+  }
+  fs::remove_all(dir);
+}
+
+TEST(WalVersionTest, UnknownVersionIsABadSegment) {
+  const auto batch = make_batch(core::kMinute);
+  for (const std::uint32_t version : {0u, 3u, 0xFFFFFFFFu}) {
+    const auto dir = fresh_dir("unknown_version");
+    fs::create_directories(dir);
+    // A valid record under an unknown version, then a good segment.
+    write_file(dir + "/wal-00000001.seg",
+               segment_of(version, {refsample::encode(batch)}));
+    write_file(dir + "/wal-00000002.seg", expected_segment({batch}));
+    ReplayStats stats;
+    const auto batches = replay_all(dir, &stats);
+    EXPECT_EQ(stats.bad_segments, 1u) << version;
+    EXPECT_EQ(stats.segments, 1u) << version;
+    ASSERT_EQ(batches.size(), 1u) << version;
+    EXPECT_EQ(batches[0].samples, batch.samples);
+    fs::remove_all(dir);
+  }
 }
 
 // -- deliver(): retries, the dead-letter queue, redelivery -------------------
@@ -809,6 +912,45 @@ TEST(WalLimitTest, RecordPastTheReplayLimitIsRefusedAndWritesNothing) {
   fs::remove_all(dir);
 }
 
+TEST(WalLimitTest, TheLimitGoesByTheWorstCaseCompactRecord) {
+  // A compact sample takes at most 24 bytes, so a frame of `kMost` samples
+  // may make a record of exactly kMaxRecordBytes and is logged; one sample
+  // more is refused by every way in and writes nothing.
+  constexpr std::uint32_t kMost =
+      (WriteAheadLog::kMaxRecordBytes - transport::kSampleHeaderBytes) /
+      transport::kCompactSampleMaxBytes;
+  static_assert(transport::kSampleHeaderBytes +
+                    transport::kCompactSampleMaxBytes * kMost ==
+                WriteAheadLog::kMaxRecordBytes);
+  const auto dir = fresh_dir("limit_boundary");
+  const auto segment = dir + "/wal-00000001.seg";
+  {
+    WriteAheadLog wal({.dir = dir});
+    {
+      const auto over = zeroed_frame(kMost + 1);
+      const auto before = read_file(segment);
+      EXPECT_EQ(wal.append(over).code(), core::StatusCode::kTooLarge);
+      const auto posted = wal.post(over);
+      ASSERT_FALSE(posted.is_ok());
+      EXPECT_EQ(posted.status().code(), core::StatusCode::kTooLarge);
+      EXPECT_FALSE(wal.deliver(over));
+      EXPECT_EQ(wal.dead_letter_count(), 0u);
+      EXPECT_EQ(read_file(segment), before);
+    }
+    ASSERT_TRUE(wal.append(zeroed_frame(kMost)).is_ok());
+    const auto snap = obs::snapshot_of(wal);
+    EXPECT_EQ(snap.counter("resilience.wal_append_failures"), 3u);
+    EXPECT_EQ(snap.counter("resilience.wal_records"), 1u);
+    EXPECT_EQ(snap.counter("resilience.wal_samples"), kMost);
+  }
+  ReplayStats stats;
+  replay_all(dir, &stats);
+  EXPECT_EQ(stats.torn_tails, 0u);
+  EXPECT_EQ(stats.records, 1u);
+  EXPECT_EQ(stats.samples, kMost);
+  fs::remove_all(dir);
+}
+
 // -- post(): group commit on the writer thread --------------------------------
 
 /// Every segment file in `dir`, by name.
@@ -1015,6 +1157,45 @@ TEST(WalThreadedTest, PostDeliverAndMaintenanceLogEveryRecordOnce) {
       EXPECT_EQ(sweeps[i], (i + 1) * core::kSecond) << "origin " << origin;
     }
   }
+  fs::remove_all(dir);
+}
+
+TEST(WalBytesTest, WalBytesCountTheBytesOnDisk) {
+  // Appends, posts, a rotation and a redelivery: every byte in the segment
+  // files is a segment header or a record resilience.wal_bytes counted.
+  const auto dir = fresh_dir("bytes_on_disk");
+  core::Rng rng(99);
+  FaultPlan plan(1, {});
+  std::uint64_t counted = 0;
+  std::uint64_t segments = 0;
+  {
+    WriteAheadLog wal({.dir = dir, .segment_bytes = 4096, .faults = &plan});
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(
+          wal.append(transport::encode_samples(random_batch(rng))).is_ok());
+    }
+    std::uint64_t last = 0;
+    for (int i = 0; i < 8; ++i) {
+      last = wal.post(transport::encode_samples(random_batch(rng))).value();
+    }
+    ASSERT_TRUE(wal.wait_decided(last));
+    ASSERT_TRUE(wal.rotate().is_ok());
+    FaultSpec spec;
+    spec.delivery_error_p = 1.0;
+    plan.set_spec(spec);
+    EXPECT_FALSE(wal.deliver(frame(90)));
+    plan.set_spec({});
+    EXPECT_EQ(wal.redeliver(), 1u);
+    ASSERT_TRUE(wal.sync().is_ok());
+    const auto snap = obs::snapshot_of(wal);
+    counted = snap.counter("resilience.wal_bytes");
+    segments = snap.counter("resilience.wal_segments_created");
+    EXPECT_EQ(snap.counter("resilience.wal_records"), 17u);
+  }
+  std::uint64_t on_disk = 0;
+  for (const auto& [name, bytes] : segment_files(dir)) on_disk += bytes.size();
+  EXPECT_GT(segments, 3u);
+  EXPECT_EQ(counted + 8 * segments, on_disk);
   fs::remove_all(dir);
 }
 
